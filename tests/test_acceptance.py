@@ -23,6 +23,7 @@ from dyadictop.checks import CheckReport
 from dyadictop.construct import sample_points
 from dyadictop.corpus import CORPUS
 
+import golden
 from instances import extension_instance, separation_instance
 from oracle import (critical_values, o_boundary, o_closure, o_interior,
                     o_regularization, random_set, witnesses)
@@ -83,6 +84,22 @@ def test_criterion_1_pipeline(builds):
               f"clopen, restrictions exact, proper at depth {DEPTH}, "
               f"independent at depth 4")
     _verdict(1, not problems and not slow, "; ".join(problems + slow) or detail)
+
+
+def test_golden_unconstrained(builds):
+    """The corpus builds of criterion 1 reproduce their golden JSON."""
+    assert golden.RUNS[0] == ("unconstrained", LEVELS, DEPTH)
+    for name, (res, _) in builds.items():
+        want = golden.path(name, "unconstrained", LEVELS).read_text(encoding="utf-8")
+        assert golden.render(res) == want, name
+
+
+def test_golden_match_dim():
+    mode, levels, depth = golden.RUNS[1]
+    for name, mk in CORPUS.items():
+        res = build_proper_subbase(mk(), levels, degree_mode=mode, depth=depth)
+        want = golden.path(name, mode, levels).read_text(encoding="utf-8")
+        assert golden.render(res) == want, name
 
 
 # -- criterion 2: degree matches dimension --------------------------------
