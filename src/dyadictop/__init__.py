@@ -17,10 +17,10 @@ from .lemmas import (LemmaError, SubspaceError, check_half_clopen,
 from .rational import (RationalFormatError, exact_log2, format_rational,
                        parse_rational)
 from .sets import (AmbientMismatchError, RegularParts, SetError, Span,
-                   SymbolicSet, TailRule, compare, embed, kernel_set,
-                   regular_ops, restrict)
+                   SymbolicSet, TailRule, embed, kernel_set, regular_ops,
+                   restrict)
 from .space import (GeometricSequence, Interval, IsolatedPoint, KernelReport,
-                    Space, SpaceError, cb_kernel, load_space, scatter_clusters)
+                    Space, SpaceError, cb_kernel, scatter_clusters)
 from .subbase import (DyadicSubbase, NotRegularOpenError, SubbaseError,
                       load_subbase, make_pair)
 from .words import BOTTOM, TernaryWord, WordError
@@ -37,9 +37,9 @@ __all__ = [
     "WordError", "auto_seeds", "build_independent_subbase",
     "build_proper_subbase", "cb_kernel", "check_dyadic", "check_half_clopen",
     "check_independent", "check_proper", "check_separation", "cluster_set",
-    "compare", "decode_word", "degree_report", "embed", "encode_point",
+    "decode_word", "degree_report", "embed", "encode_point",
     "exact_log2", "extend_to_proper", "format_rational",
-    "half_clopen_extension", "kernel_set", "load_space", "load_subbase",
+    "half_clopen_extension", "kernel_set", "load_subbase",
     "make_pair", "parse_rational", "regular_ops", "resolution_check",
     "restrict", "scatter_clusters", "scattered_clopen_base",
     "separate_open_pair",

@@ -23,8 +23,8 @@ from .checks import (CheckReport, check_dyadic, check_independent, check_proper,
                      degree_report, resolution_check)
 from .lemmas import cluster_set, half_clopen_extension
 from .rational import format_rational
-from .sets import (Span, SymbolicSet, TAIL_NONE, dist_to_spans, embed,
-                   kernel_set, restrict, tail_from_predicate)
+from .sets import (Span, SymbolicSet, embed, kernel_set, nearer_spans,
+                   restrict)
 from .space import GeometricSequence, Interval, Space, cb_kernel, scatter_clusters
 from .subbase import DyadicSubbase
 
@@ -90,10 +90,10 @@ class SeedFamily:
 def auto_seeds(space: Space, levels: int) -> SeedFamily:
     """Breadth-first dyadic windows over the kernel components.
 
-    Window n gets margin 2**-(n+3) of its component's length; the full-space
-    hull absorbs a scattered cluster when the cluster anchors inside the hull
-    (forced, openness at the limit) or sits strictly nearer to the hull than
-    to the rest of the kernel.
+    Window n gets margin 2**-(n+3) of its component's length, clipped to
+    the component; the full-space hull absorbs a scattered cluster when the
+    cluster anchors inside the hull (forced, openness at the limit) or sits
+    no farther from the hull than from the rest of the kernel.
     """
     kernel = cb_kernel(space).kernel
     comps = kernel.intervals()
@@ -112,16 +112,15 @@ def auto_seeds(space: Space, levels: int) -> SeedFamily:
         for n, (comp, a, b) in enumerate(windows[:levels]):
             core = SymbolicSet.region(kernel, [(a, a == comp.lo, b, b == comp.hi)])
             margin = (comp.hi - comp.lo) / 2 ** (n + 3)
-            hull = SymbolicSet.region(kernel, [(a - margin, False, b + margin, False)])
+            lo, hi = max(a - margin, comp.lo), min(b + margin, comp.hi)
+            hull = SymbolicSet.region(kernel, [(lo, lo == comp.lo, hi, hi == comp.hi)])
             hull_star = embed(hull, space)
-            rest = kernelS.difference(embed(hull, space))
+            rest = kernelS.difference(hull_star)
             for cluster in clusters:
                 if cluster.kind == "kernel":
                     absorb = hull.membership(cluster.anchor)
                 else:
-                    d_in = dist_to_spans(cluster.anchor, hull.spans)
-                    d_out = dist_to_spans(cluster.anchor, rest.spans)
-                    absorb = d_out is None or (d_in is not None and d_in < d_out)
+                    absorb = nearer_spans(cluster.anchor, hull.spans, rest.spans) == 0
                 if absorb:
                     hull_star = hull_star.union(cluster_set(space, cluster))
             entries.append(SeedEntry(core, hull, hull_star))
@@ -165,7 +164,7 @@ class StepTrace:
         return d
 
 
-# -- kernel stage ---------------------------------------------------------
+# -- windows and chunks --------------------------------------------------
 
 def _pick_between(anchor: Fraction, limit: Fraction, used: set[Fraction]) -> Fraction:
     """A fresh value strictly between anchor and limit, halving towards anchor."""
@@ -211,6 +210,56 @@ def _window_probes(core: SymbolicSet, values) -> list[Fraction]:
     return [m for m in mids if core.membership(m)]
 
 
+# -- one level, shared by the kernel and starred stages -------------------
+
+def _classify(cells, v, cl_v) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Words of the cells inside V (class A) and of those clear of cl V (class B)."""
+    a_words, b_words = [], []
+    for w in sorted(cells):
+        if cells[w].subset_of(v):
+            a_words.append(w)
+        elif cells[w].intersection(cl_v).is_empty:
+            b_words.append(w)
+    return tuple(a_words), tuple(b_words)
+
+
+def _assemble(whole, v, cl_v, g, a_words, b_words) -> tuple[SymbolicSet, SymbolicSet]:
+    """The pair: V and the exterior of V, with the chunks G swapped between them."""
+    s0 = v
+    for w in a_words:
+        s0 = s0.difference(g[w].closure())
+    for w in b_words:
+        s0 = s0.union(g[w])
+    s1 = whole.difference(cl_v)
+    for w in b_words:
+        s1 = s1.difference(g[w].closure())
+    for w in a_words:
+        s1 = s1.union(g[w])
+    return s0, s1
+
+
+def _split(cells, s0, s1) -> dict[str, SymbolicSet]:
+    """The next level's cells: each cell cut by either side of the new pair."""
+    return {w + d: cell.intersection(side)
+            for w, cell in cells.items() for d, side in (("0", s0), ("1", s1))}
+
+
+def _check_window(cells, s0, s1, core, hull, marks, condition, trace) -> None:
+    """Raise ``condition`` unless every probe of the window core that lies
+    off the new boundaries falls in a new cell inside the hull."""
+    for x in _window_probes(core, marks):
+        cell = next((c for c in cells.values() if c.membership(x)), None)
+        if cell is None:
+            continue
+        side = s0 if s0.membership(x) else s1 if s1.membership(x) else None
+        if side is not None and not cell.intersection(side).subset_of(hull):
+            raise ConstructionError(condition, trace.level,
+                                    {"probe": format_rational(x),
+                                     "trace": trace.to_dict()})
+
+
+# -- kernel stage ---------------------------------------------------------
+
 def build_independent_subbase(kernel: Space, levels: int,
                               seeds: SeedFamily | None = None,
                               match_dim: bool = False):
@@ -237,53 +286,31 @@ def build_independent_subbase(kernel: Space, levels: int,
     used: set[Fraction] = set()
     pairs: list[tuple[SymbolicSet, SymbolicSet]] = []
     traces: list[StepTrace] = []
-    cells: dict[str, tuple[SymbolicSet, SymbolicSet]] = {"": (whole, whole)}
+    # each cell and the intersection of its sides' closures
+    cells: dict[str, SymbolicSet] = {"": whole}
+    cl_cells: dict[str, SymbolicSet] = {"": whole}
 
     for n in range(levels):
         entry = seeds.entries[n]
         v = _interpolate_window(kernel, entry.core, entry.hull, used)
         cl_v = v.closure()
-        a_words, b_words = [], []
-        for w in sorted(cells):
-            cell = cells[w][0]
-            if cell.subset_of(v):
-                a_words.append(w)
-            elif cell.intersection(cl_v).is_empty:
-                b_words.append(w)
-        g = {w: _middle_third(cells[w][0], used, match_dim) for w in a_words + b_words}
-
-        s0 = v
-        for w in a_words:
-            s0 = s0.difference(g[w].closure())
-        for w in b_words:
-            s0 = s0.union(g[w])
-        s1 = whole.difference(cl_v)
-        for w in b_words:
-            s1 = s1.difference(g[w].closure())
-        for w in a_words:
-            s1 = s1.union(g[w])
-
-        trace = StepTrace(n, v, tuple(a_words), tuple(b_words),
-                          tuple(sorted(g.items())), s0, s1)
-        _validate_kernel_level(kernel, cells, trace, entry, used)
+        a_words, b_words = _classify(cells, v, cl_v)
+        g = {w: _middle_third(cells[w], used, match_dim) for w in a_words + b_words}
+        s0, s1 = _assemble(whole, v, cl_v, g, a_words, b_words)
+        trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1)
+        children = _split(cells, s0, s1)
+        cl_children = _split(cl_cells, s0.closure(), s1.closure())
+        _validate_kernel_level(cells, children, cl_children, trace)
+        marks = used | set(s0.boundary().as_finite_points() or ())
+        _check_window(cells, s0, s1, entry.core, entry.hull, marks,
+                      "seed-window-containment", trace)
         pairs.append((s0, s1))
         traces.append(trace)
-        cells = _split_cells(cells, s0, s1)
-        for val in s0.boundary().as_finite_points() or ():
-            used.add(val)
+        cells, cl_cells, used = children, cl_children, marks
     return DyadicSubbase(kernel, tuple(pairs)), traces
 
 
-def _split_cells(cells, s0, s1):
-    out = {}
-    cl0, cl1 = s0.closure(), s1.closure()
-    for w, (cell, clcell) in cells.items():
-        out[w + "0"] = (cell.intersection(s0), clcell.intersection(cl0))
-        out[w + "1"] = (cell.intersection(s1), clcell.intersection(cl1))
-    return out
-
-
-def _validate_kernel_level(kernel, cells, trace, entry, used):
+def _validate_kernel_level(cells, children, cl_children, trace):
     n = trace.level
     g = dict(trace.g)
     if not trace.s0.is_regular_open:
@@ -292,44 +319,20 @@ def _validate_kernel_level(kernel, cells, trace, entry, used):
     if trace.s1 != trace.s0.exterior():
         raise ConstructionError("exterior-identity", n, {"trace": trace.to_dict()})
     for w in trace.a_words + trace.b_words:
-        cell = cells[w][0]
+        cell = cells[w]
         gw = g[w]
         if gw.is_empty or not gw.is_regular_open \
                 or not gw.closure().subset_of(cell) \
                 or cell.difference(gw.closure()).is_empty:
             raise ConstructionError("g-inside-cell", n,
                                     {"word": w, "trace": trace.to_dict()})
-    cl0, cl1 = trace.s0.closure(), trace.s1.closure()
-    for w, (cell, clcell) in cells.items():
-        for s, cl in ((trace.s0, cl0), (trace.s1, cl1)):
-            child = cell.intersection(s)
-            if child.is_empty:
-                raise ConstructionError("cells-nonempty", n,
-                                        {"word": w, "trace": trace.to_dict()})
-            if child.closure() != clcell.intersection(cl):
-                raise ConstructionError("closure-product-identity", n,
-                                        {"word": w, "trace": trace.to_dict()})
-    marks = set(used) | set(trace.s0.boundary().as_finite_points() or ())
-    for x in _window_probes(entry.core, marks):
-        cell = _forced_cell(cells, trace, x)
-        if cell is None:
-            continue
-        if not cell.subset_of(entry.hull):
-            raise ConstructionError("seed-window-containment", n,
-                                    {"probe": format_rational(x),
-                                     "trace": trace.to_dict()})
-
-
-def _forced_cell(cells, trace, x):
-    """Cell of a boundary-free point through level n, None when on a boundary."""
-    for w, (cell, _) in cells.items():
-        if cell.membership(x):
-            if trace.s0.membership(x):
-                return cell.intersection(trace.s0)
-            if trace.s1.membership(x):
-                return cell.intersection(trace.s1)
-            return None
-    return None
+    for w, child in children.items():
+        if child.is_empty:
+            raise ConstructionError("cells-nonempty", n,
+                                    {"word": w[:-1], "trace": trace.to_dict()})
+        if child.closure() != cl_children[w]:
+            raise ConstructionError("closure-product-identity", n,
+                                    {"word": w[:-1], "trace": trace.to_dict()})
 
 
 # -- starred stage --------------------------------------------------------
@@ -342,8 +345,7 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
     starred zero side, both sides restrict to the kernel pair, boundaries
     stay inside the kernel, and window cores resolve into starred hulls.
     """
-    report = cb_kernel(space)
-    kernel = report.kernel
+    kernel = cb_kernel(space).kernel
     if kernel_sb.space != kernel:
         raise ConstructionError("kernel-mismatch", -1)
     if not kernel.intervals():
@@ -353,10 +355,9 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
 
     kernelS = kernel_set(space, kernel)
     whole = SymbolicSet.whole(space)
-    whole_k = SymbolicSet.whole(kernel)
     star_pairs: list[tuple[SymbolicSet, SymbolicSet]] = []
     out_traces: list[StepTrace] = []
-    cells: dict[str, SymbolicSet] = {"": whole_k}
+    cells: dict[str, SymbolicSet] = {"": SymbolicSet.whole(kernel)}
     star_cells: dict[str, SymbolicSet] = {"": whole}
     used: set[Fraction] = set()
 
@@ -365,39 +366,29 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
         if tr.s0 != s0 or tr.s1 != s1 or tr.level != n:
             raise ConstructionError("trace-pair-mismatch", n)
         cl_v = tr.v.closure()
+        a_words, b_words = _classify(cells, tr.v, cl_v)
+        wrong = (set(a_words) ^ set(tr.a_words)) | (set(b_words) ^ set(tr.b_words))
+        if wrong:
+            raise ConstructionError("trace-class-mismatch", n, {"word": min(wrong)})
         g = dict(tr.g)
-        for w, cell in cells.items():
-            in_a = cell.subset_of(tr.v)
-            in_b = cell.intersection(cl_v).is_empty
-            if in_a != (w in tr.a_words) or in_b != (w in tr.b_words):
-                raise ConstructionError("trace-class-mismatch", n, {"word": w})
-            if (in_a or in_b) and w not in g:
-                raise ConstructionError("trace-missing-g", n, {"word": w})
+        missing = set(a_words + b_words).difference(g)
+        if missing:
+            raise ConstructionError("trace-missing-g", n, {"word": min(missing)})
 
         entry = seeds.entries[n]
         v_star = half_clopen_extension(space, tr.v, entry.hull_star)
-        if v_star.closure().intersection(kernelS) != embed(cl_v, space):
+        cl_v_star = v_star.closure()
+        if cl_v_star.intersection(kernelS) != embed(cl_v, space):
             raise ConstructionError("starred-closure-tightness", n,
                                     {"trace": tr.to_dict()})
-        cl_v_star = v_star.closure()
         g_star = {}
-        for w in tr.a_words:
+        for w in a_words:
             g_star[w] = half_clopen_extension(
                 space, g[w], v_star.intersection(star_cells[w]))
-        for w in tr.b_words:
+        for w in b_words:
             g_star[w] = half_clopen_extension(
                 space, g[w], star_cells[w].difference(cl_v_star))
-
-        s0s = v_star
-        for w in tr.a_words:
-            s0s = s0s.difference(g_star[w].closure())
-        for w in tr.b_words:
-            s0s = s0s.union(g_star[w])
-        s1s = whole.difference(cl_v_star)
-        for w in tr.b_words:
-            s1s = s1s.difference(g_star[w].closure())
-        for w in tr.a_words:
-            s1s = s1s.union(g_star[w])
+        s0s, s1s = _assemble(whole, v_star, cl_v_star, g_star, a_words, b_words)
 
         new_tr = replace(tr, v_star=v_star, g_star=tuple(sorted(g_star.items())),
                          s0_star=s0s, s1_star=s1s)
@@ -411,54 +402,19 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
                 or not s1s.boundary().subset_of(kernelS):
             raise ConstructionError("starred-half-clopen", n,
                                     {"trace": new_tr.to_dict()})
-        marks = set(used) | set(s0.boundary().as_finite_points() or ())
-        for x in _window_probes(entry.core, marks):
-            scell = _forced_star_cell(star_cells, s0s, s1s, x)
-            if scell is None:
-                continue
-            if not scell.subset_of(entry.hull_star):
-                raise ConstructionError("starred-window-containment", n,
-                                        {"probe": format_rational(x),
-                                         "trace": new_tr.to_dict()})
+        marks = used | set(s0.boundary().as_finite_points() or ())
+        _check_window(star_cells, s0s, s1s, entry.core, entry.hull_star, marks,
+                      "starred-window-containment", new_tr)
 
         star_pairs.append((s0s, s1s))
         out_traces.append(new_tr)
-        cells = {w + d: cells[w].intersection(side)
-                 for w in cells for d, side in (("0", s0), ("1", s1))}
-        star_cells = {w + d: star_cells[w].intersection(side)
-                      for w in star_cells for d, side in (("0", s0s), ("1", s1s))}
-        used |= set(s0.boundary().as_finite_points() or ())
+        cells = _split(cells, s0, s1)
+        star_cells = _split(star_cells, s0s, s1s)
+        used = marks
     return DyadicSubbase(space, tuple(star_pairs)), out_traces
 
 
-def _forced_star_cell(star_cells, s0s, s1s, x):
-    for w, cell in star_cells.items():
-        if cell.membership(x):
-            if s0s.membership(x):
-                return cell.intersection(s0s)
-            if s1s.membership(x):
-                return cell.intersection(s1s)
-            return None
-    return None
-
-
 # -- scattered stage ------------------------------------------------------
-
-def _cluster_tail_set(space: Space, cluster, depth: int) -> SymbolicSet:
-    """The cluster's anchor together with its tails from the given index on."""
-    n_seq = len(space.sequences())
-    rules = [TAIL_NONE] * n_seq
-    for j, exc in cluster.tails:
-        bound = max([depth] + [e + 1 for e in exc])
-        rules[j] = tail_from_predicate(
-            bound, lambda k, E=exc: k >= depth and k not in E, True)
-    for j, k in cluster.member_atoms:
-        rules[j] = tail_from_predicate(
-            max(rules[j].bound(), k + 1),
-            lambda i, r=rules[j], kk=k: r.selected(i) or i == kk,
-            rules[j].infinite)
-    return SymbolicSet(space, (), cluster.point_values, tuple(rules))
-
 
 def scattered_clopen_base(space: Space, tail_depth: int) -> list[SymbolicSet]:
     """Clopen sets separating the scattered part down to the given depth.
@@ -468,27 +424,23 @@ def scattered_clopen_base(space: Space, tail_depth: int) -> list[SymbolicSet]:
     Sequences converging into the kernel get singletons only: their tails
     pick up the limit under closure, so no tail of theirs is clopen.
     """
-    seqs = space.sequences()
     clusters = scatter_clusters(space)
     sets: list[SymbolicSet] = []
     for c in sorted((c for c in clusters if c.kind == "free"),
                     key=lambda c: c.anchor):
         sets.append(SymbolicSet.singleton(space, c.anchor))
-    for j, s in enumerate(seqs):
+    for s in space.sequences():
         for k in range(1, tail_depth + 1):
             sets.append(SymbolicSet.singleton(space, s.member(k)))
-    for c in sorted((c for c in clusters if c.kind == "scattered"),
-                    key=lambda c: c.anchor):
+    # a scattered limit belongs to the space and takes all of its tails
+    # along; an outside limit does not, so each of its tails is cut alone
+    parts = sorted((c for c in clusters if c.kind == "scattered"),
+                   key=lambda c: c.anchor)
+    parts += [replace(c, tails=(t,)) for c in clusters if c.kind == "outside"
+              for t in sorted(c.tails)]
+    for c in parts:
         for depth in range(1, tail_depth + 1):
-            sets.append(_cluster_tail_set(space, c, depth))
-    for c in (c for c in clusters if c.kind == "outside"):
-        for j, exc in sorted(c.tails):
-            for depth in range(1, tail_depth + 1):
-                bound = max([depth] + [e + 1 for e in exc])
-                rules = [TAIL_NONE] * len(seqs)
-                rules[j] = tail_from_predicate(
-                    bound, lambda k, E=exc: k >= depth and k not in E, True)
-                sets.append(SymbolicSet(space, (), frozenset(), tuple(rules)))
+            sets.append(cluster_set(space, c, from_index=depth))
     out: list[SymbolicSet] = []
     for h in sets:
         if h in out:

@@ -8,9 +8,7 @@ are always validated against the postconditions before being returned.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .sets import (SymbolicSet, TailRule, dist_to_spans, embed, kernel_set,
+from .sets import (SymbolicSet, TAIL_NONE, embed, kernel_set, nearer_spans,
                    regular_ops, tail_from_predicate)
 from .space import Cluster, Space, cb_kernel, scatter_clusters
 
@@ -26,13 +24,14 @@ class SubspaceError(ValueError):
     pass
 
 
-def cluster_set(space: Space, cluster: Cluster) -> SymbolicSet:
-    """The cluster's scattered material as a subset of the space."""
-    n_seq = len(space.sequences())
-    tails = [TailRule() for _ in range(n_seq)]
+def cluster_set(space: Space, cluster: Cluster, from_index: int = 1) -> SymbolicSet:
+    """The cluster's scattered material as a subset of the space, its
+    tails cut to the members from index ``from_index`` on."""
+    tails = [TAIL_NONE] * len(space.sequences())
     for j, exc in cluster.tails:
-        bound = max([1] + [e + 1 for e in exc])
-        tails[j] = tail_from_predicate(bound, lambda k, E=exc: k not in E, True)
+        bound = max([from_index] + [e + 1 for e in exc])
+        tails[j] = tail_from_predicate(
+            bound, lambda k, E=exc: k >= from_index and k not in E, True)
     for j, k in cluster.member_atoms:
         tails[j] = tail_from_predicate(max(tails[j].bound(), k + 1),
                                        lambda i, r=tails[j], kk=k: r.selected(i) or i == kk,
@@ -109,15 +108,7 @@ def _assign_cluster(cluster: Cluster, u0: SymbolicSet, u1: SymbolicSet) -> int |
         if u1.membership(cluster.anchor):
             return 1
         return None
-    d0 = dist_to_spans(cluster.anchor, u0.spans)
-    d1 = dist_to_spans(cluster.anchor, u1.spans)
-    if d0 is None and d1 is None:
-        return None
-    if d1 is None:
-        return 0
-    if d0 is None:
-        return 1
-    return 0 if d0 <= d1 else 1
+    return nearer_spans(cluster.anchor, u0.spans, u1.spans)
 
 
 def check_half_clopen(space: Space, u: SymbolicSet, w: SymbolicSet,

@@ -37,11 +37,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def pretty(x: Fraction) -> str:
-    """Compact form for terminal output."""
-    return str(x)
-
-
 def exact_log2(x: Fraction) -> int | None:
     """Return k with x == 2**k, or None when x is not a power of two."""
     if x <= 0:
@@ -65,9 +60,3 @@ def floor_log2(x: Fraction) -> int:
     while Fraction(2) ** (k + 1) <= x:
         k += 1
     return k
-
-
-def ceil_log2(x: Fraction) -> int:
-    """Smallest k with 2**k >= x; x must be positive."""
-    k = floor_log2(x)
-    return k if Fraction(2) ** k == x else k + 1

@@ -19,8 +19,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import format_rational, parse_rational, pretty
-from .space import GeometricSequence, Space, _members_in_range
+from .rational import format_rational, parse_rational
+from .space import Space, _members_in_range
 
 
 class SetError(ValueError):
@@ -130,6 +130,15 @@ def dist_to_spans(x: Fraction, spans) -> Fraction | None:
     return best
 
 
+def nearer_spans(x: Fraction, first, second) -> int | None:
+    """0 or 1 for the span union whose closure is nearer x, ties going to
+    the first; None when both are empty."""
+    d0, d1 = dist_to_spans(x, first), dist_to_spans(x, second)
+    if d0 is None:
+        return None if d1 is None else 1
+    return 0 if d1 is None or d0 <= d1 else 1
+
+
 # -- tail rules -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -215,7 +224,7 @@ class SymbolicSet:
         pts = frozenset(self.points)
         for p in pts:
             if self.space.locate(p)[0] != "point":
-                raise SetError(f"{pretty(p)} is not an isolated point of the space")
+                raise SetError(f"{p} is not an isolated point of the space")
         object.__setattr__(self, "points", pts)
         seqs = self.space.sequences()
         tails = tuple(self.tails)
@@ -280,7 +289,7 @@ class SymbolicSet:
             tails = [TAIL_NONE] * len(space.sequences())
             tails[loc[1]] = TailRule(None, frozenset({loc[2]}))
             return cls(space, tails=tuple(tails))
-        raise SetError(f"{pretty(x)} is not in the space")
+        raise SetError(f"{x} is not in the space")
 
     # -- basic queries --------------------------------------------------
 
@@ -426,10 +435,6 @@ class SymbolicSet:
     def is_regular_open(self) -> bool:
         return self == self.regularization()
 
-    @property
-    def is_clopen(self) -> bool:
-        return self.boundary().is_empty
-
     # -- relative topology ------------------------------------------------
 
     def closure_in(self, sub: "SymbolicSet") -> "SymbolicSet":
@@ -439,9 +444,6 @@ class SymbolicSet:
     def interior_in(self, sub: "SymbolicSet") -> "SymbolicSet":
         self._require_subset_of(sub, "interior_in")
         return sub.difference(sub.difference(self).closure())
-
-    def boundary_in(self, sub: "SymbolicSet") -> "SymbolicSet":
-        return self.closure_in(sub).difference(self.interior_in(sub))
 
     def _require_subset_of(self, sub: "SymbolicSet", op: str) -> None:
         self._require_same_space(sub)
@@ -502,7 +504,7 @@ class SymbolicSet:
 
     def render(self) -> str:
         parts = [sp.render() for sp in self.spans]
-        parts += ["{" + pretty(p) + "}" for p in sorted(self.points)]
+        parts += [f"{{{p}}}" for p in sorted(self.points)]
         for j, rule in enumerate(self.tails):
             if rule.is_empty:
                 continue
@@ -517,20 +519,7 @@ class SymbolicSet:
         return " u ".join(parts) if parts else "{}"
 
 
-# -- comparison and regular parts ----------------------------------------
-
-def compare(a: SymbolicSet, b: SymbolicSet) -> str:
-    """One of equal / A_subset_B / B_subset_A / disjoint / incomparable."""
-    if a == b:
-        return "equal"
-    if a.subset_of(b):
-        return "A_subset_B"
-    if b.subset_of(a):
-        return "B_subset_A"
-    if a.intersection(b).is_empty:
-        return "disjoint"
-    return "incomparable"
-
+# -- regular parts --------------------------------------------------------
 
 @dataclass(frozen=True)
 class RegularParts:

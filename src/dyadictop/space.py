@@ -13,12 +13,11 @@ which is what keeps every later operation decidable.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .rational import exact_log2, floor_log2, format_rational, parse_rational, pretty
+from .rational import exact_log2, floor_log2, format_rational, parse_rational
 
 
 class SpaceError(ValueError):
@@ -35,7 +34,7 @@ class Interval:
             raise SpaceError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
     def render(self) -> str:
-        return f"[{pretty(self.lo)},{pretty(self.hi)}]"
+        return f"[{self.lo},{self.hi}]"
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class IsolatedPoint:
     value: Fraction
 
     def render(self) -> str:
-        return pretty(self.value)
+        return str(self.value)
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ class GeometricSequence:
 
     def render(self) -> str:
         sign = "+" if self.offset > 0 else "-"
-        return f"{{{pretty(self.limit)}{sign}{pretty(abs(self.offset))}*2^-k}}"
+        return f"{{{self.limit}{sign}{abs(self.offset)}*2^-k}}"
 
 
 Primitive = Interval | IsolatedPoint | GeometricSequence
@@ -163,15 +162,6 @@ def primitive_dict(p: Primitive) -> dict:
     return d
 
 
-def load_space(path: str) -> Space:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpaceError(f"bad JSON in {path}: {exc}") from None
-    return Space.from_dict(data)
-
-
 # -- load-time disjointness ----------------------------------------------
 
 def _members_in_range(s: GeometricSequence, lo: Fraction, lo_in: bool,
@@ -225,11 +215,11 @@ def _validate(prims: tuple[Primitive, ...]) -> None:
     seen: set[Fraction] = set()
     for p in pts:
         if p.value in seen:
-            raise SpaceError(f"duplicate point {pretty(p.value)}")
+            raise SpaceError(f"duplicate point {p.value}")
         seen.add(p.value)
         for iv in ivs:
             if iv.lo <= p.value <= iv.hi:
-                raise SpaceError(f"point {pretty(p.value)} lies in interval {iv.render()}")
+                raise SpaceError(f"point {p.value} lies in interval {iv.render()}")
 
     for s in seqs:
         for iv in ivs:
@@ -237,7 +227,7 @@ def _validate(prims: tuple[Primitive, ...]) -> None:
                 raise SpaceError(f"sequence {s.render()} has members in {iv.render()}")
         for p in pts:
             if s.member_index(p.value) is not None:
-                raise SpaceError(f"point {pretty(p.value)} is a member of {s.render()}")
+                raise SpaceError(f"point {p.value} is a member of {s.render()}")
 
     for i, s in enumerate(seqs):
         for t in seqs[i + 1:]:
@@ -250,10 +240,10 @@ def _validate(prims: tuple[Primitive, ...]) -> None:
     for s in seqs:
         inside = probe.contains(s.limit)
         if s.open_limit and inside:
-            raise SpaceError(f"open_limit set but {pretty(s.limit)} is in the space")
+            raise SpaceError(f"open_limit set but {s.limit} is in the space")
         if not s.open_limit and not inside:
             raise SpaceError(
-                f"limit {pretty(s.limit)} of {s.render()} is outside the space "
+                f"limit {s.limit} of {s.render()} is outside the space "
                 "(set open_limit to allow this)")
 
 

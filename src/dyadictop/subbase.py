@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .sets import SetError, SymbolicSet, restrict
+from .sets import SetError, SymbolicSet
 from .space import Space
 from .words import TernaryWord
 
@@ -59,9 +59,6 @@ class DyadicSubbase:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def side(self, idx: int, digit: int) -> SymbolicSet:
-        return self.pairs[idx][digit]
-
     def sigma_sets(self, word: TernaryWord) -> tuple[SymbolicSet, SymbolicSet]:
         """(S(word), S̄(word)); the empty word yields (X, X)."""
         s = SymbolicSet.whole(self.space)
@@ -73,10 +70,6 @@ class DyadicSubbase:
             s = s.intersection(side)
             sbar = sbar.intersection(side.closure())
         return (s, sbar)
-
-    def restricted_to(self, sub: Space) -> "DyadicSubbase":
-        return DyadicSubbase(sub, tuple(
-            (restrict(a, sub), restrict(b, sub)) for a, b in self.pairs))
 
     def forced_word(self, x, width: int | None = None) -> TernaryWord:
         """Digits forced by membership; boundary indices stay bottom."""

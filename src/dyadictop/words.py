@@ -28,10 +28,6 @@ class TernaryWord:
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     @classmethod
-    def from_mapping(cls, mapping: dict[int, int]) -> "TernaryWord":
-        return cls(tuple(mapping.items()))
-
-    @classmethod
     def from_string(cls, text: str) -> "TernaryWord":
         entries = []
         for i, ch in enumerate(text.strip()):
@@ -59,9 +55,6 @@ class TernaryWord:
     def without(self, idx: int) -> "TernaryWord":
         return TernaryWord(tuple((i, d) for i, d in self.entries if i != idx))
 
-    def restricted(self, width: int) -> "TernaryWord":
-        return TernaryWord(tuple((i, d) for i, d in self.entries if i < width))
-
     def to_string(self, width: int | None = None, ascii_bottom: bool = True) -> str:
         bot = "_" if ascii_bottom else BOTTOM
         top = max([i for i, _ in self.entries], default=-1) + 1
@@ -73,7 +66,3 @@ class TernaryWord:
         for i, d in self.entries:
             chars[i] = str(d)
         return "".join(chars)
-
-    def sort_key(self, width: int):
-        # bottom sorts below 0 below 1
-        return tuple({None: 0, 0: 1, 1: 2}[self.digit(i)] for i in range(width))

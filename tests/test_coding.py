@@ -43,8 +43,8 @@ def test_unfilled_matches_membership_count():
     for x in (F(0), F(1, 3), F(1, 2), F(2)):
         coded = encode_point(sb, x)
         blank = sum(1 for i in range(len(sb))
-                    if not sb.side(i, 0).membership(x)
-                    and not sb.side(i, 1).membership(x))
+                    if not sb.pairs[i][0].membership(x)
+                    and not sb.pairs[i][1].membership(x))
         assert coded.unfilled == blank
 
 

@@ -13,7 +13,7 @@ from dyadictop.construct import sample_points
 from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
-from dyadictop.space import GeometricSequence, IsolatedPoint, Space
+from dyadictop.space import GeometricSequence, Interval, IsolatedPoint, Space
 
 
 # -- seeds ----------------------------------------------------------------
@@ -121,7 +121,8 @@ def test_extend_restricts_to_kernel_pairs():
         seeds = auto_seeds(sp, 3)
         ksb, traces = build_independent_subbase(kernel, 3, seeds=seeds)
         star, _ = extend_to_proper(sp, ksb, traces, seeds)
-        assert star.restricted_to(kernel) == ksb
+        assert [(restrict(a, kernel), restrict(b, kernel))
+                for a, b in star.pairs] == list(ksb.pairs)
         kernelS = kernel_set(sp, kernel)
         for s0s, s1s in star.pairs:
             assert s0s.boundary().subset_of(kernelS)
@@ -195,6 +196,18 @@ def test_build_proper_match_dim_degree():
     deg = [r for r in res.reports if r.prop == "degree"][0]
     assert deg.stats["degree_sup"] == 1
     assert deg.stats["boundaries_pairwise_disjoint"] is True
+
+
+@pytest.mark.parametrize("space, levels", [
+    # a free point as far from one kernel component as from the other
+    (Space((Interval(F(0), F(1)), IsolatedPoint(F(2)), Interval(F(3), F(4)))), 2),
+    # a window margin wider than the gap to the next component
+    (Space((Interval(F(0), F(4)), Interval(F(17, 4), F(5)))), 1),
+    # a margin wide enough to take in the whole next component
+    (Space((Interval(F(5, 4), F(37, 4)), Interval(F(39, 4), F(41, 4)))), 1),
+], ids=["tie", "close-components", "swallowed-component"])
+def test_build_proper_seed_geometries(space, levels):
+    assert build_proper_subbase(space, levels).passed
 
 
 def test_build_proper_rejects_unknown_mode():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dyadictop import RationalFormatError, exact_log2, format_rational, parse_rational
-from dyadictop.rational import ceil_log2, floor_log2, pretty
+from dyadictop.rational import floor_log2
 
 
 def test_parse_fraction_forms():
@@ -30,11 +30,6 @@ def test_format_parse_roundtrip():
         assert parse_rational(format_rational(x)) == x
 
 
-def test_pretty_uses_plain_str():
-    assert pretty(Fraction(3)) == "3"
-    assert pretty(Fraction(1, 2)) == "1/2"
-
-
 def test_exact_log2():
     assert exact_log2(Fraction(8)) == 3
     assert exact_log2(Fraction(1, 4)) == -2
@@ -44,9 +39,7 @@ def test_exact_log2():
     assert exact_log2(Fraction(-2)) is None
 
 
-def test_floor_ceil_log2():
+def test_floor_log2():
     assert floor_log2(Fraction(5)) == 2
-    assert ceil_log2(Fraction(5)) == 3
     assert floor_log2(Fraction(1, 5)) == -3
-    assert ceil_log2(Fraction(1, 5)) == -2
-    assert floor_log2(Fraction(4)) == ceil_log2(Fraction(4)) == 2
+    assert floor_log2(Fraction(4)) == 2

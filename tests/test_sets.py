@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadictop import (AmbientMismatchError, SetError, Span, SymbolicSet,
-                       TailRule, compare, embed, kernel_set, regular_ops,
-                       restrict)
+                       TailRule, embed, kernel_set, regular_ops, restrict)
 from dyadictop.corpus import (converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
+from dyadictop.sets import nearer_spans
 from dyadictop.space import cb_kernel
 
 from oracle import random_set
@@ -86,13 +86,22 @@ def test_subset_and_compare():
     a = SymbolicSet.region(X1, [(F(0), True, F(1, 2), False)])
     b = SymbolicSet.region(X1, [(F(0), True, F(3, 4), False)])
     c = SymbolicSet.region(X1, [(F(3, 4), True, F(1), True)])
-    assert a.subset_of(b)
-    assert compare(a, b) == "A_subset_B"
-    assert compare(b, a) == "B_subset_A"
-    assert compare(a, c) == "disjoint"
-    assert compare(a, a) == "equal"
+    assert a.subset_of(b) and not b.subset_of(a)
+    assert a.intersection(c).is_empty
+    assert a.subset_of(a)
     d = SymbolicSet.region(X1, [(F(1, 2), False, F(1), True)])
-    assert compare(b, d) == "incomparable"
+    assert not b.subset_of(d) and not d.subset_of(b)
+    assert not b.intersection(d).is_empty
+
+
+def test_nearer_spans_ties_go_to_first():
+    left = SymbolicSet.region(X1, [(F(0), True, F(1, 4), True)]).spans
+    right = SymbolicSet.region(X1, [(F(3, 4), True, F(1), True)]).spans
+    assert nearer_spans(F(1, 2), left, right) == 0
+    assert nearer_spans(F(1, 2), right, left) == 0
+    assert nearer_spans(F(5, 8), left, right) == 1
+    assert nearer_spans(F(5, 8), (), right) == 1
+    assert nearer_spans(F(5, 8), (), ()) is None
 
 
 # -- topology -------------------------------------------------------------
@@ -144,13 +153,12 @@ def test_exterior_involution_on_gray_side():
 
 def test_isolated_points_are_clopen():
     s = SymbolicSet.singleton(X2, F(2))
-    assert s.is_clopen
     assert s.boundary().is_empty
 
 
 def test_kernel_limit_tail_is_not_closed():
     member_sing = SymbolicSet.singleton(X3, F(3, 2))
-    assert member_sing.is_clopen
+    assert member_sing.boundary().is_empty
     tail = SymbolicSet(X3, (), frozenset(), (TailRule(start=1),))
     assert tail.is_open and not tail.is_closed
 
@@ -169,7 +177,7 @@ def test_relative_interior_in_kernel():
 def test_relative_boundary():
     kernelS = kernel_set(X3, cb_kernel(X3).kernel)
     s = SymbolicSet.region(X3, [(F(1, 4), False, F(1, 2), False)])
-    assert s.boundary_in(kernelS).as_finite_points() == (F(1, 4), F(1, 2))
+    assert regular_ops(kernelS, s).boundary.as_finite_points() == (F(1, 4), F(1, 2))
 
 
 def test_relative_ops_require_subset():

@@ -58,7 +58,7 @@ def test_sigma_sets_antitone_in_word_extension():
 
 def test_sigma_sets_rejects_out_of_range_index():
     with pytest.raises(SubbaseError):
-        GRAY.sigma_sets(TernaryWord.from_mapping({9: 0}))
+        GRAY.sigma_sets(TernaryWord(((9, 0),)))
 
 
 def test_forced_word_boundary_stays_bottom():

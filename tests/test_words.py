@@ -9,8 +9,8 @@ def test_from_string_both_alphabets():
     assert TernaryWord.from_string(f"0{BOTTOM}1") == w
 
 
-def test_from_mapping_sorts():
-    w = TernaryWord.from_mapping({3: 1, 0: 0})
+def test_entries_sorted():
+    w = TernaryWord(((3, 1), (0, 0)))
     assert w.entries == ((0, 0), (3, 1))
 
 
@@ -18,7 +18,7 @@ def test_rejects_bad_digit():
     with pytest.raises(WordError):
         TernaryWord.from_string("02")
     with pytest.raises(WordError):
-        TernaryWord.from_mapping({0: 2})
+        TernaryWord(((0, 2),))
     with pytest.raises(WordError):
         TernaryWord(((0, 0), (0, 1)))  # duplicate index
 
@@ -41,11 +41,6 @@ def test_with_and_without():
         w2.with_digit(0, 1)
 
 
-def test_restricted():
-    w = TernaryWord.from_string("01_1")
-    assert w.restricted(2).entries == ((0, 0), (1, 1))
-
-
 def test_to_string_widths():
     w = TernaryWord.from_string("01")
     assert w.to_string() == "01"
@@ -53,8 +48,3 @@ def test_to_string_widths():
     with pytest.raises(WordError):
         w.to_string(1)
 
-
-def test_sort_key_bottom_lowest():
-    words = [TernaryWord.from_string(s) for s in ("1", "_", "0")]
-    words.sort(key=lambda w: w.sort_key(1))
-    assert [w.to_string(1, ascii_bottom=True) for w in words] == ["_", "0", "1"]
