@@ -79,6 +79,20 @@ def _report_lines(reports) -> str:
     return "\n".join(r.render() for r in reports)
 
 
+def _build_summary(space: Space, kern, result, settings: bool = False) -> str:
+    """Text report of a build; ``settings`` adds its degree mode and probe seed."""
+    lines = [f"space: {space.render()}", kern.render(),
+             f"pairs: {len(result.subbase)} "
+             f"({len(result.kernel_subbase)} window + {result.clopen_count} clopen)"]
+    if settings:
+        lines.append(f"degree mode: {result.degree_mode}")
+    lines.append(f"epsilon: {result.epsilon}")
+    if settings:
+        lines.append(f"probe seed: {result.seed}")
+    lines += [_report_lines(result.reports), "PASS" if result.passed else "FAIL"]
+    return "\n".join(lines)
+
+
 def _cmd_kernel(args) -> int:
     kind, obj = _load_input(args.path)
     if kind != "space":
@@ -93,16 +107,8 @@ def _cmd_build(args) -> int:
     if kind != "space":
         raise SpaceError("the build command needs a space description")
     result = _build_from(args, obj)
-    text = "\n".join([
-        f"space: {obj.render()}",
-        cb_kernel(obj).render(),
-        f"pairs: {len(result.subbase)} "
-        f"({len(result.kernel_subbase)} window + {result.clopen_count} clopen)",
-        f"epsilon: {result.epsilon}",
-        _report_lines(result.reports),
-        "PASS" if result.passed else "FAIL",
-    ])
-    _emit(args, text, result.to_dict(include_traces=args.emit_trace))
+    _emit(args, _build_summary(obj, cb_kernel(obj), result),
+          result.to_dict(include_traces=args.emit_trace))
     return 0 if result.passed else 2
 
 
@@ -153,20 +159,9 @@ def _cmd_report(args) -> int:
         raise SpaceError("the report command needs a space description")
     kern = cb_kernel(obj)
     result = _build_from(args, obj)
-    text = "\n".join([
-        f"space: {obj.render()}",
-        kern.render(),
-        f"pairs: {len(result.subbase)} "
-        f"({len(result.kernel_subbase)} window + {result.clopen_count} clopen)",
-        f"degree mode: {result.degree_mode}",
-        f"epsilon: {result.epsilon}",
-        f"probe seed: {result.seed}",
-        _report_lines(result.reports),
-        "PASS" if result.passed else "FAIL",
-    ])
     payload = {"space": obj.to_dict(), "kernel_report": kern.to_dict(),
                "build": result.to_dict(include_traces=args.emit_trace)}
-    _emit(args, text, payload)
+    _emit(args, _build_summary(obj, kern, result, settings=True), payload)
     return 0 if result.passed else 2
 
 
@@ -231,6 +226,10 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if getattr(exc, "details", None):
+            # the witness of a failed construction: probe point, word, set
+            print("details: " + json.dumps(exc.details, separators=(",", ":"), default=str),
+                  file=sys.stderr)
         return 1
 
 

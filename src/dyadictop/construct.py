@@ -429,9 +429,13 @@ def scattered_clopen_base(space: Space, tail_depth: int) -> list[SymbolicSet]:
     for c in sorted((c for c in clusters if c.kind == "free"),
                     key=lambda c: c.anchor):
         sets.append(SymbolicSet.singleton(space, c.anchor))
-    for s in space.sequences():
+    # a member that is the limit of another sequence is not open; the sets
+    # of the cluster it anchors separate it instead
+    anchors = {atom for c in clusters for atom in c.member_atoms}
+    for j, s in enumerate(space.sequences()):
         for k in range(1, tail_depth + 1):
-            sets.append(SymbolicSet.singleton(space, s.member(k)))
+            if (j, k) not in anchors:
+                sets.append(SymbolicSet.singleton(space, s.member(k)))
     # a scattered limit belongs to the space and takes all of its tails
     # along; an outside limit does not, so each of its tails is cut alone
     parts = sorted((c for c in clusters if c.kind == "scattered"),

@@ -15,6 +15,7 @@ and topology operation below is exact.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,48 +74,55 @@ def _spans_contain(spans, x: Fraction) -> bool:
 def _combine_spans(space: Space, lists, fn) -> tuple[Span, ...]:
     """Pointwise boolean combination, clipped to the ambient intervals.
 
-    Decomposes each ambient interval at every span endpoint into singleton
-    and open-gap pieces; membership is constant on each piece, so one probe
-    per piece decides it.  Reassembly merges adjacent pieces, which makes
-    the output canonical (sorted, disjoint, maximally merged).
+    One left-to-right sweep over integer positions.  With den the least
+    common multiple of the denominators, an endpoint x sits at the even
+    position 2·x·den and the open gaps between endpoints hold odd
+    positions only, so a span is a range of positions, an open end one
+    step inside.  Counting the open ranges of each operand at each range
+    end, in sorted order, decides every point and gap at once: no
+    midpoints, no scans, and overlapping input spans need no merging.  The
+    result changes only where a count does, so its ranges are maximal and
+    the output is canonical: sorted, disjoint and merged within each
+    ambient interval, the intervals in ``intervals()`` order.
     """
-    out: list[Span] = []
-    for iv in space.intervals():
-        crit = {iv.lo, iv.hi}
-        for spans in lists:
-            for sp in spans:
-                for v in (sp.lo, sp.hi):
-                    if iv.lo <= v <= iv.hi:
-                        crit.add(v)
-        vals = sorted(crit)
-        cur: list | None = None
+    ivs = space.intervals()
+    den = math.lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)),
+                   *(x.denominator for spans in lists for sp in spans
+                     for x in (sp.lo, sp.hi)))
+    value: dict[int, Fraction] = {}
 
-        def push(kind, a, b, inc):
-            nonlocal cur
-            if inc:
-                if kind == "pt":
-                    if cur is None:
-                        cur = [a, True, a, True]
-                    else:
-                        cur[2], cur[3] = a, True
-                else:
-                    if cur is None:
-                        cur = [a, False, b, False]
-                    else:
-                        cur[2], cur[3] = b, False
-            elif cur is not None:
-                out.append(Span(*cur))
-                cur = None
+    def pos(x: Fraction) -> int:
+        p = 2 * x.numerator * (den // x.denominator)
+        value[p] = x
+        return p
 
-        for i, v in enumerate(vals):
-            push("pt", v, v, fn(*[_spans_contain(sp, v) for sp in lists]))
-            if i + 1 < len(vals):
-                mid = (v + vals[i + 1]) / 2
-                push("gap", v, vals[i + 1],
-                     fn(*[_spans_contain(sp, mid) for sp in lists]))
-        if cur is not None:
-            out.append(Span(*cur))
-    return tuple(out)
+    # (position, operand, +1 where a range starts or -1 just past its end);
+    # the ambient intervals count as the last operand
+    events = []
+    for n, spans in enumerate(lists):
+        for sp in spans:
+            events.append((pos(sp.lo) + (not sp.lo_in), n, 1))
+            events.append((pos(sp.hi) + sp.hi_in, n, -1))
+    bounds = [(pos(iv.lo), pos(iv.hi)) for iv in ivs]
+    for lo, hi in bounds:
+        events += [(lo, len(lists), 1), (hi + 1, len(lists), -1)]
+    events.sort()
+    count = [0] * (len(lists) + 1)
+    ranges = []
+    start = None
+    for k, (p, n, step) in enumerate(events):
+        count[n] += step
+        if k + 1 < len(events) and events[k + 1][0] == p:
+            continue
+        inside = count[-1] > 0 and fn(*[c > 0 for c in count[:-1]])
+        if inside and start is None:
+            start = p
+        elif not inside and start is not None:
+            ranges.append((start, p - 1))
+            start = None
+    # an odd first or last position is an open end at the even one outside it
+    return tuple(Span(value[a - a % 2], a % 2 == 0, value[b + b % 2], b % 2 == 0)
+                 for lo, hi in bounds for a, b in ranges if lo <= a <= hi)
 
 
 def dist_to_spans(x: Fraction, spans) -> Fraction | None:
@@ -236,15 +244,27 @@ class SymbolicSet:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _canonical(cls, space: Space, spans: tuple[Span, ...],
+                   points: frozenset[Fraction], tails: tuple[TailRule, ...]) -> "SymbolicSet":
+        """A set from parts that are canonical already (``_combine_spans``
+        output, isolated-point values, one rule per sequence), unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "space", space)
+        object.__setattr__(s, "spans", spans)
+        object.__setattr__(s, "points", points)
+        object.__setattr__(s, "tails", tails)
+        return s
+
+    @classmethod
     def empty(cls, space: Space) -> "SymbolicSet":
-        return cls(space)
+        return cls._canonical(space, (), frozenset(), (TAIL_NONE,) * len(space.sequences()))
 
     @classmethod
     def whole(cls, space: Space) -> "SymbolicSet":
-        return cls(space,
-                   tuple(Span(iv.lo, True, iv.hi, True) for iv in space.intervals()),
-                   frozenset(p.value for p in space.isolated_points()),
-                   tuple(TAIL_ALL for _ in space.sequences()))
+        return cls._canonical(
+            space, tuple(Span(iv.lo, True, iv.hi, True) for iv in space.intervals()),
+            frozenset(p.value for p in space.isolated_points()),
+            (TAIL_ALL,) * len(space.sequences()))
 
     @classmethod
     def region(cls, space: Space, blocks) -> "SymbolicSet":
@@ -374,7 +394,7 @@ class SymbolicSet:
         points = frozenset(p.value for p in self.space.isolated_points()
                            if fn(p.value in self.points, p.value in other.points))
         tails = tuple(_tail_binary(a, b, fn) for a, b in zip(self.tails, other.tails))
-        return SymbolicSet(self.space, spans, points, tails)
+        return SymbolicSet._canonical(self.space, spans, points, tails)
 
     def union(self, other: "SymbolicSet") -> "SymbolicSet":
         return self._binary(other, lambda a, b: a or b)

@@ -82,18 +82,23 @@ class Space:
     primitives: tuple[Primitive, ...]
 
     def __post_init__(self):
-        _validate(self.primitives)
+        # the primitives by kind, computed once: the set algebra asks often
+        for name, kind in (("_intervals", Interval), ("_points", IsolatedPoint),
+                           ("_sequences", GeometricSequence)):
+            object.__setattr__(self, name,
+                               tuple(p for p in self.primitives if isinstance(p, kind)))
+        _validate(self)
 
     # -- structural accessors -------------------------------------------
 
     def intervals(self) -> tuple[Interval, ...]:
-        return tuple(p for p in self.primitives if isinstance(p, Interval))
+        return self._intervals
 
     def isolated_points(self) -> tuple[IsolatedPoint, ...]:
-        return tuple(p for p in self.primitives if isinstance(p, IsolatedPoint))
+        return self._points
 
     def sequences(self) -> tuple[GeometricSequence, ...]:
-        return tuple(p for p in self.primitives if isinstance(p, GeometricSequence))
+        return self._sequences
 
     # -- point queries ---------------------------------------------------
 
@@ -202,10 +207,8 @@ def _members_in_range(s: GeometricSequence, lo: Fraction, lo_in: bool,
     return (kmin, kmax)
 
 
-def _validate(prims: tuple[Primitive, ...]) -> None:
-    ivs = [p for p in prims if isinstance(p, Interval)]
-    pts = [p for p in prims if isinstance(p, IsolatedPoint)]
-    seqs = [p for p in prims if isinstance(p, GeometricSequence)]
+def _validate(space: Space) -> None:
+    ivs, pts, seqs = space.intervals(), space.isolated_points(), space.sequences()
 
     by_lo = sorted(ivs, key=lambda iv: iv.lo)
     for a, b in zip(by_lo, by_lo[1:]):
@@ -235,10 +238,8 @@ def _validate(prims: tuple[Primitive, ...]) -> None:
                 raise SpaceError(f"sequences {s.render()} and {t.render()} share members")
 
     # limit accounting; a sequence's own members never hit its own limit
-    probe = Space.__new__(Space)
-    object.__setattr__(probe, "primitives", prims)
     for s in seqs:
-        inside = probe.contains(s.limit)
+        inside = space.contains(s.limit)
         if s.open_limit and inside:
             raise SpaceError(f"open_limit set but {s.limit} is in the space")
         if not s.open_limit and not inside:

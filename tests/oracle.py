@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from dyadictop import Space, SymbolicSet, TailRule
+from dyadictop import Space, Span, SymbolicSet, TailRule
 
 KDEEP = 40
 
@@ -120,3 +120,59 @@ def random_set(space: Space, rng: random.Random) -> SymbolicSet:
             tails.append(TailRule(start=start, exceptions=exc))
     extra = SymbolicSet(space, (), pts, tuple(tails))
     return base.union(extra)
+
+
+# -- spans, brute force ------------------------------------------------------
+
+def o_spans(space: Space, lists, fn) -> tuple[Span, ...]:
+    """Canonical spans of the pointwise combination ``fn`` of span lists.
+
+    Probes every endpoint inside each ambient interval and the midpoint of
+    every gap between consecutive ones, then glues the pieces that are in.
+    """
+    def inside(x):
+        return fn(*[any(sp.contains(x) for sp in spans) for spans in lists])
+
+    out = []
+    for iv in space.intervals():
+        vals = sorted({iv.lo, iv.hi} | {v for spans in lists for sp in spans
+                                        for v in (sp.lo, sp.hi) if iv.lo <= v <= iv.hi})
+        # pieces in order: (lo, lo_in, hi, hi_in, in the result)
+        pieces = [(vals[0], True, vals[0], True, inside(vals[0]))]
+        for a, b in zip(vals, vals[1:]):
+            pieces.append((a, False, b, False, inside((a + b) / 2)))
+            pieces.append((b, True, b, True, inside(b)))
+        run = None
+        for lo, lo_in, hi, hi_in, keep in pieces + [(None, None, None, None, False)]:
+            if keep:
+                run = [lo, lo_in, hi, hi_in] if run is None else run[:2] + [hi, hi_in]
+            elif run is not None:
+                out.append(Span(*run))
+                run = None
+    return tuple(out)
+
+
+def raw_spans(space: Space, rng: random.Random) -> list[Span]:
+    """Unsorted spans on a quarter grid that overlap, touch, degenerate and
+    reach past and between the ambient intervals."""
+    ivs = space.intervals()
+    lo = min(iv.lo for iv in ivs) - 1
+    hi = max(iv.hi for iv in ivs) + 1
+    grid = [lo + Fraction(k, 4) for k in range(int((hi - lo) * 4) + 1)]
+    out: list[Span] = []
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.random()
+        if out and roll < 0.2:  # touching the end of an earlier span
+            prev = rng.choice(out)
+            b = rng.choice([v for v in grid if v >= prev.hi])
+            out.append(Span(prev.hi, rng.random() < 0.5, b, True) if b > prev.hi
+                       else Span(b, True, b, True))
+        elif out and roll < 0.3:  # a copy of an earlier span
+            out.append(rng.choice(out))
+        elif roll < 0.45:  # degenerate
+            v = rng.choice(grid)
+            out.append(Span(v, True, v, True))
+        else:
+            a, b = sorted(rng.sample(grid, 2))
+            out.append(Span(a, rng.random() < 0.5, b, rng.random() < 0.5))
+    return out

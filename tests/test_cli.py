@@ -114,6 +114,37 @@ def test_levels_limit(space_file, capsys):
     assert "levels-out-of-range" in capsys.readouterr().err
 
 
+def test_failed_construction_prints_details(space_file, capsys):
+    assert main(["build", space_file, "--levels", "40"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: construction failed at level -1: levels-out-of-range",
+        'details: {"levels":40,"max":12}',
+    ]
+
+
+SUMMARY_HEAD = """space: [0,1]
+kernel: [0,1]; rank 0
+pairs: 2 (2 window + 0 clopen)
+"""
+SUMMARY_TAIL = """pass dyadic (depth 2)
+pass proper (depth 2)
+pass independent (depth 2)
+pass degree (depth 2)
+pass resolution (depth 2)
+PASS
+"""
+
+
+def test_build_and_report_text(interval_file, capsys):
+    assert main(["build", interval_file, "--levels", "2", "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        SUMMARY_HEAD + "epsilon: 2123929/2097152\n" + SUMMARY_TAIL)
+    assert main(["report", interval_file, "--levels", "2", "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        SUMMARY_HEAD + "degree mode: unconstrained\n" "epsilon: 2123929/2097152\n"
+        "probe seed: 0\n" + SUMMARY_TAIL)
+
+
 def test_depth_limit(space_file, capsys):
     assert main(["check", space_file, "--depth", "99"]) == 1
     assert "depth-out-of-range" in capsys.readouterr().err

@@ -210,6 +210,18 @@ def test_build_proper_seed_geometries(space, levels):
     assert build_proper_subbase(space, levels).passed
 
 
+@pytest.mark.parametrize("mode", ["unconstrained", "match_dim"])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_build_proper_member_anchored_cluster(levels, mode):
+    # the second sequence converges to 11/2, the first member of the first
+    space = Space((Interval(F(0), F(1)), IsolatedPoint(F(5)),
+                   GeometricSequence(F(5), F(1)),
+                   GeometricSequence(F(11, 2), F(1, 8))))
+    res = build_proper_subbase(space, levels, degree_mode=mode)
+    assert [r.prop for r in res.reports if r.passed] == \
+        ["dyadic", "proper", "independent", "degree", "resolution"]
+
+
 def test_build_proper_rejects_unknown_mode():
     with pytest.raises(ConstructionError):
         build_proper_subbase(interval_space(), 2, degree_mode="fancy")
