@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from dyadictop import Space, Span, SymbolicSet, TailRule
+from dyadictop import Space, Span, SymbolicSet, TailRule, format_rational
 
 KDEEP = 40
 
@@ -176,3 +176,47 @@ def raw_spans(space: Space, rng: random.Random) -> list[Span]:
             a, b = sorted(rng.sample(grid, 2))
             out.append(Span(a, rng.random() < 0.5, b, rng.random() < 0.5))
     return out
+
+
+# -- resolution greedy, recomputed from scratch ------------------------------
+
+def o_cell(sb, word: str) -> SymbolicSet:
+    """S(word) as a plain chain of intersections, one per filled digit."""
+    cell = SymbolicSet.whole(sb.space)
+    for idx, ch in enumerate(word):
+        if ch != "_":
+            cell = cell.intersection(sb.pairs[idx][int(ch)])
+    return cell
+
+
+def o_resolution(sb, epsilon: Fraction, probes, limit: int) -> tuple[list, list]:
+    """(counterexamples, witnesses) of the greedy resolution check.
+
+    The forced word of each probe comes from membership in each side; its
+    entries are then tried left to right, and one is dropped whenever the
+    cell of the word without it still fits the ball.  Every cell is
+    intersected again from the whole space.
+    """
+    counterexamples, witnesses = [], []
+    width = len(sb.pairs)
+    for x in probes:
+        word = "".join(next((str(d) for d in (0, 1) if sb.pairs[i][d].membership(x)), "_")
+                       for i in range(width))
+        ball = SymbolicSet.ball(sb.space, x, epsilon)
+        cell = o_cell(sb, word)
+        if not cell.subset_of(ball):
+            if len(counterexamples) < limit:
+                stray = cell.difference(ball).sample_point()
+                counterexamples.append({
+                    "point": format_rational(x), "word": word,
+                    "escapes_at": format_rational(stray) if stray is not None else None,
+                })
+            continue
+        for idx in range(width):
+            if word[idx] == "_":
+                continue
+            shorter = word[:idx] + "_" + word[idx + 1:]
+            if o_cell(sb, shorter).subset_of(ball):
+                word = shorter
+        witnesses.append({"point": format_rational(x), "word": word})
+    return counterexamples, witnesses

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,8 +6,12 @@ import pytest
 from dyadictop import (DyadicSubbase, NotRegularOpenError, SubbaseError,
                        SymbolicSet, TernaryWord, check_dyadic,
                        check_independent, check_proper, degree_report,
-                       make_pair, resolution_check)
-from dyadictop.corpus import gray_pairs, interval_space
+                       build_proper_subbase, make_pair, resolution_check)
+from dyadictop.checks import MAX_COUNTEREXAMPLES
+from dyadictop.construct import sample_points
+from dyadictop.corpus import CORPUS, gray_pairs, interval_space
+
+from oracle import o_resolution
 
 X1 = interval_space()
 GRAY = DyadicSubbase.from_zero_sides(X1, gray_pairs(X1, 3))
@@ -93,6 +98,20 @@ def test_broken_pairs_fail_independent_with_first_word_00():
     assert rep.counterexamples[0]["word"] == "00"
 
 
+def test_broken_pairs_counterexample_lists():
+    broken = broken_subbase()
+    assert check_proper(broken, 2).counterexamples == (
+        {"word": "00", "witness": "1/2"}, {"word": "11", "witness": "1/2"})
+    assert check_independent(broken, 2).counterexamples == (
+        {"word": "00"}, {"word": "11"})
+    # a Gray pair in front: the failing words then start with each digit
+    sb = DyadicSubbase.from_pairs(X1, (GRAY.pairs[1],) + broken.pairs)
+    assert [c["word"] for c in check_proper(sb, 3).counterexamples] == [
+        "_00", "_11", "100", "111"]
+    assert [c["word"] for c in check_independent(sb, 3).counterexamples] == [
+        "_00", "_11", "000", "011", "100", "111"]
+
+
 def test_check_dyadic_catches_wrong_one_side():
     zero = SymbolicSet.region(X1, [(F(0), True, F(1, 2), False)])
     not_ext = SymbolicSet.region(X1, [(F(3, 4), False, F(1), True)])
@@ -131,9 +150,10 @@ def test_degree_detects_shared_boundary():
                                 (F(3, 4), False, F(7, 8), False)])
     sb = DyadicSubbase.from_pairs(
         X1, [(a, a.exterior()), (b, b.exterior())])
-    rep = degree_report(sb, 2)
+    rep = degree_report(sb, 2, probes=(F(1, 2),))
     assert rep.stats["degree_sup"] == 2
     assert rep.stats["boundaries_pairwise_disjoint"] is False
+    assert rep.stats["probe_degrees"] == [{"point": "1/2", "degree": 2}]
 
 
 # -- resolution -----------------------------------------------------------
@@ -151,6 +171,26 @@ def test_resolution_example_fails_at_one_hundredth():
     rep = resolution_check(two, F(1, 100), probes=(F(3, 10),))
     assert not rep.passed
     assert rep.counterexamples[0]["point"] == "3/10"
+
+
+def test_resolution_matches_greedy_oracle():
+    rng = random.Random(2013)
+    subbases = [GRAY] + [build_proper_subbase(mk(), levels, depth=1).subbase
+                         for levels in (2, 3, 4) for mk in CORPUS.values()]
+    failed = 0
+    for sb in subbases:
+        grid = [F(k, 16) for k in range(-16, 97) if sb.space.contains(F(k, 16))]
+        probes = sample_points(sb.space, 6, rng, member_depth=6) + rng.sample(grid, 4)
+        for epsilon in (F(1, 1000), F(1, rng.choice((3, 8, 20))), F(rng.randint(1, 6), 4)):
+            rep = resolution_check(sb, epsilon, probes)
+            counterexamples, witnesses = o_resolution(sb, epsilon, probes,
+                                                      MAX_COUNTEREXAMPLES)
+            assert list(rep.counterexamples) == counterexamples
+            assert rep.stats == {"probes_checked": len(probes),
+                                 "epsilon": f"{epsilon.numerator}/{epsilon.denominator}",
+                                 "witnesses": witnesses}
+            failed += bool(counterexamples)
+    assert failed >= len(subbases)
 
 
 # -- serialization --------------------------------------------------------
