@@ -16,9 +16,8 @@ from .lemmas import (LemmaError, SubspaceError, check_half_clopen,
                      separate_open_pair)
 from .rational import (RationalFormatError, exact_log2, format_rational,
                        parse_rational)
-from .sets import (AmbientMismatchError, RegularParts, SetError, Span,
-                   SymbolicSet, TailRule, embed, kernel_set, regular_ops,
-                   restrict)
+from .sets import (AmbientMismatchError, SetError, Span, SymbolicSet,
+                   TailRule, embed, kernel_set, restrict)
 from .space import (GeometricSequence, Interval, IsolatedPoint, KernelReport,
                     Space, SpaceError, cb_kernel, scatter_clusters)
 from .subbase import (DyadicSubbase, NotRegularOpenError, SubbaseError,
@@ -31,7 +30,7 @@ __all__ = [
     "AmbientMismatchError", "BOTTOM", "BuildResult", "CheckReport",
     "CodedPoint", "ConstructionError", "DyadicSubbase", "GeometricSequence",
     "Interval", "IsolatedPoint", "KernelReport", "LemmaError",
-    "NotRegularOpenError", "RationalFormatError", "RegularParts", "SeedEntry",
+    "NotRegularOpenError", "RationalFormatError", "SeedEntry",
     "SeedFamily", "SetError", "Space", "SpaceError", "Span", "StepTrace",
     "SubbaseError", "SubspaceError", "SymbolicSet", "TailRule", "TernaryWord",
     "WordError", "auto_seeds", "build_independent_subbase",
@@ -40,7 +39,7 @@ __all__ = [
     "decode_word", "degree_report", "embed", "encode_point",
     "exact_log2", "extend_to_proper", "format_rational",
     "half_clopen_extension", "kernel_set", "load_subbase",
-    "make_pair", "parse_rational", "regular_ops", "resolution_check",
+    "make_pair", "parse_rational", "resolution_check",
     "restrict", "scatter_clusters", "scattered_clopen_base",
     "separate_open_pair",
 ]

@@ -53,22 +53,23 @@ def _effective_depth(sb: DyadicSubbase, depth: int) -> int:
 
 
 def _walk_words(sb: DyadicSubbase, depth: int, want_closures: bool):
-    """Yield (word, S(word), S̄(word)) for all 3**depth words, shared prefixes."""
+    """Yield (word, S(word), S̄(word)) for all 3**depth words, shared prefixes;
+    each word is its 0/1/_ string of length depth."""
     whole = SymbolicSet.whole(sb.space)
     closures = [(p[0].closure(), p[1].closure()) for p in sb.pairs[:depth]] \
         if want_closures else None
 
-    def rec(idx: int, word: TernaryWord, s: SymbolicSet, sbar: SymbolicSet):
+    def rec(idx: int, word: str, s: SymbolicSet, sbar: SymbolicSet):
         if idx == depth:
             yield (word, s, sbar)
             return
-        yield from rec(idx + 1, word, s, sbar)
+        yield from rec(idx + 1, word + "_", s, sbar)
         for digit in (0, 1):
             s2 = s.intersection(sb.pairs[idx][digit])
             sbar2 = sbar.intersection(closures[idx][digit]) if want_closures else sbar
-            yield from rec(idx + 1, word.with_digit(idx, digit), s2, sbar2)
+            yield from rec(idx + 1, word + str(digit), s2, sbar2)
 
-    yield from rec(0, TernaryWord(), whole, whole)
+    yield from rec(0, "", whole, whole)
 
 
 def check_proper(sb: DyadicSubbase, depth: int) -> CheckReport:
@@ -83,7 +84,7 @@ def check_proper(sb: DyadicSubbase, depth: int) -> CheckReport:
             if len(counterexamples) < MAX_COUNTEREXAMPLES:
                 witness = sbar.difference(cls).sample_point()
                 counterexamples.append({
-                    "word": word.to_string(eff),
+                    "word": word,
                     "witness": format_rational(witness) if witness is not None else None,
                 })
             else:
@@ -101,7 +102,7 @@ def check_independent(sb: DyadicSubbase, depth: int) -> CheckReport:
         checked += 1
         if s.is_empty:
             if len(counterexamples) < MAX_COUNTEREXAMPLES:
-                counterexamples.append({"word": word.to_string(eff)})
+                counterexamples.append({"word": word})
             else:
                 break
     return CheckReport("independent", eff, not counterexamples, tuple(counterexamples),
@@ -156,12 +157,9 @@ def degree_report(sb: DyadicSubbase, depth: int, probes=(),
     sup = max((len(v) for v in multiplicity.values()), default=0)
     clashes = sorted((p for p, v in multiplicity.items() if len(v) > 1))
 
-    probe_degrees = []
-    for x in probes:
-        deg = sum(1 for idx, _ in residues
-                  if not sb.pairs[idx][0].membership(x)
-                  and not sb.pairs[idx][1].membership(x))
-        probe_degrees.append({"point": format_rational(x), "degree": deg})
+    probe_degrees = [{"point": format_rational(x),
+                      "degree": eff - len(sb.forced_word(x, eff).entries)}
+                     for x in probes]
 
     counterexamples = []
     for idx in non_finite:
@@ -193,30 +191,39 @@ def resolution_check(sb: DyadicSubbase, epsilon: Fraction, probes,
     """Every probe has a word with x in S(word) inside the epsilon-ball.
 
     Uses the digits forced by membership (the finest cell around the probe)
-    and then greedily drops indices to report a short witness word.
+    and then greedily drops entries, left to right, to report a short
+    witness word.  ``cells[k]`` intersects the sides of entries k onward, so
+    entry k goes when what is kept of the earlier entries, cut by
+    ``cells[k + 1]``, still fits the ball.
     """
+    whole = SymbolicSet.whole(sb.space)
     counterexamples = []
     witnesses = []
     for x in probes:
         word = sb.forced_word(x)
-        cell, _ = sb.sigma_sets(word)
+        sides = [sb.pairs[idx][digit] for idx, digit in word.entries]
+        cells = [whole]
+        for side in reversed(sides):
+            cells.append(cells[-1].intersection(side))
+        cells.reverse()
         ball = SymbolicSet.ball(sb.space, x, epsilon)
-        if not cell.subset_of(ball):
+        if not cells[0].subset_of(ball):
             if len(counterexamples) < MAX_COUNTEREXAMPLES:
-                stray = cell.difference(ball).sample_point()
+                stray = cells[0].difference(ball).sample_point()
                 counterexamples.append({
                     "point": format_rational(x),
                     "word": word.to_string(len(sb.pairs)),
                     "escapes_at": format_rational(stray) if stray is not None else None,
                 })
             continue
-        for idx in word.dom:
-            shorter = word.without(idx)
-            short_cell, _ = sb.sigma_sets(shorter)
-            if short_cell.subset_of(ball):
-                word = shorter
+        kept = whole
+        chosen = []
+        for k, side in enumerate(sides):
+            if not kept.intersection(cells[k + 1]).subset_of(ball):
+                kept = kept.intersection(side)
+                chosen.append(word.entries[k])
         witnesses.append({"point": format_rational(x),
-                          "word": word.to_string(len(sb.pairs))})
+                          "word": TernaryWord(tuple(chosen)).to_string(len(sb.pairs))})
     stats = {
         "probes_checked": len(witnesses) + len(counterexamples),
         "epsilon": format_rational(epsilon),

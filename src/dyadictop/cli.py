@@ -11,7 +11,7 @@ import json
 import sys
 
 from .checks import check_dyadic, check_proper, degree_report
-from .coding import encode_point
+from .coding import decode_word, encode_point
 from .construct import ConstructionError, build_proper_subbase
 from .lemmas import LemmaError, SubspaceError
 from .rational import RationalFormatError, parse_rational
@@ -146,7 +146,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     sb, _ = _subbase_from(args)
     word = TernaryWord.from_string(args.word)
-    cell = sb.sigma_sets(word)[0]
+    cell = decode_word(sb, word)
     payload = {"word": word.to_string(len(sb), ascii_bottom=True),
                "cell": cell.to_dict(), "empty": cell.is_empty}
     _emit(args, cell.render(), payload)

@@ -43,4 +43,4 @@ def encode_point(sb: DyadicSubbase, x: Fraction,
 
 def decode_word(sb: DyadicSubbase, word: TernaryWord) -> SymbolicSet:
     """The cell of all points whose coding matches the word's filled digits."""
-    return sb.sigma_sets(word)[0]
+    return sb.sigma_sets(word)

@@ -9,7 +9,7 @@ are always validated against the postconditions before being returned.
 from __future__ import annotations
 
 from .sets import (SymbolicSet, TAIL_NONE, embed, kernel_set, nearer_spans,
-                   regular_ops, tail_from_predicate)
+                   tail_from_predicate)
 from .space import Cluster, Space, cb_kernel, scatter_clusters
 
 
@@ -140,7 +140,7 @@ def half_clopen_extension(space: Space, u: SymbolicSet, w: SymbolicSet) -> Symbo
         u = embed(u, space)
     if not u.subset_of(kernelS):
         raise SubspaceError("U must be supported on the kernel")
-    if not regular_ops(kernelS, u).is_regular_open:
+    if u.closure_in(kernelS).interior_in(kernelS) != u:
         raise SubspaceError("U is not regular open in the kernel")
     if not w.is_open:
         raise SubspaceError("W is not open")

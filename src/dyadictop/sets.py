@@ -60,7 +60,7 @@ _SPAN_RE = re.compile(r"^([\[\(])\s*([^,\s]+)\s*,\s*([^\]\)\s]+)\s*([\]\)])$")
 
 
 def parse_span(text: str) -> Span:
-    m = _SPAN_RE.match(text.strip())
+    m = _SPAN_RE.match(text.strip()) if isinstance(text, str) else None
     if not m:
         raise SetError(f"bad interval literal {text!r}")
     return Span(parse_rational(m.group(2)), m.group(1) == "[",
@@ -215,6 +215,26 @@ def _tail_binary(a: TailRule, b: TailRule, fn) -> TailRule:
 
 TAIL_ALL = TailRule(start=1)
 TAIL_NONE = TailRule()
+
+# Largest tail index a set file may name.  Tail rules are built and combined
+# by walking every index up to their bound, so a larger index would cost time
+# in proportion; the builder names indices up to its levels + 3.
+MAX_TAIL_INDEX = 256
+
+
+def _tail_index(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SetError(f"bad tail {what} {value!r}")
+    if value > MAX_TAIL_INDEX:
+        raise SetError(f"tail {what} {value} is above MAX_TAIL_INDEX = {MAX_TAIL_INDEX}")
+    return value
+
+
+def _json_list(data: dict, key: str) -> list:
+    items = data.get(key, [])
+    if not isinstance(items, list):
+        raise SetError(f'"{key}" must be a list')
+    return items
 
 
 # -- symbolic sets --------------------------------------------------------
@@ -498,20 +518,24 @@ class SymbolicSet:
             raise SetError("set JSON must be an object")
         out = cls.empty(space)
         blocks = []
-        for text in data.get("intervals", []):
+        for text in _json_list(data, "intervals"):
             sp = parse_span(text)
             blocks.append((sp.lo, sp.lo_in, sp.hi, sp.hi_in))
         if blocks:
             out = out.union(cls.region(space, blocks))
-        for text in data.get("points", []):
+        for text in _json_list(data, "points"):
             out = out.union(cls.singleton(space, parse_rational(text)))
         n_seq = len(space.sequences())
-        for entry in data.get("tails", []):
+        for entry in _json_list(data, "tails"):
+            if not isinstance(entry, dict):
+                raise SetError(f"tail rule {entry!r} is not an object")
             j = entry.get("sequence")
-            if not isinstance(j, int) or not 0 <= j < n_seq:
+            if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < n_seq:
                 raise SetError(f"bad sequence index {j!r} in tail rule")
             start = entry.get("start")
-            exc = frozenset(entry.get("exceptions", []))
+            if start is not None:
+                _tail_index(start, "start")
+            exc = frozenset(_tail_index(e, "exception") for e in _json_list(entry, "exceptions"))
             bound = max([start or 1] + [e + 1 for e in exc])
             rule = tail_from_predicate(
                 bound,
@@ -537,32 +561,6 @@ class SymbolicSet:
                 bits = "k=" + ",".join(str(e) for e in sorted(rule.exceptions))
             parts.append(f"tail({seq.render()};{bits})")
         return " u ".join(parts) if parts else "{}"
-
-
-# -- regular parts --------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegularParts:
-    interior: SymbolicSet
-    regularization: SymbolicSet
-    exterior: SymbolicSet
-    boundary: SymbolicSet
-    is_regular_open: bool
-
-
-def regular_ops(sub: SymbolicSet, a: SymbolicSet) -> RegularParts:
-    """Interior / regularization / exterior / boundary relative to ``sub``.
-
-    ``sub`` must be closed in the ambient space and contain ``a``.
-    """
-    if not sub.is_closed:
-        raise SetError("regular_ops needs a closed subspace")
-    cl = a.closure_in(sub)
-    inside = a.interior_in(sub)
-    reg = cl.interior_in(sub)
-    ext = sub.difference(cl)
-    bd = cl.difference(inside)
-    return RegularParts(inside, reg, ext, bd, a == reg)
 
 
 def kernel_set(space: Space, kernel: Space) -> SymbolicSet:

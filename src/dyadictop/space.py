@@ -130,21 +130,29 @@ class Space:
     def from_dict(cls, data: dict) -> "Space":
         if not isinstance(data, dict) or "primitives" not in data:
             raise SpaceError('space JSON needs a top-level "primitives" list')
+        if not isinstance(data["primitives"], list):
+            raise SpaceError('"primitives" must be a list')
         prims: list[Primitive] = []
         for entry in data["primitives"]:
+            if not isinstance(entry, dict):
+                raise SpaceError(f"primitive {entry!r} is not an object")
             kind = entry.get("kind")
-            if kind == "interval":
-                prims.append(Interval(parse_rational(entry["lo"]), parse_rational(entry["hi"])))
-            elif kind == "point":
-                prims.append(IsolatedPoint(parse_rational(entry["value"])))
-            elif kind == "sequence":
-                prims.append(GeometricSequence(
-                    parse_rational(entry["limit"]),
-                    parse_rational(entry["offset"]),
-                    bool(entry.get("open_limit", False)),
-                ))
-            else:
-                raise SpaceError(f"unknown primitive kind {kind!r}")
+            try:
+                if kind == "interval":
+                    prims.append(Interval(parse_rational(entry["lo"]),
+                                          parse_rational(entry["hi"])))
+                elif kind == "point":
+                    prims.append(IsolatedPoint(parse_rational(entry["value"])))
+                elif kind == "sequence":
+                    prims.append(GeometricSequence(
+                        parse_rational(entry["limit"]),
+                        parse_rational(entry["offset"]),
+                        bool(entry.get("open_limit", False)),
+                    ))
+                else:
+                    raise SpaceError(f"unknown primitive kind {kind!r}")
+            except KeyError as exc:
+                raise SpaceError(f"{kind} primitive needs {exc}") from None
         return cls(tuple(prims))
 
     def to_dict(self) -> dict:

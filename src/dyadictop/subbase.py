@@ -1,9 +1,8 @@
 """Indexed families of dyadic pairs and the sets they generate.
 
 A dyadic pair is a regular open set together with its exterior; a finite
-family of pairs generates, for each ternary word, the open set S(word)
-(intersection of the chosen sides) and the closed set S̄(word)
-(intersection of the chosen sides' closures).
+family of pairs generates, for each ternary word, the open cell S(word):
+the intersection of the chosen sides.
 """
 from __future__ import annotations
 
@@ -59,17 +58,14 @@ class DyadicSubbase:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def sigma_sets(self, word: TernaryWord) -> tuple[SymbolicSet, SymbolicSet]:
-        """(S(word), S̄(word)); the empty word yields (X, X)."""
+    def sigma_sets(self, word: TernaryWord) -> SymbolicSet:
+        """The cell S(word); the empty word yields X."""
         s = SymbolicSet.whole(self.space)
-        sbar = s
         for idx, digit in word.entries:
             if idx >= len(self.pairs):
                 raise SubbaseError(f"word uses index {idx}, subbase has {len(self.pairs)}")
-            side = self.pairs[idx][digit]
-            s = s.intersection(side)
-            sbar = sbar.intersection(side.closure())
-        return (s, sbar)
+            s = s.intersection(self.pairs[idx][digit])
+        return s
 
     def forced_word(self, x, width: int | None = None) -> TernaryWord:
         """Digits forced by membership; boundary indices stay bottom."""
@@ -96,8 +92,12 @@ class DyadicSubbase:
         if not isinstance(data, dict) or "space" not in data or "pairs" not in data:
             raise SubbaseError('subbase JSON needs "space" and "pairs"')
         space = Space.from_dict(data["space"])
+        if not isinstance(data["pairs"], list):
+            raise SubbaseError('"pairs" must be a list')
         pairs = []
         for entry in data["pairs"]:
+            if not isinstance(entry, dict):
+                raise SubbaseError(f"pair entry {entry!r} is not an object")
             try:
                 a = SymbolicSet.from_dict(space, entry["zero"])
                 b = SymbolicSet.from_dict(space, entry["one"])

@@ -37,24 +37,6 @@ class TernaryWord:
                 raise WordError(f"bad word character {ch!r}")
         return cls(tuple(entries))
 
-    def digit(self, idx: int) -> int | None:
-        for i, d in self.entries:
-            if i == idx:
-                return d
-        return None
-
-    @property
-    def dom(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
-
-    def with_digit(self, idx: int, digit: int) -> "TernaryWord":
-        if self.digit(idx) is not None:
-            raise WordError(f"index {idx} already set")
-        return TernaryWord(self.entries + ((idx, digit),))
-
-    def without(self, idx: int) -> "TernaryWord":
-        return TernaryWord(tuple((i, d) for i, d in self.entries if i != idx))
-
     def to_string(self, width: int | None = None, ascii_bottom: bool = True) -> str:
         bot = "_" if ascii_bottom else BOTTOM
         top = max([i for i, _ in self.entries], default=-1) + 1

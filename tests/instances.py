@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from dyadictop import (SymbolicSet, cb_kernel, cluster_set, embed, kernel_set,
-                       regular_ops, scatter_clusters)
+                       scatter_clusters)
 
 from oracle import random_set
 
@@ -29,7 +29,7 @@ def extension_instance(space, rng: random.Random):
     kernel = cb_kernel(space).kernel
     kernelS = kernel_set(space, kernel)
     rel_open = random_set(space, rng).intersection(kernelS).interior_in(kernelS)
-    u = regular_ops(kernelS, rel_open).regularization
+    u = rel_open.closure_in(kernelS).interior_in(kernelS)
     if rng.random() < 0.2:
         return u, SymbolicSet.whole(space)
     delta = Fraction(1, rng.choice((16, 64, 256)))

@@ -16,7 +16,7 @@ import pytest
 
 from dyadictop import (DyadicSubbase, NotRegularOpenError, SymbolicSet,
                        build_proper_subbase, check_half_clopen, check_independent,
-                       check_proper, check_separation, degree_report,
+                       check_proper, check_separation, decode_word, degree_report,
                        encode_point, half_clopen_extension, kernel_set,
                        make_pair, restrict, separate_open_pair)
 from dyadictop.checks import CheckReport
@@ -310,7 +310,7 @@ def test_criterion_6_coding(builds):
             probes_run += 1
             for width in range(1, LEVELS + 1):
                 coded = encode_point(sb, x, width=width)
-                if not sb.sigma_sets(coded.word)[0].membership(x):
+                if not decode_word(sb, coded.word).membership(x):
                     problems.append(f"{name}: {x} escapes its width-{width} cell")
             full = encode_point(sb, x)
             recounted = sum(1 for pts in residue_pts if x in pts)

@@ -1,11 +1,14 @@
 import json
 import pathlib
+import time
 
 import pytest
 
 from dyadictop import DyadicSubbase
 from dyadictop.cli import main
-from dyadictop.corpus import interval_points_space, interval_space
+from dyadictop.corpus import (converging_sequence_space, interval_points_space,
+                              interval_space)
+from dyadictop.sets import MAX_TAIL_INDEX
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -148,3 +151,48 @@ def test_build_and_report_text(interval_file, capsys):
 def test_depth_limit(space_file, capsys):
     assert main(["check", space_file, "--depth", "99"]) == 1
     assert "depth-out-of-range" in capsys.readouterr().err
+
+
+UNIT = interval_space().to_dict()
+SEQ = converging_sequence_space().to_dict()
+
+
+def _one_pair(space, zero):
+    return {"space": space, "pairs": [{"zero": zero, "one": {}}]}
+
+
+@pytest.mark.parametrize("data", [
+    {"primitives": [{"kind": "interval", "lo": "0"}]},
+    {"primitives": [3]},
+    {"primitives": {"kind": "interval"}},
+    {"space": UNIT, "pairs": 3},
+    {"space": UNIT, "pairs": [7]},
+    _one_pair(UNIT, {"intervals": [5]}),
+    _one_pair(SEQ, {"tails": [3]}),
+    _one_pair(SEQ, {"tails": {"sequence": 0}}),
+    _one_pair(SEQ, {"tails": [{"sequence": 0, "start": "3"}]}),
+    _one_pair(SEQ, {"tails": [{"sequence": 0, "start": True}]}),
+    _one_pair(SEQ, {"tails": [{"sequence": 0, "exceptions": 2}]}),
+    _one_pair(SEQ, {"tails": [{"sequence": 0, "exceptions": [1.5]}]}),
+])
+def test_malformed_json_is_refused(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--depth", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_tail_index_above_bound_is_refused_at_once(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(_one_pair(SEQ, {"tails": [{"sequence": 0,
+                                                          "start": 100000000}]})))
+    started = time.perf_counter()
+    assert main(["check", str(path), "--depth", "1"]) == 1
+    assert time.perf_counter() - started < 1
+    assert f"MAX_TAIL_INDEX = {MAX_TAIL_INDEX}" in capsys.readouterr().err
+    path.write_text(json.dumps(_one_pair(SEQ, {"tails": [{"sequence": 0,
+                                                          "exceptions": [MAX_TAIL_INDEX + 1]}]})))
+    assert main(["check", str(path), "--depth", "1"]) == 1
+    assert f"MAX_TAIL_INDEX = {MAX_TAIL_INDEX}" in capsys.readouterr().err

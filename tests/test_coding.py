@@ -13,7 +13,7 @@ def test_encode_interval_point():
     res = build_proper_subbase(interval_space(), 3)
     coded = encode_point(res.subbase, F(1, 3))
     # 1/3 sits on the first cut, so the first pair stays blank
-    assert coded.word.digit(0) is None
+    assert coded.render(ascii_bottom=True)[0] == "_"
     assert coded.unfilled == 1
     assert coded.width == len(res.subbase)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dyadictop import (AmbientMismatchError, SetError, Span, SymbolicSet,
                        TailRule, build_proper_subbase, embed, kernel_set,
-                       regular_ops, restrict)
+                       restrict)
 from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
@@ -179,7 +179,8 @@ def test_relative_interior_in_kernel():
 def test_relative_boundary():
     kernelS = kernel_set(X3, cb_kernel(X3).kernel)
     s = SymbolicSet.region(X3, [(F(1, 4), False, F(1, 2), False)])
-    assert regular_ops(kernelS, s).boundary.as_finite_points() == (F(1, 4), F(1, 2))
+    boundary = s.closure_in(kernelS).difference(s.interior_in(kernelS))
+    assert boundary.as_finite_points() == (F(1, 4), F(1, 2))
 
 
 def test_relative_ops_require_subset():
@@ -192,10 +193,11 @@ def test_relative_ops_require_subset():
 def test_regular_ops_in_kernel():
     kernelS = kernel_set(X3, cb_kernel(X3).kernel)
     s = SymbolicSet.region(X3, [(F(0), False, F(1, 2), False)])
-    parts = regular_ops(kernelS, s)
-    assert parts.regularization.render() == "[0/1,1/2)"
-    assert not parts.is_regular_open
-    assert parts.exterior.render() == "(1/2,1/1]"
+    closure = s.closure_in(kernelS)
+    regularization = closure.interior_in(kernelS)
+    assert regularization.render() == "[0/1,1/2)"
+    assert regularization != s
+    assert kernelS.difference(closure).render() == "(1/2,1/1]"
 
 
 def test_embed_restrict_roundtrip():

@@ -43,21 +43,18 @@ def test_make_pair_rejects_with_hint():
 # -- sigma sets -----------------------------------------------------------
 
 def test_sigma_sets_empty_word_is_whole():
-    s, sbar = GRAY.sigma_sets(TernaryWord())
-    assert s == SymbolicSet.whole(X1)
-    assert sbar == SymbolicSet.whole(X1)
+    assert GRAY.sigma_sets(TernaryWord()) == SymbolicSet.whole(X1)
 
 
 def test_sigma_sets_examples():
-    s, sbar = GRAY.sigma_sets(TernaryWord.from_string("01"))
+    s = GRAY.sigma_sets(TernaryWord.from_string("01"))
     assert s.render() == "(1/4,1/2)"
-    assert sbar.render() == "[1/4,1/2]"
+    assert s.closure().render() == "[1/4,1/2]"
 
 
 def test_sigma_sets_antitone_in_word_extension():
-    w = TernaryWord.from_string("0")
-    bigger = GRAY.sigma_sets(w)[0]
-    smaller = GRAY.sigma_sets(w.with_digit(1, 0))[0]
+    bigger = GRAY.sigma_sets(TernaryWord.from_string("0"))
+    smaller = GRAY.sigma_sets(TernaryWord.from_string("00"))
     assert smaller.subset_of(bigger)
 
 
@@ -68,8 +65,8 @@ def test_sigma_sets_rejects_out_of_range_index():
 
 def test_forced_word_boundary_stays_bottom():
     # 1/2 is on the boundary of the first zero side only
-    assert GRAY.forced_word(F(1, 2)).dom == (1, 2)
-    assert GRAY.forced_word(F(1, 3)).dom == (0, 1, 2)
+    assert GRAY.forced_word(F(1, 2)).to_string(3) == "_10"
+    assert GRAY.forced_word(F(1, 3)).to_string(3) == "011"
 
 
 # -- finite-depth checks --------------------------------------------------
