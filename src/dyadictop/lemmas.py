@@ -8,8 +8,7 @@ are always validated against the postconditions before being returned.
 """
 from __future__ import annotations
 
-from .sets import (SymbolicSet, TAIL_NONE, embed, kernel_set, nearer_spans,
-                   tail_from_predicate)
+from .sets import SymbolicSet, TAIL_NONE, TailRule, embed, kernel_set, nearer_spans
 from .space import Cluster, Space, cb_kernel, scatter_clusters
 
 
@@ -29,13 +28,9 @@ def cluster_set(space: Space, cluster: Cluster, from_index: int = 1) -> Symbolic
     tails cut to the members from index ``from_index`` on."""
     tails = [TAIL_NONE] * len(space.sequences())
     for j, exc in cluster.tails:
-        bound = max([from_index] + [e + 1 for e in exc])
-        tails[j] = tail_from_predicate(
-            bound, lambda k, E=exc: k >= from_index and k not in E, True)
+        tails[j] = TailRule.of(from_index, {e for e in exc if e >= from_index})
     for j, k in cluster.member_atoms:
-        tails[j] = tail_from_predicate(max(tails[j].bound(), k + 1),
-                                       lambda i, r=tails[j], kk=k: r.selected(i) or i == kk,
-                                       tails[j].infinite)
+        tails[j] = tails[j].union(TailRule.of(None, {k}))
     return SymbolicSet(space, (), cluster.point_values, tuple(tails))
 
 

@@ -5,9 +5,9 @@ A set is stored in three independent components:
 * ``spans``   the interval-region trace: disjoint sorted spans, each clipped
               inside one Interval primitive; singletons are degenerate spans
 * ``points``  the included isolated-point values
-* ``tails``   one selection rule per GeometricSequence primitive: either a
-              finite index set, or a cofinite rule "all k >= start" plus
-              finitely many extra indices below start
+* ``tails``   one selection rule per GeometricSequence primitive, stored
+              as its switch points: the increasing indices where selection
+              of the members flips, starting unselected
 
 Because the primitives are pairwise disjoint this decomposition is unique,
 so structural equality of canonical forms is set equality, and every lattice
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,6 +72,27 @@ def _spans_contain(spans, x: Fraction) -> bool:
     return any(sp.contains(x) for sp in spans)
 
 
+def _switches(events, n: int, fn) -> list[int]:
+    """Positions where ``fn`` changes, in increasing order, from false.
+
+    ``events`` holds (position, operand, +1 where a range of the operand
+    starts or -1 just past its end).  After the last event at a position,
+    ``fn`` is applied to whether each of the n operands has a range open.
+    """
+    events.sort()
+    count = [0] * n
+    out = []
+    inside = False
+    for k, (p, j, step) in enumerate(events):
+        count[j] += step
+        if k + 1 < len(events) and events[k + 1][0] == p:
+            continue
+        if fn(*[c > 0 for c in count]) != inside:
+            inside = not inside
+            out.append(p)
+    return out
+
+
 def _combine_spans(space: Space, lists, fn) -> tuple[Span, ...]:
     """Pointwise boolean combination, clipped to the ambient intervals.
 
@@ -78,12 +100,12 @@ def _combine_spans(space: Space, lists, fn) -> tuple[Span, ...]:
     common multiple of the denominators, an endpoint x sits at the even
     position 2·x·den and the open gaps between endpoints hold odd
     positions only, so a span is a range of positions, an open end one
-    step inside.  Counting the open ranges of each operand at each range
-    end, in sorted order, decides every point and gap at once: no
-    midpoints, no scans, and overlapping input spans need no merging.  The
-    result changes only where a count does, so its ranges are maximal and
-    the output is canonical: sorted, disjoint and merged within each
-    ambient interval, the intervals in ``intervals()`` order.
+    step inside.  ``_switches`` counts the ranges of each operand and
+    decides every point and gap at once: no midpoints, no scans, and
+    overlapping input spans need no merging.  The result changes only
+    where a count does, so its ranges are maximal and the output is
+    canonical: sorted, disjoint and merged within each ambient interval,
+    the intervals in ``intervals()`` order.
     """
     ivs = space.intervals()
     den = math.lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)),
@@ -96,7 +118,6 @@ def _combine_spans(space: Space, lists, fn) -> tuple[Span, ...]:
         value[p] = x
         return p
 
-    # (position, operand, +1 where a range starts or -1 just past its end);
     # the ambient intervals count as the last operand
     events = []
     for n, spans in enumerate(lists):
@@ -106,23 +127,11 @@ def _combine_spans(space: Space, lists, fn) -> tuple[Span, ...]:
     bounds = [(pos(iv.lo), pos(iv.hi)) for iv in ivs]
     for lo, hi in bounds:
         events += [(lo, len(lists), 1), (hi + 1, len(lists), -1)]
-    events.sort()
-    count = [0] * (len(lists) + 1)
-    ranges = []
-    start = None
-    for k, (p, n, step) in enumerate(events):
-        count[n] += step
-        if k + 1 < len(events) and events[k + 1][0] == p:
-            continue
-        inside = count[-1] > 0 and fn(*[c > 0 for c in count[:-1]])
-        if inside and start is None:
-            start = p
-        elif not inside and start is not None:
-            ranges.append((start, p - 1))
-            start = None
+    sw = _switches(events, len(lists) + 1, lambda *v: v[-1] and fn(*v[:-1]))
     # an odd first or last position is an open end at the even one outside it
     return tuple(Span(value[a - a % 2], a % 2 == 0, value[b + b % 2], b % 2 == 0)
-                 for lo, hi in bounds for a, b in ranges if lo <= a <= hi)
+                 for lo, hi in bounds for a, b in zip(sw[::2], (e - 1 for e in sw[1::2]))
+                 if lo <= a <= hi)
 
 
 def dist_to_spans(x: Fraction, spans) -> Fraction | None:
@@ -151,74 +160,71 @@ def nearer_spans(x: Fraction, first, second) -> int | None:
 
 @dataclass(frozen=True)
 class TailRule:
-    """Canonical selection of sequence indices.
-
-    ``start is None``: exactly the finite set ``exceptions``.
-    otherwise: all k >= start plus the extras in ``exceptions``, which are
-    required to sit strictly below start (minimality of start).
+    """Canonical selection of sequence indices, stored as switch points:
+    the increasing indices k >= 1 where selection flips, starting
+    unselected.  With an odd count every index from the last switch on is
+    selected.  JSON reads the rule as ``start`` (the last switch of an
+    infinite rule, else None) plus the selected ``exceptions`` below it.
     """
 
-    start: int | None = None
-    exceptions: frozenset[int] = frozenset()
+    switches: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "exceptions", frozenset(self.exceptions))
-        if any(e < 1 for e in self.exceptions):
+        sw = tuple(self.switches)
+        if any(a >= b for a, b in zip((0,) + sw, sw)):
+            raise SetError(f"tail switches {sw} are not increasing from 1")
+        object.__setattr__(self, "switches", sw)
+
+    @classmethod
+    def of(cls, start: int | None, exceptions) -> "TailRule":
+        """All k >= start (none when start is None), with each exception
+        flipped, on either side of start."""
+        exceptions = set(exceptions)
+        if (start is not None and start < 1) or any(e < 1 for e in exceptions):
             raise SetError("tail indices start at 1")
-        if self.start is not None:
-            if self.start < 1:
-                raise SetError("tail start must be >= 1")
-            if any(e >= self.start for e in self.exceptions):
-                raise SetError("non-canonical tail rule (exception above start)")
+        flips = {start} if start is not None else set()
+        for e in exceptions:
+            flips ^= {e, e + 1}
+        return cls(tuple(sorted(flips)))
 
     @property
     def infinite(self) -> bool:
-        return self.start is not None
+        return len(self.switches) % 2 == 1
 
     @property
     def is_empty(self) -> bool:
-        return self.start is None and not self.exceptions
+        return not self.switches
+
+    @property
+    def start(self) -> int | None:
+        return self.switches[-1] if self.infinite else None
+
+    @property
+    def exceptions(self) -> frozenset[int]:
+        sw = self.switches
+        return frozenset(k for a, b in zip(sw[::2], sw[1::2]) for k in range(a, b))
 
     def selected(self, k: int) -> bool:
-        if self.start is not None and k >= self.start:
-            return True
-        return k in self.exceptions
+        return bisect_right(self.switches, k) % 2 == 1
 
-    def min_selected(self) -> int | None:
-        if self.exceptions:
-            low = min(self.exceptions)
-            return low if self.start is None else min(low, self.start)
-        return self.start
-
-    def bound(self) -> int:
-        vals = [e + 1 for e in self.exceptions]
-        if self.start is not None:
-            vals.append(self.start)
-        return max(vals, default=1)
-
-
-def tail_from_predicate(bound: int, pred, infinite: bool) -> TailRule:
-    """Canonical rule from a membership predicate constant beyond bound."""
-    if not infinite:
-        return TailRule(None, frozenset(k for k in range(1, bound + 1) if pred(k)))
-    start = bound + 1
-    while start > 1 and pred(start - 1):
-        start -= 1
-    return TailRule(start, frozenset(k for k in range(1, start) if pred(k)))
+    def union(self, other: "TailRule") -> "TailRule":
+        return _tail_binary(self, other, lambda a, b: a or b)
 
 
 def _tail_binary(a: TailRule, b: TailRule, fn) -> TailRule:
-    bound = max(a.bound(), b.bound())
-    return tail_from_predicate(bound, lambda k: fn(a.selected(k), b.selected(k)),
-                               fn(a.infinite, b.infinite))
+    events = [(k, n, 1 - 2 * (i % 2))
+              for n, rule in enumerate((a, b)) for i, k in enumerate(rule.switches)]
+    return TailRule(tuple(_switches(events, 2, fn)))
 
 
-TAIL_ALL = TailRule(start=1)
+TAIL_ALL = TailRule((1,))
 TAIL_NONE = TailRule()
 
-# Largest tail index a set file may name.  Tail rules are built and combined
-# by walking every index up to their bound, so a larger index would cost time
-# in proportion; the builder names indices up to its levels + 3.
+# Largest tail index a set file may name; the builder names indices up to
+# its levels + 3.  Combining rules costs nothing per index, but the members
+# of a finite rule are listed whole (``exceptions``, ``as_finite_points``,
+# ``to_dict``) and the member at index k has a 2^k denominator, so a start
+# of 10^4 would make the checks list 10^4 such values for its complement.
 MAX_TAIL_INDEX = 256
 
 
@@ -303,15 +309,12 @@ class SymbolicSet:
             if any(Span(*b).contains(p.value) for b in blocks))
         tails = []
         for s in space.sequences():
-            ranges = [r for b in blocks
-                      if (r := _members_in_range(s, b[0], b[1], b[2], b[3])) is not None]
-            infinite = any(r[1] == -1 for r in ranges)
-            bound = max([r[0] for r in ranges] + [r[1] for r in ranges if r[1] != -1],
-                        default=0) + 1
-            tails.append(tail_from_predicate(
-                bound,
-                lambda k, rs=ranges: any(a <= k and (b == -1 or k <= b) for a, b in rs),
-                infinite))
+            rule = TAIL_NONE
+            for b in blocks:
+                r = _members_in_range(s, *b)
+                if r is not None:
+                    rule = rule.union(TailRule((r[0],) if r[1] == -1 else (r[0], r[1] + 1)))
+            tails.append(rule)
         return cls(space, tuple(spans), points, tuple(tails))
 
     @classmethod
@@ -327,7 +330,7 @@ class SymbolicSet:
             return cls(space, points=frozenset({x}))
         if loc[0] == "member":
             tails = [TAIL_NONE] * len(space.sequences())
-            tails[loc[1]] = TailRule(None, frozenset({loc[2]}))
+            tails[loc[1]] = TailRule.of(None, {loc[2]})
             return cls(space, tails=tuple(tails))
         raise SetError(f"{x} is not in the space")
 
@@ -357,9 +360,8 @@ class SymbolicSet:
         if self.points:
             return min(self.points)
         for j, rule in enumerate(self.tails):
-            k = rule.min_selected()
-            if k is not None:
-                return self.space.sequences()[j].member(k)
+            if rule.switches:
+                return self.space.sequences()[j].member(rule.switches[0])
         return None
 
     def as_finite_points(self) -> tuple[Fraction, ...] | None:
@@ -390,12 +392,8 @@ class SymbolicSet:
             if rule.is_empty:
                 continue
             seq = self.space.sequences()[j]
-            k0 = rule.min_selected()
-            first = seq.member(k0)
-            if rule.infinite:
-                ext = seq.limit
-            else:
-                ext = seq.member(max(rule.exceptions))
+            first = seq.member(rule.switches[0])
+            ext = seq.limit if rule.infinite else seq.member(rule.switches[-1] - 1)
             lows.append(min(first, ext))
             highs.append(max(first, ext))
         if not lows:
@@ -447,8 +445,7 @@ class SymbolicSet:
                 points.add(s.limit)
             elif loc[0] == "member":
                 j2, k2 = loc[1], loc[2]
-                tails[j2] = _tail_binary(tails[j2], TailRule(None, frozenset({k2})),
-                                         lambda a, b: a or b)
+                tails[j2] = tails[j2].union(TailRule.of(None, {k2}))
         return SymbolicSet(self.space, tuple(spans), frozenset(points), tuple(tails))
 
     def interior(self) -> "SymbolicSet":
@@ -535,14 +532,9 @@ class SymbolicSet:
             start = entry.get("start")
             if start is not None:
                 _tail_index(start, "start")
-            exc = frozenset(_tail_index(e, "exception") for e in _json_list(entry, "exceptions"))
-            bound = max([start or 1] + [e + 1 for e in exc])
-            rule = tail_from_predicate(
-                bound,
-                lambda k, s=start, E=exc: ((s is not None and k >= s) != (k in E)),
-                start is not None)
+            exc = [_tail_index(e, "exception") for e in _json_list(entry, "exceptions")]
             tails = [TAIL_NONE] * n_seq
-            tails[j] = rule
+            tails[j] = TailRule.of(start, exc)
             out = out.union(cls(space, tails=tuple(tails)))
         return out
 

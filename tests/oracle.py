@@ -113,13 +113,53 @@ def random_set(space: Space, rng: random.Random) -> SymbolicSet:
             tails.append(TailRule())
         elif roll < 0.6:
             ks = rng.sample(range(1, 11), rng.randint(1, 4))
-            tails.append(TailRule(exceptions=frozenset(ks)))
+            tails.append(TailRule.of(None, ks))
         else:
             start = rng.randint(1, 8)
             exc = frozenset(k for k in range(1, start) if rng.random() < 0.3)
-            tails.append(TailRule(start=start, exceptions=exc))
+            tails.append(TailRule.of(start, exc))
     extra = SymbolicSet(space, (), pts, tuple(tails))
     return base.union(extra)
+
+
+# -- tail rules, index by index ---------------------------------------------
+
+def o_tail(bound: int, pred, infinite: bool) -> tuple[int | None, frozenset[int]]:
+    """(start, exceptions) of the index set ``pred`` selects, which is
+    constant beyond ``bound``: all k >= start, with start as low as it
+    goes, plus the selected indices below it."""
+    if not infinite:
+        return None, frozenset(k for k in range(1, bound + 1) if pred(k))
+    start = bound + 1
+    while start > 1 and pred(start - 1):
+        start -= 1
+    return start, frozenset(k for k in range(1, start) if pred(k))
+
+
+def o_selected(start: int | None, exceptions, k: int) -> bool:
+    """Index k under "all k >= start" with each exception flipped."""
+    return (start is not None and k >= start) != (k in exceptions)
+
+
+def o_tail_binary(a, b, fn) -> tuple[int | None, frozenset[int]]:
+    """(start, exceptions) of ``fn`` applied index by index to two
+    (start, exceptions) rules."""
+    bound = max([s or 1 for s, _ in (a, b)] + [e + 1 for _, exc in (a, b) for e in exc])
+    return o_tail(bound, lambda k: fn(o_selected(*a, k), o_selected(*b, k)),
+                  fn(a[0] is not None, b[0] is not None))
+
+
+def random_tail(rng: random.Random, top: int) -> tuple[int | None, frozenset[int]]:
+    """(start, exceptions) with start up to ``top``, exceptions on both sides
+    of it and next to it, and runs of neighbouring indices."""
+    start = rng.choice([None, rng.randint(1, top)])
+    exc = set(rng.sample(range(1, top + 20), rng.randint(0, 5)))
+    if start is not None and rng.random() < 0.5:
+        exc |= {max(1, start + rng.randint(-2, 2))}
+    for e in list(exc):
+        if rng.random() < 0.3:
+            exc.add(e + 1)
+    return start, frozenset(exc)
 
 
 # -- spans, brute force ------------------------------------------------------

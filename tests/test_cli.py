@@ -174,6 +174,8 @@ def _one_pair(space, zero):
     _one_pair(SEQ, {"tails": [{"sequence": 0, "start": True}]}),
     _one_pair(SEQ, {"tails": [{"sequence": 0, "exceptions": 2}]}),
     _one_pair(SEQ, {"tails": [{"sequence": 0, "exceptions": [1.5]}]}),
+    _one_pair(SEQ, {"tails": [{"sequence": 0, "start": 0}]}),
+    _one_pair(SEQ, {"tails": [{"sequence": 0, "exceptions": [-5, 0]}]}),
 ])
 def test_malformed_json_is_refused(tmp_path, capsys, data):
     path = tmp_path / "bad.json"

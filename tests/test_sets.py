@@ -12,11 +12,11 @@ from dyadictop import (AmbientMismatchError, SetError, Span, SymbolicSet,
 from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
-from dyadictop.sets import nearer_spans
+from dyadictop.sets import MAX_TAIL_INDEX, nearer_spans
 from dyadictop.space import GeometricSequence, Interval, Space, cb_kernel
 
-from oracle import (critical_values, o_closure, o_spans, random_set, raw_spans,
-                    witnesses)
+from oracle import (critical_values, o_closure, o_selected, o_spans, o_tail,
+                    o_tail_binary, random_set, random_tail, raw_spans, witnesses)
 
 X1 = interval_space()
 X2 = interval_points_space()
@@ -37,7 +37,7 @@ def test_region_picks_up_points_and_members():
     assert s.points == frozenset({F(2)})
     t = SymbolicSet.region(X3, [(F(9, 8), True, F(3, 2), True)])
     # members 1 + 2**-k with 9/8 <= m <= 3/2: k = 1, 2, 3
-    assert t.tails[0] == TailRule(exceptions=frozenset({1, 2, 3}))
+    assert t.tails[0] == TailRule.of(None, {1, 2, 3})
     u = SymbolicSet.region(X4, [(F(0), True, F(1, 16), True)])
     assert u.tails[0].infinite and u.tails[0].start == 4
     assert u.points == frozenset({F(0)})
@@ -116,15 +116,16 @@ def test_closure_of_open_span():
 
 
 def test_closure_adds_sequence_limit():
-    tail = SymbolicSet(X3, (), frozenset(), (TailRule(start=3),))
+    tail = SymbolicSet(X3, (), frozenset(), (TailRule.of(3, ()),))
     cl = tail.closure()
     assert cl.membership(F(1))
     assert cl.difference(tail).as_finite_points() == (F(1),)
 
 
 def test_closure_respects_finite_tails():
-    finite = SymbolicSet(X3, (), frozenset(), (TailRule(exceptions=frozenset({2, 5})),))
+    finite = SymbolicSet(X3, (), frozenset(), (TailRule.of(None, {2, 5}),))
     assert finite.closure() == finite  # finitely many members are closed
+    assert finite.closure_bounds() == (F(33, 32), F(5, 4))
 
 
 def test_interior_strips_unaccompanied_limit():
@@ -161,7 +162,7 @@ def test_isolated_points_are_clopen():
 def test_kernel_limit_tail_is_not_closed():
     member_sing = SymbolicSet.singleton(X3, F(3, 2))
     assert member_sing.boundary().is_empty
-    tail = SymbolicSet(X3, (), frozenset(), (TailRule(start=1),))
+    tail = SymbolicSet(X3, (), frozenset(), (TailRule.of(1, ()),))
     assert tail.is_open and not tail.is_closed
 
 
@@ -350,6 +351,42 @@ def test_closure_matches_brute_force():
         cl = s.closure()
         for x in witnesses(sp, crit):
             assert cl.membership(x) == o_closure(sp, s.membership, crit, x)
+
+
+# -- the tail algebra against index by index walks ------------------------
+
+def _assert_tail(rule: TailRule, ref) -> None:
+    assert (rule.start, rule.exceptions) == ref
+    assert all(rule.selected(k) == o_selected(*ref, k) for k in range(1, 330))
+
+
+def test_tail_algebra_matches_index_walk():
+    rng = random.Random(20261018)
+    ops = [(SymbolicSet.union, lambda a, b: a or b),
+           (SymbolicSet.intersection, lambda a, b: a and b),
+           (SymbolicSet.difference, lambda a, b: a and not b)]
+    for _ in range(400):
+        a, b = random_tail(rng, 300), random_tail(rng, 300)
+        sa, sb = (SymbolicSet(X4, tails=(TailRule.of(*r),)) for r in (a, b))
+        bound = max([a[0] or 1] + [e + 1 for e in a[1]])
+        ref = o_tail(bound, lambda k: o_selected(*a, k), a[0] is not None)
+        _assert_tail(sa.tails[0], ref)
+        for op, fn in ops:
+            _assert_tail(op(sa, sb).tails[0], o_tail_binary(a, b, fn))
+        data = json.loads(json.dumps(sa.to_dict()))
+        if max([ref[0] or 0, *ref[1]]) <= MAX_TAIL_INDEX:
+            back = SymbolicSet.from_dict(X4, data)
+            _assert_tail(back.tails[0], ref)
+            assert back.to_dict() == data
+        else:
+            with pytest.raises(SetError, match="MAX_TAIL_INDEX"):
+                SymbolicSet.from_dict(X4, data)
+
+
+def test_tail_cost_does_not_depend_on_index():
+    far = SymbolicSet(X4, tails=(TailRule((10**9,)),))
+    near = SymbolicSet.singleton(X4, X4.sequences()[0].member(5))
+    assert far.union(near).tails[0].switches == (5, 6, 10**9)
 
 
 def _assert_canonical(s: SymbolicSet) -> None:
