@@ -61,6 +61,8 @@ def _build_from(args, space: Space):
         raise ConstructionError("depth-out-of-range", -1,
                                 {"depth": args.depth, "max": MAX_DEPTH})
     epsilon = parse_rational(args.epsilon) if args.epsilon else None
+    if epsilon is not None and epsilon <= 0:
+        raise ConstructionError("epsilon-out-of-range", -1, {"epsilon": args.epsilon})
     return build_proper_subbase(space, args.levels, degree_mode=args.degree_mode,
                                 depth=args.depth, epsilon=epsilon,
                                 probe_seed=args.seed)

@@ -21,10 +21,9 @@ from fractions import Fraction
 
 from .checks import (CheckReport, check_dyadic, check_independent, check_proper,
                      degree_report, resolution_check)
-from .lemmas import cluster_set, half_clopen_extension
+from .lemmas import _assign_cluster, cluster_set, half_clopen_extension
 from .rational import format_rational
-from .sets import (Span, SymbolicSet, embed, kernel_set, nearer_spans,
-                   restrict)
+from .sets import Span, SymbolicSet, embed, kernel_set, restrict
 from .space import GeometricSequence, Interval, Space, cb_kernel, scatter_clusters
 from .subbase import DyadicSubbase
 
@@ -49,12 +48,11 @@ class SeedEntry:
 @dataclass(frozen=True)
 class SeedFamily:
     space: Space
-    kernel: Space
     entries: tuple[SeedEntry, ...]
 
     def validate(self) -> list[str]:
         out = []
-        kernelS = kernel_set(self.space, self.kernel)
+        kernelS = kernel_set(self.space)
         for n, e in enumerate(self.entries):
             if e.core.is_empty:
                 out.append(f"seed {n}: core is empty")
@@ -107,7 +105,6 @@ def auto_seeds(space: Space, levels: int) -> SeedFamily:
                 for i in range(2 ** j):
                     windows.append((comp, comp.lo + step * i, comp.lo + step * (i + 1)))
             j += 1
-        kernelS = kernel_set(space, kernel)
         clusters = scatter_clusters(space)
         for n, (comp, a, b) in enumerate(windows[:levels]):
             core = SymbolicSet.region(kernel, [(a, a == comp.lo, b, b == comp.hi)])
@@ -115,16 +112,12 @@ def auto_seeds(space: Space, levels: int) -> SeedFamily:
             lo, hi = max(a - margin, comp.lo), min(b + margin, comp.hi)
             hull = SymbolicSet.region(kernel, [(lo, lo == comp.lo, hi, hi == comp.hi)])
             hull_star = embed(hull, space)
-            rest = kernelS.difference(hull_star)
+            rest = kernel_set(space).difference(hull_star)
             for cluster in clusters:
-                if cluster.kind == "kernel":
-                    absorb = hull.membership(cluster.anchor)
-                else:
-                    absorb = nearer_spans(cluster.anchor, hull.spans, rest.spans) == 0
-                if absorb:
+                if _assign_cluster(cluster, hull, rest) == 0:
                     hull_star = hull_star.union(cluster_set(space, cluster))
             entries.append(SeedEntry(core, hull, hull_star))
-    family = SeedFamily(space, kernel, tuple(entries))
+    family = SeedFamily(space, tuple(entries))
     bad = family.validate()
     if bad:
         raise ConstructionError("seed-family-invalid", -1, {"violations": bad})
@@ -212,17 +205,6 @@ def _window_probes(core: SymbolicSet, values) -> list[Fraction]:
 
 # -- one level, shared by the kernel and starred stages -------------------
 
-def _classify(cells, v, cl_v) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Words of the cells inside V (class A) and of those clear of cl V (class B)."""
-    a_words, b_words = [], []
-    for w in sorted(cells):
-        if cells[w].subset_of(v):
-            a_words.append(w)
-        elif cells[w].intersection(cl_v).is_empty:
-            b_words.append(w)
-    return tuple(a_words), tuple(b_words)
-
-
 def _assemble(whole, v, cl_v, g, a_words, b_words) -> tuple[SymbolicSet, SymbolicSet]:
     """The pair: V and the exterior of V, with the chunks G swapped between them."""
     s0 = v
@@ -259,6 +241,17 @@ def _check_window(cells, s0, s1, core, hull, marks, condition, trace) -> None:
 
 
 # -- kernel stage ---------------------------------------------------------
+
+def _classify(cells, v, cl_v) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Words of the cells inside V (class A) and of those clear of cl V (class B)."""
+    a_words, b_words = [], []
+    for w in sorted(cells):
+        if cells[w].subset_of(v):
+            a_words.append(w)
+        elif cells[w].intersection(cl_v).is_empty:
+            b_words.append(w)
+    return tuple(a_words), tuple(b_words)
+
 
 def build_independent_subbase(kernel: Space, levels: int,
                               seeds: SeedFamily | None = None,
@@ -341,9 +334,11 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
                      seeds: SeedFamily):
     """Half-clopen pairs on the full space restricting to the kernel pairs.
 
-    Validated at every level: the starred one side is the exterior of the
-    starred zero side, both sides restrict to the kernel pair, boundaries
-    stay inside the kernel, and window cores resolve into starred hulls.
+    Lifts each level's recorded classes and chunks through the half-clopen
+    extension lemma.  Validated at every level: the starred one side is
+    the exterior of the starred zero side, both sides restrict to the
+    kernel pair, boundaries stay inside the kernel, and window cores
+    resolve into starred hulls.
     """
     kernel = cb_kernel(space).kernel
     if kernel_sb.space != kernel:
@@ -353,11 +348,10 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
     if len(traces) != len(kernel_sb.pairs) or len(seeds.entries) < len(traces):
         raise ConstructionError("trace-seed-mismatch", -1)
 
-    kernelS = kernel_set(space, kernel)
+    kernelS = kernel_set(space)
     whole = SymbolicSet.whole(space)
     star_pairs: list[tuple[SymbolicSet, SymbolicSet]] = []
     out_traces: list[StepTrace] = []
-    cells: dict[str, SymbolicSet] = {"": SymbolicSet.whole(kernel)}
     star_cells: dict[str, SymbolicSet] = {"": whole}
     used: set[Fraction] = set()
 
@@ -365,30 +359,26 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
         s0, s1 = kernel_sb.pairs[n]
         if tr.s0 != s0 or tr.s1 != s1 or tr.level != n:
             raise ConstructionError("trace-pair-mismatch", n)
-        cl_v = tr.v.closure()
-        a_words, b_words = _classify(cells, tr.v, cl_v)
-        wrong = (set(a_words) ^ set(tr.a_words)) | (set(b_words) ^ set(tr.b_words))
-        if wrong:
-            raise ConstructionError("trace-class-mismatch", n, {"word": min(wrong)})
         g = dict(tr.g)
-        missing = set(a_words + b_words).difference(g)
+        # a class word names a cell of this level and carries a chunk
+        missing = set(tr.a_words + tr.b_words).difference(g.keys() & star_cells.keys())
         if missing:
             raise ConstructionError("trace-missing-g", n, {"word": min(missing)})
 
         entry = seeds.entries[n]
         v_star = half_clopen_extension(space, tr.v, entry.hull_star)
         cl_v_star = v_star.closure()
-        if cl_v_star.intersection(kernelS) != embed(cl_v, space):
+        if cl_v_star.intersection(kernelS) != embed(tr.v.closure(), space):
             raise ConstructionError("starred-closure-tightness", n,
                                     {"trace": tr.to_dict()})
         g_star = {}
-        for w in a_words:
+        for w in tr.a_words:
             g_star[w] = half_clopen_extension(
                 space, g[w], v_star.intersection(star_cells[w]))
-        for w in b_words:
+        for w in tr.b_words:
             g_star[w] = half_clopen_extension(
                 space, g[w], star_cells[w].difference(cl_v_star))
-        s0s, s1s = _assemble(whole, v_star, cl_v_star, g_star, a_words, b_words)
+        s0s, s1s = _assemble(whole, v_star, cl_v_star, g_star, tr.a_words, tr.b_words)
 
         new_tr = replace(tr, v_star=v_star, g_star=tuple(sorted(g_star.items())),
                          s0_star=s0s, s1_star=s1s)
@@ -408,7 +398,6 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
 
         star_pairs.append((s0s, s1s))
         out_traces.append(new_tr)
-        cells = _split(cells, s0, s1)
         star_cells = _split(star_cells, s0s, s1s)
         used = marks
     return DyadicSubbase(space, tuple(star_pairs)), out_traces
@@ -457,6 +446,10 @@ def scattered_clopen_base(space: Space, tail_depth: int) -> list[SymbolicSet]:
 
 
 # -- orchestration --------------------------------------------------------
+
+PROBE_COUNT = 12       # sample points of the degree and resolution checks
+INDEPENDENT_DEPTH = 4  # word depth of the independence check on the kernel
+
 
 @dataclass(frozen=True)
 class BuildResult:
@@ -534,22 +527,22 @@ def _default_epsilon(space: Space, seeds: SeedFamily, kernel_probes,
 
 def build_proper_subbase(space: Space, levels: int,
                          degree_mode: str = "unconstrained", depth: int = 6,
-                         epsilon: Fraction | None = None, probe_seed: int = 0,
-                         tail_depth: int | None = None, probe_count: int = 12,
-                         independent_depth: int = 4) -> BuildResult:
+                         epsilon: Fraction | None = None,
+                         probe_seed: int = 0) -> BuildResult:
     """Full pipeline: kernel stage, starred stage, clopen stage, checks.
 
+    The clopen stage separates sequence members up to index ``levels + 2``.
     The report bundle always runs the dyadic and properness checks on the
-    assembled subbase, independence on the kernel part, the degree survey,
-    and the resolution probe at ``epsilon`` (achieved resolution when not
+    assembled subbase, independence to depth ``INDEPENDENT_DEPTH`` on the
+    kernel part, the degree survey on ``PROBE_COUNT`` sample points, and
+    the resolution probe at ``epsilon`` (achieved resolution when not
     given).  ``match_dim`` mode keeps chunk boundaries off each other so
     the degree never exceeds one on a space with a nonempty kernel.
     """
     if degree_mode not in ("unconstrained", "match_dim"):
         raise ConstructionError("unknown-degree-mode", -1, {"mode": degree_mode})
     kernel = cb_kernel(space).kernel
-    if tail_depth is None:
-        tail_depth = levels + 2
+    tail_depth = levels + 2
     match = degree_mode == "match_dim"
 
     if kernel.intervals() and levels > 0:
@@ -559,7 +552,7 @@ def build_proper_subbase(space: Space, levels: int,
         star_sb, traces = extend_to_proper(space, kernel_sb, traces, seeds)
         star_pairs = star_sb.pairs
     else:
-        seeds = SeedFamily(space, kernel, ())
+        seeds = SeedFamily(space, ())
         kernel_sb, traces = DyadicSubbase(kernel, ()), []
         star_pairs = ()
     clopen = scattered_clopen_base(space, tail_depth)
@@ -567,7 +560,7 @@ def build_proper_subbase(space: Space, levels: int,
     sb = DyadicSubbase(space, pairs)
 
     rng = random.Random(probe_seed)
-    probes = sample_points(space, probe_count, rng, member_depth=tail_depth)
+    probes = sample_points(space, PROBE_COUNT, rng, member_depth=tail_depth)
     kernel_probes = [x for x in probes if kernel.contains(x)]
     scattered_probes = [x for x in probes if not kernel.contains(x)]
     free = [x for x in kernel_probes
@@ -581,7 +574,7 @@ def build_proper_subbase(space: Space, levels: int,
         expected_sup = 1 if kernel.intervals() else 0
     reports = [check_dyadic(sb), check_proper(sb, depth)]
     if kernel.intervals() and len(kernel_sb) > 0:
-        reports.append(check_independent(kernel_sb, independent_depth))
+        reports.append(check_independent(kernel_sb, INDEPENDENT_DEPTH))
     reports.append(degree_report(sb, len(pairs), probes,
                                  expected_sup=expected_sup, seed=probe_seed))
     reports.append(resolution_check(sb, epsilon, resolution_probes,

@@ -9,7 +9,7 @@ are always validated against the postconditions before being returned.
 from __future__ import annotations
 
 from .sets import SymbolicSet, TAIL_NONE, TailRule, embed, kernel_set, nearer_spans
-from .space import Cluster, Space, cb_kernel, scatter_clusters
+from .space import Cluster, Space, scatter_clusters
 
 
 class LemmaError(ValueError):
@@ -35,10 +35,9 @@ def cluster_set(space: Space, cluster: Cluster, from_index: int = 1) -> Symbolic
 
 
 def _admissible_subspace(space: Space, y: SymbolicSet) -> str:
-    kernel = cb_kernel(space).kernel
     if y == SymbolicSet.whole(space):
         return "whole"
-    if y == kernel_set(space, kernel):
+    if y == kernel_set(space):
         return "kernel"
     raise SubspaceError(
         "separation is implemented for the whole space and the perfect kernel only")
@@ -108,7 +107,7 @@ def _assign_cluster(cluster: Cluster, u0: SymbolicSet, u1: SymbolicSet) -> int |
 
 def check_half_clopen(space: Space, u: SymbolicSet, w: SymbolicSet,
                       v: SymbolicSet) -> list[str]:
-    kernel = kernel_set(space, cb_kernel(space).kernel)
+    kernel = kernel_set(space)
     out = []
     if not v.is_regular_open:
         out.append("V is not regular open")
@@ -129,17 +128,16 @@ def half_clopen_extension(space: Space, u: SymbolicSet, w: SymbolicSet) -> Symbo
     of ``u``.  The result V is regular open in X with boundary inside the
     kernel, V ∩ X♯ == U and V ⊆ W.
     """
-    kernel = cb_kernel(space).kernel
-    kernelS = kernel_set(space, kernel)
+    kernelS = kernel_set(space)
     if u.space != space:
         u = embed(u, space)
     if not u.subset_of(kernelS):
         raise SubspaceError("U must be supported on the kernel")
-    if u.closure_in(kernelS).interior_in(kernelS) != u:
+    cl_u = u.closure_in(kernelS)
+    if cl_u.interior_in(kernelS) != u:
         raise SubspaceError("U is not regular open in the kernel")
     if not w.is_open:
         raise SubspaceError("W is not open")
-    cl_u = u.closure_in(kernelS)
     if not cl_u.subset_of(w):
         raise SubspaceError("W does not contain the relative closure of U")
 

@@ -20,9 +20,10 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .rational import format_rational, parse_rational
-from .space import Space, _members_in_range
+from .space import Space, _members_in_range, cb_kernel
 
 
 class SetError(ValueError):
@@ -78,6 +79,8 @@ def _switches(events, n: int, fn) -> list[int]:
     ``events`` holds (position, operand, +1 where a range of the operand
     starts or -1 just past its end).  After the last event at a position,
     ``fn`` is applied to whether each of the n operands has a range open.
+    ``fn`` must be false when every operand is: the sweep starts outside,
+    before the first event, and the counts are all zero after the last.
     """
     events.sort()
     count = [0] * n
@@ -94,7 +97,7 @@ def _switches(events, n: int, fn) -> list[int]:
 
 
 def _combine_spans(space: Space, lists, fn) -> tuple[Span, ...]:
-    """Pointwise boolean combination, clipped to the ambient intervals.
+    """Pointwise boolean combination of spans inside the ambient intervals.
 
     One left-to-right sweep over integer positions.  With den the least
     common multiple of the denominators, an endpoint x sits at the even
@@ -105,7 +108,9 @@ def _combine_spans(space: Space, lists, fn) -> tuple[Span, ...]:
     overlapping input spans need no merging.  The result changes only
     where a count does, so its ranges are maximal and the output is
     canonical: sorted, disjoint and merged within each ambient interval,
-    the intervals in ``intervals()`` order.
+    the intervals in ``intervals()`` order.  Nothing is clipped here:
+    every operand lies inside the ambient intervals and ``fn`` is false
+    when every operand is, so the result does too.
     """
     ivs = space.intervals()
     den = math.lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)),
@@ -118,16 +123,13 @@ def _combine_spans(space: Space, lists, fn) -> tuple[Span, ...]:
         value[p] = x
         return p
 
-    # the ambient intervals count as the last operand
     events = []
     for n, spans in enumerate(lists):
         for sp in spans:
             events.append((pos(sp.lo) + (not sp.lo_in), n, 1))
             events.append((pos(sp.hi) + sp.hi_in, n, -1))
+    sw = _switches(events, len(lists), fn)
     bounds = [(pos(iv.lo), pos(iv.hi)) for iv in ivs]
-    for lo, hi in bounds:
-        events += [(lo, len(lists), 1), (hi + 1, len(lists), -1)]
-    sw = _switches(events, len(lists) + 1, lambda *v: v[-1] and fn(*v[:-1]))
     # an odd first or last position is an open end at the even one outside it
     return tuple(Span(value[a - a % 2], a % 2 == 0, value[b + b % 2], b % 2 == 0)
                  for lo, hi in bounds for a, b in zip(sw[::2], (e - 1 for e in sw[1::2]))
@@ -253,8 +255,10 @@ class SymbolicSet:
     tails: tuple[TailRule, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "spans",
-                           _combine_spans(self.space, [tuple(self.spans)], lambda v: v))
+        # the one place where spans are clipped to the ambient intervals
+        ambient = tuple(Span(iv.lo, True, iv.hi, True) for iv in self.space.intervals())
+        object.__setattr__(self, "spans", _combine_spans(
+            self.space, [tuple(self.spans), ambient], lambda v, a: v and a))
         pts = frozenset(self.points)
         for p in pts:
             if self.space.locate(p)[0] != "point":
@@ -555,10 +559,11 @@ class SymbolicSet:
         return " u ".join(parts) if parts else "{}"
 
 
-def kernel_set(space: Space, kernel: Space) -> SymbolicSet:
+@lru_cache(maxsize=None)
+def kernel_set(space: Space) -> SymbolicSet:
     """The perfect kernel as a subset of the full space."""
     return SymbolicSet(space, tuple(Span(iv.lo, True, iv.hi, True)
-                                    for iv in kernel.intervals()))
+                                    for iv in cb_kernel(space).kernel.intervals()))
 
 
 # -- moving sets between a space and its kernel ---------------------------

@@ -308,6 +308,7 @@ class KernelReport:
         return line + f"; rank {self.rank}"
 
 
+@lru_cache(maxsize=None)
 def cb_kernel(space: Space) -> KernelReport:
     """Perfect kernel, scattered inventory and Cantor-Bendixson rank.
 

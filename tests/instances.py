@@ -14,7 +14,7 @@ def separation_instance(space, rng: random.Random):
     """(Y, U0, U1) with Y admissible and the U's disjoint relatively open."""
     kernel = cb_kernel(space).kernel
     if kernel.intervals() and rng.random() < 0.7:
-        y = kernel_set(space, kernel)
+        y = kernel_set(space)
     else:
         y = SymbolicSet.whole(space)
     a = random_set(space, rng).intersection(y).interior_in(y)
@@ -27,7 +27,7 @@ def extension_instance(space, rng: random.Random):
     """(U, W) with U regular open in the kernel and W an open window in X
     containing the relative closure of U."""
     kernel = cb_kernel(space).kernel
-    kernelS = kernel_set(space, kernel)
+    kernelS = kernel_set(space)
     rel_open = random_set(space, rng).intersection(kernelS).interior_in(kernelS)
     u = rel_open.closure_in(kernelS).interior_in(kernelS)
     if rng.random() < 0.2:

@@ -56,7 +56,7 @@ def test_criterion_1_pipeline(builds):
     slow = []
     for name, (res, elapsed) in builds.items():
         kernel = res.kernel_subbase.space
-        kernelS = kernel_set(res.space, kernel)
+        kernelS = kernel_set(res.space)
         nwin = len(res.kernel_subbase)
         for i, (s0, s1) in enumerate(res.subbase.pairs):
             clopen = s0.boundary().is_empty and s1.boundary().is_empty

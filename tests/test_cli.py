@@ -125,6 +125,16 @@ def test_failed_construction_prints_details(space_file, capsys):
     ]
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-1/2"])
+def test_epsilon_limit(space_file, capsys, epsilon):
+    # an empty resolution ball is refused before the build runs
+    assert main(["build", space_file, f"--epsilon={epsilon}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: construction failed at level -1: epsilon-out-of-range",
+        f'details: {{"epsilon":"{epsilon}"}}',
+    ]
+
+
 SUMMARY_HEAD = """space: [0,1]
 kernel: [0,1]; rank 0
 pairs: 2 (2 window + 0 clopen)

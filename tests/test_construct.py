@@ -1,14 +1,16 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from dyadictop import (ConstructionError, DyadicSubbase, SymbolicSet,
-                       auto_seeds, build_independent_subbase,
+from dyadictop import (ConstructionError, DyadicSubbase, SubspaceError,
+                       SymbolicSet, auto_seeds, build_independent_subbase,
                        build_proper_subbase, cb_kernel, check_independent,
                        check_proper, extend_to_proper, kernel_set, restrict,
                        scattered_clopen_base)
+from dyadictop import construct, lemmas
 from dyadictop.construct import sample_points
 from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
@@ -123,7 +125,7 @@ def test_extend_restricts_to_kernel_pairs():
         star, _ = extend_to_proper(sp, ksb, traces, seeds)
         assert [(restrict(a, kernel), restrict(b, kernel))
                 for a, b in star.pairs] == list(ksb.pairs)
-        kernelS = kernel_set(sp, kernel)
+        kernelS = kernel_set(sp)
         for s0s, s1s in star.pairs:
             assert s0s.boundary().subset_of(kernelS)
             assert s1s.boundary().subset_of(kernelS)
@@ -137,6 +139,56 @@ def test_extend_rejects_kernel_mismatch():
     sb = DyadicSubbase(other, ())
     with pytest.raises(ConstructionError):
         extend_to_proper(sp, sb, [], seeds)
+
+
+def test_extend_refuses_forged_classes():
+    # the starred stage lifts the recorded classes as they stand, so a
+    # class word moved to the other class or dropped must stop the lift
+    sp = interval_points_space()
+    seeds = auto_seeds(sp, 3)
+    ksb, traces = build_independent_subbase(cb_kernel(sp).kernel, 3, seeds=seeds)
+    forgeries = 0
+    for n, tr in enumerate(traces):
+        for w in tr.a_words + tr.b_words:
+            a = tuple(x for x in tr.a_words if x != w)
+            b = tuple(x for x in tr.b_words if x != w)
+            moved = (tuple(sorted(a + (w,))), b) if w in tr.b_words \
+                else (a, tuple(sorted(b + (w,))))
+            for a_words, b_words in (moved, (a, b)):
+                forged = list(traces)
+                forged[n] = replace(tr, a_words=a_words, b_words=b_words)
+                with pytest.raises((ConstructionError, SubspaceError)):
+                    extend_to_proper(sp, ksb, forged, seeds)
+                forgeries += 1
+    assert forgeries == 8
+    # a word that names no cell of its level, with a chunk of its own
+    tr = traces[2]
+    forged = list(traces)
+    forged[2] = replace(tr, b_words=tr.b_words + ("111",),
+                        g=tr.g + (("111", dict(tr.g)["01"]),))
+    with pytest.raises(ConstructionError) as err:
+        extend_to_proper(sp, ksb, forged, seeds)
+    assert err.value.condition == "trace-missing-g"
+
+
+def test_build_reaches_each_timed_stage(monkeypatch):
+    # the benchmark times the stages by wrapping these module attributes,
+    # so a build must call each of them through its module's name
+    calls = {}
+    for mod, name in ((construct, "auto_seeds"),
+                      (construct, "build_independent_subbase"),
+                      (construct, "extend_to_proper"),
+                      (construct, "scattered_clopen_base"),
+                      (construct, "half_clopen_extension"),
+                      (lemmas, "separate_open_pair")):
+        calls[name] = 0
+
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    build_proper_subbase(interval_points_space(), 2)
+    assert all(calls.values()), calls
 
 
 # -- scattered stage ------------------------------------------------------

@@ -16,8 +16,8 @@ from instances import extension_instance, separation_instance
 
 X2 = interval_points_space()
 X3 = interval_sequence_space()
-K2 = kernel_set(X2, cb_kernel(X2).kernel)
-K3 = kernel_set(X3, cb_kernel(X3).kernel)
+K2 = kernel_set(X2)
+K3 = kernel_set(X3)
 
 
 def region(space, *blocks):
@@ -56,7 +56,7 @@ def test_separation_sends_free_points_to_nearest_side():
 
 def test_separation_tie_goes_to_zero_side():
     sp = Space((Interval(F(0), F(1)), Interval(F(3), F(4)), IsolatedPoint(F(2))))
-    y = kernel_set(sp, cb_kernel(sp).kernel)
+    y = kernel_set(sp)
     u0 = region(sp, (F(0), True, F(1), True))
     u1 = region(sp, (F(3), True, F(4), True))
     v0, v1 = separate_open_pair(sp, y, u0, u1)
@@ -142,7 +142,7 @@ def test_extension_drops_far_cluster():
     # U hugs the left end, W only fattens it a little: the far points 2, 3
     # would ride along with the separation but the window keeps them out
     sp = two_intervals_point_space()
-    kernelS = kernel_set(sp, cb_kernel(sp).kernel)
+    kernelS = kernel_set(sp)
     u = region(sp, (F(0), True, F(1), True))
     w = region(sp, (F(-1), False, F(3, 2), False))
     v = half_clopen_extension(sp, u, w)

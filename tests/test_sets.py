@@ -169,7 +169,7 @@ def test_kernel_limit_tail_is_not_closed():
 # -- relative operations --------------------------------------------------
 
 def test_relative_interior_in_kernel():
-    kernelS = kernel_set(X3, cb_kernel(X3).kernel)
+    kernelS = kernel_set(X3)
     s = SymbolicSet.region(X3, [(F(1, 2), False, F(1), True)])
     # (1/2,1] is open in the kernel [0,1] but not in the full space,
     # where the sequence members crowd the endpoint 1 from outside
@@ -178,7 +178,7 @@ def test_relative_interior_in_kernel():
 
 
 def test_relative_boundary():
-    kernelS = kernel_set(X3, cb_kernel(X3).kernel)
+    kernelS = kernel_set(X3)
     s = SymbolicSet.region(X3, [(F(1, 4), False, F(1, 2), False)])
     boundary = s.closure_in(kernelS).difference(s.interior_in(kernelS))
     assert boundary.as_finite_points() == (F(1, 4), F(1, 2))
@@ -192,7 +192,7 @@ def test_relative_ops_require_subset():
 
 
 def test_regular_ops_in_kernel():
-    kernelS = kernel_set(X3, cb_kernel(X3).kernel)
+    kernelS = kernel_set(X3)
     s = SymbolicSet.region(X3, [(F(0), False, F(1, 2), False)])
     closure = s.closure_in(kernelS)
     regularization = closure.interior_in(kernelS)
