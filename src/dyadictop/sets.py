@@ -345,7 +345,10 @@ class SymbolicSet:
         return not self.spans and not self.points and all(t.is_empty for t in self.tails)
 
     def membership(self, x: Fraction) -> bool:
-        loc = self.space.locate(x)
+        return self._holds(self.space.locate(x), x)
+
+    def _holds(self, loc, x: Fraction) -> bool:
+        """Membership of x, given its ``space.locate`` result."""
         if loc[0] == "interval":
             return _spans_contain(self.spans, x)
         if loc[0] == "point":
@@ -412,6 +415,14 @@ class SymbolicSet:
 
     def _binary(self, other: "SymbolicSet", fn) -> "SymbolicSet":
         self._require_same_space(other)
+        # with an empty operand, fn(False, False) being false leaves the
+        # other operand or nothing
+        if other.is_empty and fn(True, False):
+            return self
+        if self.is_empty and fn(False, True):
+            return other
+        if self.is_empty or other.is_empty:
+            return SymbolicSet.empty(self.space)
         spans = _combine_spans(self.space, [self.spans, other.spans], fn)
         points = frozenset(p.value for p in self.space.isolated_points()
                            if fn(p.value in self.points, p.value in other.points))

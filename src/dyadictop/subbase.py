@@ -71,10 +71,11 @@ class DyadicSubbase:
         """Digits forced by membership; boundary indices stay bottom."""
         entries = []
         n = len(self.pairs) if width is None else min(width, len(self.pairs))
+        loc = self.space.locate(x)
         for idx in range(n):
-            if self.pairs[idx][0].membership(x):
+            if self.pairs[idx][0]._holds(loc, x):
                 entries.append((idx, 0))
-            elif self.pairs[idx][1].membership(x):
+            elif self.pairs[idx][1]._holds(loc, x):
                 entries.append((idx, 1))
         return TernaryWord(tuple(entries))
 

@@ -5,8 +5,12 @@ a set's interval part is constant, so one representative per gap settles
 closure questions there, and membership at a few very deep sequence members
 settles accumulation at a limit (tail selections are eventually constant,
 and every generator in this suite keeps its tail data well below the probe
-depth).  Nothing here touches closure/interior/regularization on the
-symbolic side.
+depth).  The probes never touch closure/interior/regularization on the
+symbolic side.  The word-by-word references at the end (properness,
+resolution) do build cells with the symbolic intersections and closures,
+which the probes test; what they stand in for is the checks' own
+shortcuts: the properness piece table and the resolution check's shared
+suffix cells.
 """
 from __future__ import annotations
 
@@ -216,6 +220,28 @@ def raw_spans(space: Space, rng: random.Random) -> list[Span]:
             a, b = sorted(rng.sample(grid, 2))
             out.append(Span(a, rng.random() < 0.5, b, rng.random() < 0.5))
     return out
+
+
+# -- properness, word by word ------------------------------------------------
+
+def o_improper_depth(sb, depth: int) -> int | None:
+    """The least d <= depth such that some word over the first d pairs has
+    cl S(word) != S̄(word), or None when there is none.
+
+    Brute force over the words, one more pair at a time.  Two words with
+    the same S(word) and S̄(word) extend alike, so each such pair is kept
+    once.
+    """
+    whole = SymbolicSet.whole(sb.space)
+    cells = {(whole, whole)}
+    for d in range(min(depth, len(sb.pairs))):
+        sides = [(side, side.closure()) for side in sb.pairs[d]]
+        new = {(s.intersection(side), sbar.intersection(cl))
+               for s, sbar in cells for side, cl in sides}
+        if any(s.closure() != sbar for s, sbar in new):
+            return d + 1
+        cells |= new
+    return None
 
 
 # -- resolution greedy, recomputed from scratch ------------------------------

@@ -76,14 +76,26 @@ def test_criterion_1_pipeline(builds):
                 problems.append(f"{name}: clopen pair {i} leaks into the kernel")
         if not check_proper(res.subbase, DEPTH).passed:
             problems.append(f"{name}: properness fails at depth {DEPTH}")
+        if not check_proper(res.subbase, len(res.subbase)).passed:
+            problems.append(f"{name}: properness fails at all {len(res.subbase)} pairs")
         if nwin and not check_independent(res.kernel_subbase, 4).passed:
             problems.append(f"{name}: kernel subbase not independent at depth 4")
         if elapsed >= 10.0:
             slow.append(f"{name} took {elapsed:.1f}s")
     detail = (f"5 spaces built at levels {LEVELS}, all pairs half-clopen or "
-              f"clopen, restrictions exact, proper at depth {DEPTH}, "
-              f"independent at depth 4")
+              f"clopen, restrictions exact, proper at depth {DEPTH} and at "
+              f"all pairs, independent at depth 4")
     _verdict(1, not problems and not slow, "; ".join(problems + slow) or detail)
+
+
+def test_criterion_1_proper_at_all_pairs_beyond_a_walk():
+    """The theorem at its full pair count where no walk over the words could
+    finish: interval-sequence at levels 8 has 18 pairs, 3**18 words."""
+    res = build_proper_subbase(CORPUS["interval-sequence"](), 8, depth=1)
+    assert len(res.subbase) == 18
+    rep = check_proper(res.subbase, len(res.subbase))
+    assert rep.passed
+    assert rep.stats["words_checked"] == 3 ** 18
 
 
 def test_golden_unconstrained(builds):

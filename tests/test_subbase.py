@@ -9,9 +9,10 @@ from dyadictop import (DyadicSubbase, NotRegularOpenError, SubbaseError,
                        build_proper_subbase, make_pair, resolution_check)
 from dyadictop.checks import MAX_COUNTEREXAMPLES
 from dyadictop.construct import sample_points
-from dyadictop.corpus import CORPUS, gray_pairs, interval_space
+from dyadictop.corpus import (CORPUS, converging_sequence_space, gray_pairs,
+                              interval_space)
 
-from oracle import o_resolution
+from oracle import o_improper_depth, o_resolution, random_set
 
 X1 = interval_space()
 GRAY = DyadicSubbase.from_zero_sides(X1, gray_pairs(X1, 3))
@@ -107,6 +108,42 @@ def test_broken_pairs_counterexample_lists():
         "_00", "_11", "100", "111"]
     assert [c["word"] for c in check_independent(sb, 3).counterexamples] == [
         "_00", "_11", "000", "011", "100", "111"]
+
+
+def test_proper_verdict_matches_the_walk():
+    """check_proper's verdict is the brute-force walk's, at depths 1-6, on
+    the corpus builds, Gray, the broken pairs and seeded mutants of them
+    with random regular-open or arbitrary pairs put in."""
+    seq = converging_sequence_space()
+    zero = SymbolicSet.singleton(seq, F(0))
+    # {0} and the members 2^-k meet only in closure: the word 01 fails at 0
+    at_limit = DyadicSubbase.from_pairs(seq, [(zero, zero.complement())] * 2)
+    bases = [GRAY, DyadicSubbase.from_zero_sides(X1, gray_pairs(X1, 6)),
+             broken_subbase(), at_limit]
+    bases += [build_proper_subbase(mk(), levels, depth=1).subbase
+              for levels in (1, 2, 3, 4) for mk in CORPUS.values()]
+    rng = random.Random(8)
+    mutants = []
+    for _ in range(150):
+        sb = rng.choice(bases)
+        pairs = list(sb.pairs[:rng.randint(0, 5)])
+        for _ in range(rng.randint(1, 2)):
+            a = random_set(sb.space, rng)
+            if rng.random() < 0.5:
+                a = a.regularization()
+                pair = (a, a.exterior())
+            else:
+                pair = (a, random_set(sb.space, rng))
+            pairs.insert(rng.randint(0, len(pairs)), pair)
+        mutants.append(DyadicSubbase.from_pairs(sb.space, pairs))
+    failed = 0
+    for sb in bases + mutants:
+        first = o_improper_depth(sb, 6)
+        for depth in range(1, 7):
+            want = first is None or first > depth
+            assert check_proper(sb, depth).passed == want, (sb.to_dict(), depth)
+            failed += not want
+    assert failed >= 60
 
 
 def test_check_dyadic_catches_wrong_one_side():
