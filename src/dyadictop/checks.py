@@ -9,10 +9,10 @@ counterexamples of a failing subbase.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cuts import inside, place
 from .rational import format_rational
 from .sets import SymbolicSet
 from .subbase import DyadicSubbase
@@ -82,8 +82,9 @@ def _pieces_held(space, x: Fraction, sides) -> list[int]:
     The pieces are x itself (bit 0), the left and right germs inside x's
     interval where they exist (bits 1 and 2), and one tail germ per sequence
     converging to x (bits 3 on).  A symbolic set contains all of a germ
-    near enough to x, or misses all of it.  ``sides`` holds (set, its spans
-    sorted by left end, their left ends).
+    near enough to x, or misses all of it: in a side's cuts the germs are
+    the positions either side of x's, or x's own when x falls inside an
+    open gap of the side's grid.
     """
     loc = space.locate(x)
     left = right = False
@@ -92,16 +93,16 @@ def _pieces_held(space, x: Fraction, sides) -> list[int]:
         left, right = iv.lo < x, x < iv.hi
     tails = [j for j, s in enumerate(space.sequences()) if s.limit == x]
     out = []
-    for side, spans, los in sides:
+    for side in sides:
         held = 0
         if loc[0] == "interval":
-            i = bisect_right(los, x)  # spans[:i] start at or before x
-            j = bisect_left(los, x)  # spans[:j] start before x
-            if i > 0 and spans[i - 1].contains(x):
+            p, on_grid = place(x, side.den)
+            step = 1 if on_grid else 0
+            if inside(side.cuts, p):
                 held |= 1
-            if left and j > 0 and x <= spans[j - 1].hi:
+            if left and inside(side.cuts, p - step):
                 held |= 2
-            if right and i > 0 and x < spans[i - 1].hi:
+            if right and inside(side.cuts, p + step):
                 held |= 4
         elif side._holds(loc, x):
             held = 1
@@ -124,12 +125,8 @@ def _proper_by_pieces(sb: DyadicSubbase, eff: int) -> bool:
     empty mask is reachable.
     """
     space = sb.space
-    sides = []
-    for pair in sb.pairs[:eff]:
-        for side in pair:
-            spans = sorted(side.spans, key=lambda sp: sp.lo)
-            sides.append((side, spans, [sp.lo for sp in spans]))
-    points = {x for _, spans, _ in sides for sp in spans for x in (sp.lo, sp.hi)}
+    sides = [side for pair in sb.pairs[:eff] for side in pair]
+    points = {Fraction(p >> 1, side.den) for side in sides for p in side.cuts}
     points |= {s.limit for s in space.sequences() if not s.open_limit}
     for x in points:
         held = _pieces_held(space, x, sides)

@@ -31,13 +31,14 @@ class CodedPoint:
 def encode_point(sb: DyadicSubbase, x: Fraction,
                  width: int | None = None) -> CodedPoint:
     """The word of x through the first ``width`` pairs (all pairs by default)."""
-    if not sb.space.contains(x):
+    loc = sb.space.locate(x)
+    if loc[0] == "outside":
         raise SubbaseError(f"point {x} is not in the space")
     if width is None:
         width = len(sb)
     if width > len(sb):
         raise SubbaseError(f"width {width} exceeds the {len(sb)} pairs")
-    word = sb.forced_word(x, width)
+    word = sb._word_at(loc, x, width)
     return CodedPoint(x, word, width)
 
 

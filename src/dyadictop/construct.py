@@ -230,10 +230,11 @@ def _check_window(cells, s0, s1, core, hull, marks, condition, trace) -> None:
     """Raise ``condition`` unless every probe of the window core that lies
     off the new boundaries falls in a new cell inside the hull."""
     for x in _window_probes(core, marks):
-        cell = next((c for c in cells.values() if c.membership(x)), None)
+        loc = s0.space.locate(x)
+        cell = next((c for c in cells.values() if c._holds(loc, x)), None)
         if cell is None:
             continue
-        side = s0 if s0.membership(x) else s1 if s1.membership(x) else None
+        side = s0 if s0._holds(loc, x) else s1 if s1._holds(loc, x) else None
         if side is not None and not cell.intersection(side).subset_of(hull):
             raise ConstructionError(condition, trace.level,
                                     {"probe": format_rational(x),

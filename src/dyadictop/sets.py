@@ -2,8 +2,10 @@
 
 A set is stored in three independent components:
 
-* ``spans``   the interval-region trace: disjoint sorted spans, each clipped
-              inside one Interval primitive; singletons are degenerate spans
+* ``den``, ``cuts``  the interval-region trace as integer cut positions
+              (module ``cuts``): the increasing positions where membership
+              flips, over the smallest denominator that places them all;
+              ``spans`` reads them back as disjoint sorted spans
 * ``points``  the included isolated-point values
 * ``tails``   one selection rule per GeometricSequence primitive, stored
               as its switch points: the increasing indices where selection
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .cuts import (AND, AND_NOT, OR, combine, inside, merge, place, position, reduced,
+                   rescale, switches)
 from .rational import format_rational, parse_rational
 from .space import Space, _members_in_range, cb_kernel
 
@@ -69,71 +72,33 @@ def parse_span(text: str) -> Span:
                 parse_rational(m.group(3)), m.group(4) == "]")
 
 
-def _spans_contain(spans, x: Fraction) -> bool:
-    return any(sp.contains(x) for sp in spans)
-
-
-def _switches(events, n: int, fn) -> list[int]:
-    """Positions where ``fn`` changes, in increasing order, from false.
-
-    ``events`` holds (position, operand, +1 where a range of the operand
-    starts or -1 just past its end).  After the last event at a position,
-    ``fn`` is applied to whether each of the n operands has a range open.
-    ``fn`` must be false when every operand is: the sweep starts outside,
-    before the first event, and the counts are all zero after the last.
-    """
-    events.sort()
-    count = [0] * n
-    out = []
-    inside = False
-    for k, (p, j, step) in enumerate(events):
-        count[j] += step
-        if k + 1 < len(events) and events[k + 1][0] == p:
-            continue
-        if fn(*[c > 0 for c in count]) != inside:
-            inside = not inside
-            out.append(p)
-    return out
-
-
-def _combine_spans(space: Space, lists, fn) -> tuple[Span, ...]:
-    """Pointwise boolean combination of spans inside the ambient intervals.
-
-    One left-to-right sweep over integer positions.  With den the least
-    common multiple of the denominators, an endpoint x sits at the even
-    position 2·x·den and the open gaps between endpoints hold odd
-    positions only, so a span is a range of positions, an open end one
-    step inside.  ``_switches`` counts the ranges of each operand and
-    decides every point and gap at once: no midpoints, no scans, and
-    overlapping input spans need no merging.  The result changes only
-    where a count does, so its ranges are maximal and the output is
-    canonical: sorted, disjoint and merged within each ambient interval,
-    the intervals in ``intervals()`` order.  Nothing is clipped here:
-    every operand lies inside the ambient intervals and ``fn`` is false
-    when every operand is, so the result does too.
-    """
+@lru_cache(maxsize=None)
+def _ambient(space: Space) -> tuple[int, tuple[int, ...]]:
+    """(den, cuts) of the union of the space's intervals."""
     ivs = space.intervals()
-    den = math.lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)),
-                   *(x.denominator for spans in lists for sp in spans
-                     for x in (sp.lo, sp.hi)))
-    value: dict[int, Fraction] = {}
+    den = math.lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
+    # the intervals are disjoint and do not touch, so their ranges are too
+    return reduced(den, sorted(p for iv in ivs
+                               for p in (position(iv.lo, den), position(iv.hi, den) + 1)))
 
-    def pos(x: Fraction) -> int:
-        p = 2 * x.numerator * (den // x.denominator)
-        value[p] = x
-        return p
 
-    events = []
-    for n, spans in enumerate(lists):
-        for sp in spans:
-            events.append((pos(sp.lo) + (not sp.lo_in), n, 1))
-            events.append((pos(sp.hi) + sp.hi_in, n, -1))
-    sw = _switches(events, len(lists), fn)
-    bounds = [(pos(iv.lo), pos(iv.hi)) for iv in ivs]
-    # an odd first or last position is an open end at the even one outside it
-    return tuple(Span(value[a - a % 2], a % 2 == 0, value[b + b % 2], b % 2 == 0)
-                 for lo, hi in bounds for a, b in zip(sw[::2], (e - 1 for e in sw[1::2]))
-                 if lo <= a <= hi)
+def _span(lo: Fraction, lo_in: bool, hi: Fraction, hi_in: bool) -> Span:
+    """A Span whose bounds are valid already, built unchecked."""
+    sp = object.__new__(Span)
+    sp.__dict__.update(lo=lo, lo_in=lo_in, hi=hi, hi_in=hi_in)
+    return sp
+
+
+def _cut_spans(space: Space, den: int, cuts) -> tuple[Span, ...]:
+    """The spans of the cuts, in ``intervals()`` order and sorted within
+    each interval."""
+    spans = tuple(_span(Fraction(a >> 1, den), a % 2 == 0, Fraction(e >> 1, den), e % 2 == 1)
+                  for a, e in zip(cuts[::2], cuts[1::2]))
+    ivs = space.intervals()
+    if any(u.lo > v.lo for u, v in zip(ivs, ivs[1:])):
+        # no span crosses a gap between intervals, so its lo locates it
+        spans = tuple(sorted(spans, key=lambda sp: space.locate(sp.lo)[1]))
+    return spans
 
 
 def dist_to_spans(x: Fraction, spans) -> Fraction | None:
@@ -207,16 +172,16 @@ class TailRule:
         return frozenset(k for a, b in zip(sw[::2], sw[1::2]) for k in range(a, b))
 
     def selected(self, k: int) -> bool:
-        return bisect_right(self.switches, k) % 2 == 1
+        return inside(self.switches, k)
 
     def union(self, other: "TailRule") -> "TailRule":
-        return _tail_binary(self, other, lambda a, b: a or b)
+        return _tail_binary(self, other, OR)
 
 
-def _tail_binary(a: TailRule, b: TailRule, fn) -> TailRule:
-    events = [(k, n, 1 - 2 * (i % 2))
-              for n, rule in enumerate((a, b)) for i, k in enumerate(rule.switches)]
-    return TailRule(tuple(_switches(events, 2, fn)))
+def _tail_binary(a: TailRule, b: TailRule, table) -> TailRule:
+    if not a.switches and not b.switches:
+        return TAIL_NONE
+    return TailRule(tuple(merge(a.switches, b.switches, table)))
 
 
 TAIL_ALL = TailRule((1,))
@@ -247,53 +212,96 @@ def _json_list(data: dict, key: str) -> list:
 
 # -- symbolic sets --------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolicSet:
-    space: Space
-    spans: tuple[Span, ...] = ()
-    points: frozenset[Fraction] = frozenset()
-    tails: tuple[TailRule, ...] = ()
+_set = object.__setattr__
 
-    def __post_init__(self):
-        # the one place where spans are clipped to the ambient intervals
-        ambient = tuple(Span(iv.lo, True, iv.hi, True) for iv in self.space.intervals())
-        object.__setattr__(self, "spans", _combine_spans(
-            self.space, [tuple(self.spans), ambient], lambda v, a: v and a))
+
+class SymbolicSet:
+    """``SymbolicSet(space, spans, points, tails)`` clips the spans, which
+    may overlap, to the ambient intervals, checks the points and pads the
+    tails with empty rules; the operations build their canonical results
+    unchecked.  Immutable, and equal exactly when equal as sets."""
+
+    __slots__ = ("space", "den", "cuts", "points", "tails")
+
+    def __init__(self, space: Space, spans=(), points=frozenset(), tails=()):
+        _set(self, "space", space)
+        _set(self, "points", points)
+        _set(self, "tails", tails)
+        self.__post_init__(spans)
+
+    def __post_init__(self, spans):
+        # the one place where raw spans are clipped to the ambient intervals
+        spans = tuple(spans)
+        den, cuts = 1, ()
+        if spans:
+            ivs = self.space.intervals()
+            den = math.lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)),
+                           *(x.denominator for sp in spans for x in (sp.lo, sp.hi)))
+            events = []
+            for sp in spans:
+                events.append((position(sp.lo, den) + (not sp.lo_in), 0, 1))
+                events.append((position(sp.hi, den) + sp.hi_in, 0, -1))
+            for iv in ivs:
+                events.append((position(iv.lo, den), 1, 1))
+                events.append((position(iv.hi, den) + 1, 1, -1))
+            den, cuts = reduced(den, switches(events, 2, lambda v, a: v and a))
+        _set(self, "den", den)
+        _set(self, "cuts", cuts)
         pts = frozenset(self.points)
         for p in pts:
             if self.space.locate(p)[0] != "point":
                 raise SetError(f"{p} is not an isolated point of the space")
-        object.__setattr__(self, "points", pts)
+        _set(self, "points", pts)
         seqs = self.space.sequences()
         tails = tuple(self.tails)
         if len(tails) > len(seqs):
             raise SetError("more tail rules than sequences")
         tails = tails + (TAIL_NONE,) * (len(seqs) - len(tails))
-        object.__setattr__(self, "tails", tails)
+        _set(self, "tails", tails)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.den == other.den and self.cuts == other.cuts
+                and self.points == other.points and self.tails == other.tails
+                and self.space == other.space)
+
+    def __hash__(self):
+        return hash((self.space, self.den, self.cuts, self.points, self.tails))
+
+    def __repr__(self):
+        return f"SymbolicSet({self.render()})"
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _canonical(cls, space: Space, spans: tuple[Span, ...],
+    def _canonical(cls, space: Space, den: int, cuts: tuple[int, ...],
                    points: frozenset[Fraction], tails: tuple[TailRule, ...]) -> "SymbolicSet":
-        """A set from parts that are canonical already (``_combine_spans``
-        output, isolated-point values, one rule per sequence), unchecked."""
+        """A set from parts that are canonical already (reduced cuts inside
+        the ambient intervals, isolated-point values, one rule per
+        sequence), unchecked."""
         s = object.__new__(cls)
-        object.__setattr__(s, "space", space)
-        object.__setattr__(s, "spans", spans)
-        object.__setattr__(s, "points", points)
-        object.__setattr__(s, "tails", tails)
+        _set(s, "space", space)
+        _set(s, "den", den)
+        _set(s, "cuts", cuts)
+        _set(s, "points", points)
+        _set(s, "tails", tails)
         return s
 
     @classmethod
     def empty(cls, space: Space) -> "SymbolicSet":
-        return cls._canonical(space, (), frozenset(), (TAIL_NONE,) * len(space.sequences()))
+        return cls._canonical(space, 1, (), frozenset(), (TAIL_NONE,) * len(space.sequences()))
 
     @classmethod
     def whole(cls, space: Space) -> "SymbolicSet":
         return cls._canonical(
-            space, tuple(Span(iv.lo, True, iv.hi, True) for iv in space.intervals()),
-            frozenset(p.value for p in space.isolated_points()),
+            space, *_ambient(space), frozenset(p.value for p in space.isolated_points()),
             (TAIL_ALL,) * len(space.sequences()))
 
     @classmethod
@@ -341,8 +349,15 @@ class SymbolicSet:
     # -- basic queries --------------------------------------------------
 
     @property
+    def spans(self) -> tuple[Span, ...]:
+        """The interval part as disjoint spans, read from the cuts on each
+        call: canonical, sorted within each interval, the intervals in
+        ``intervals()`` order."""
+        return _cut_spans(self.space, self.den, self.cuts)
+
+    @property
     def is_empty(self) -> bool:
-        return not self.spans and not self.points and all(t.is_empty for t in self.tails)
+        return not self.cuts and not self.points and all(t.is_empty for t in self.tails)
 
     def membership(self, x: Fraction) -> bool:
         return self._holds(self.space.locate(x), x)
@@ -350,7 +365,7 @@ class SymbolicSet:
     def _holds(self, loc, x: Fraction) -> bool:
         """Membership of x, given its ``space.locate`` result."""
         if loc[0] == "interval":
-            return _spans_contain(self.spans, x)
+            return inside(self.cuts, place(x, self.den)[0])
         if loc[0] == "point":
             return x in self.points
         if loc[0] == "member":
@@ -359,11 +374,12 @@ class SymbolicSet:
 
     def sample_point(self) -> Fraction | None:
         """Deterministic witness of nonemptiness."""
-        if self.spans:
-            sp = self.spans[0]
-            if sp.lo_in:
-                return sp.lo
-            return (sp.lo + sp.hi) / 2
+        if self.cuts:
+            a, e = self.cuts[0], self.cuts[1]
+            lo = Fraction(a >> 1, self.den)
+            if a % 2 == 0:
+                return lo
+            return (lo + Fraction(e >> 1, self.den)) / 2
         if self.points:
             return min(self.points)
         for j, rule in enumerate(self.tails):
@@ -374,10 +390,11 @@ class SymbolicSet:
     def as_finite_points(self) -> tuple[Fraction, ...] | None:
         """All elements when the set is finite, else None."""
         vals: list[Fraction] = []
-        for sp in self.spans:
-            if sp.lo != sp.hi:
+        cuts = self.cuts
+        for a, e in zip(cuts[::2], cuts[1::2]):
+            if a % 2 or e != a + 1:  # not one closed point
                 return None
-            vals.append(sp.lo)
+            vals.append(Fraction(a >> 1, self.den))
         vals.extend(self.points)
         for j, rule in enumerate(self.tails):
             if rule.infinite:
@@ -390,9 +407,9 @@ class SymbolicSet:
         """(inf, sup) of the closure, or None when empty."""
         lows: list[Fraction] = []
         highs: list[Fraction] = []
-        for sp in self.spans:
-            lows.append(sp.lo)
-            highs.append(sp.hi)
+        if self.cuts:
+            lows.append(Fraction(self.cuts[0] >> 1, self.den))
+            highs.append(Fraction(self.cuts[-1] >> 1, self.den))
         lows.extend(self.points)
         highs.extend(self.points)
         for j, rule in enumerate(self.tails):
@@ -410,33 +427,33 @@ class SymbolicSet:
     # -- lattice operations ---------------------------------------------
 
     def _require_same_space(self, other: "SymbolicSet") -> None:
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise AmbientMismatchError("sets live in different spaces")
 
-    def _binary(self, other: "SymbolicSet", fn) -> "SymbolicSet":
+    def _binary(self, other: "SymbolicSet", table) -> "SymbolicSet":
         self._require_same_space(other)
-        # with an empty operand, fn(False, False) being false leaves the
-        # other operand or nothing
-        if other.is_empty and fn(True, False):
-            return self
-        if self.is_empty and fn(False, True):
-            return other
-        if self.is_empty or other.is_empty:
+        a_empty, b_empty = self.is_empty, other.is_empty
+        if a_empty or b_empty:
+            # table[0] is false, so the other operand or nothing is left
+            if b_empty and table[2]:
+                return self
+            if a_empty and table[1]:
+                return other
             return SymbolicSet.empty(self.space)
-        spans = _combine_spans(self.space, [self.spans, other.spans], fn)
-        points = frozenset(p.value for p in self.space.isolated_points()
-                           if fn(p.value in self.points, p.value in other.points))
-        tails = tuple(_tail_binary(a, b, fn) for a, b in zip(self.tails, other.tails))
-        return SymbolicSet._canonical(self.space, spans, points, tails)
+        den, cuts = combine(self.den, self.cuts, other.den, other.cuts, table)
+        a, b = self.points, other.points
+        points = frozenset(p for p in a | b if table[2 * (p in a) + (p in b)]) if a or b else a
+        tails = tuple([_tail_binary(s, t, table) for s, t in zip(self.tails, other.tails)])
+        return SymbolicSet._canonical(self.space, den, cuts, points, tails)
 
     def union(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self._binary(other, lambda a, b: a or b)
+        return self._binary(other, OR)
 
     def intersection(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self._binary(other, lambda a, b: a and b)
+        return self._binary(other, AND)
 
     def difference(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self._binary(other, lambda a, b: a and not b)
+        return self._binary(other, AND_NOT)
 
     def complement(self) -> "SymbolicSet":
         return SymbolicSet.whole(self.space).difference(self)
@@ -447,21 +464,37 @@ class SymbolicSet:
     # -- topology --------------------------------------------------------
 
     def closure(self) -> "SymbolicSet":
-        spans = list(Span(sp.lo, True, sp.hi, True) for sp in self.spans)
+        den, cuts = self.den, self.cuts
         points = set(self.points)
         tails = list(self.tails)
+        limits = []
         for j, s in enumerate(self.space.sequences()):
             if not self.tails[j].infinite:
                 continue
             loc = self.space.locate(s.limit)
             if loc[0] == "interval":
-                spans.append(Span(s.limit, True, s.limit, True))
+                limits.append(s.limit)
             elif loc[0] == "point":
                 points.add(s.limit)
             elif loc[0] == "member":
                 j2, k2 = loc[1], loc[2]
                 tails[j2] = tails[j2].union(TailRule.of(None, {k2}))
-        return SymbolicSet(self.space, tuple(spans), frozenset(points), tuple(tails))
+        if limits:
+            new = math.lcm(den, *(x.denominator for x in limits))
+            cuts, den = rescale(cuts, new // den), new
+        # each span takes in its end values, which joins it to a next span
+        # that started just after its open end
+        closed: list[int] = []
+        for a, e in zip(cuts[::2], cuts[1::2]):
+            if closed and closed[-1] >= a & ~1:
+                closed[-1] = e | 1
+            else:
+                closed += (a & ~1, e | 1)
+        if limits:
+            at = sorted({position(x, den) for x in limits})
+            closed = merge(closed, [p for q in at for p in (q, q + 1)], OR)
+        den, cuts = reduced(den, closed)
+        return SymbolicSet._canonical(self.space, den, cuts, frozenset(points), tuple(tails))
 
     def interior(self) -> "SymbolicSet":
         return self.complement().closure().complement()
@@ -506,7 +539,7 @@ class SymbolicSet:
 
     def to_dict(self) -> dict:
         d: dict = {}
-        if self.spans:
+        if self.cuts:
             d["intervals"] = [sp.render() for sp in self.spans]
         if self.points:
             d["points"] = [format_rational(p) for p in sorted(self.points)]
@@ -588,7 +621,8 @@ def embed(a: SymbolicSet, full: Space) -> SymbolicSet:
     tails = [TAIL_NONE] * len(fullseqs)
     for j, s in enumerate(sub.sequences()):
         tails[fullseqs.index(s)] = a.tails[j]
-    return SymbolicSet(full, a.spans, a.points, tuple(tails))
+    # the subspace's intervals and isolated points are the full space's too
+    return SymbolicSet._canonical(full, a.den, a.cuts, a.points, tuple(tails))
 
 
 def restrict(a: SymbolicSet, sub: Space) -> SymbolicSet:
@@ -599,4 +633,5 @@ def restrict(a: SymbolicSet, sub: Space) -> SymbolicSet:
     seqs = a.space.sequences()
     tails = tuple(a.tails[seqs.index(s)] for s in subseqs)
     points = frozenset(p.value for p in sub.isolated_points() if p.value in a.points)
-    return SymbolicSet(sub, a.spans, points, tails)
+    return SymbolicSet._canonical(sub, *combine(a.den, a.cuts, *_ambient(sub), AND),
+                                  points, tails)

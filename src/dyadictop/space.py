@@ -87,7 +87,12 @@ class Space:
                            ("_sequences", GeometricSequence)):
             object.__setattr__(self, name,
                                tuple(p for p in self.primitives if isinstance(p, kind)))
+        # spaces key the caches of the set algebra, so hash them once
+        object.__setattr__(self, "_hash", hash(self.primitives))
         _validate(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- structural accessors -------------------------------------------
 

@@ -69,9 +69,12 @@ class DyadicSubbase:
 
     def forced_word(self, x, width: int | None = None) -> TernaryWord:
         """Digits forced by membership; boundary indices stay bottom."""
+        return self._word_at(self.space.locate(x), x, width)
+
+    def _word_at(self, loc, x, width: int | None) -> TernaryWord:
+        """``forced_word`` of x, given its ``space.locate`` result."""
         entries = []
         n = len(self.pairs) if width is None else min(width, len(self.pairs))
-        loc = self.space.locate(x)
         for idx in range(n):
             if self.pairs[idx][0]._holds(loc, x):
                 entries.append((idx, 0))

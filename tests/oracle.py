@@ -168,6 +168,16 @@ def random_tail(rng: random.Random, top: int) -> tuple[int | None, frozenset[int
 
 # -- spans, brute force ------------------------------------------------------
 
+def o_inside(lists, fn, x: Fraction) -> bool:
+    """``fn`` of whether each span list holds x, span by span."""
+    return fn(*[any(sp.contains(x) for sp in spans) for spans in lists])
+
+
+def o_member(space: Space, lists, fn, x: Fraction) -> bool:
+    """Membership of x in the interval part that ``fn`` makes of span lists."""
+    return any(iv.lo <= x <= iv.hi for iv in space.intervals()) and o_inside(lists, fn, x)
+
+
 def o_spans(space: Space, lists, fn) -> tuple[Span, ...]:
     """Canonical spans of the pointwise combination ``fn`` of span lists.
 
@@ -175,7 +185,7 @@ def o_spans(space: Space, lists, fn) -> tuple[Span, ...]:
     every gap between consecutive ones, then glues the pieces that are in.
     """
     def inside(x):
-        return fn(*[any(sp.contains(x) for sp in spans) for spans in lists])
+        return o_inside(lists, fn, x)
 
     out = []
     for iv in space.intervals():
@@ -196,13 +206,14 @@ def o_spans(space: Space, lists, fn) -> tuple[Span, ...]:
     return tuple(out)
 
 
-def raw_spans(space: Space, rng: random.Random) -> list[Span]:
-    """Unsorted spans on a quarter grid that overlap, touch, degenerate and
-    reach past and between the ambient intervals."""
+def raw_spans(space: Space, rng: random.Random, dens=(4,)) -> list[Span]:
+    """Unsorted spans on a grid of 1/d steps for each d in ``dens`` (a
+    quarter grid by default) that overlap, touch, degenerate and reach past
+    and between the ambient intervals."""
     ivs = space.intervals()
     lo = min(iv.lo for iv in ivs) - 1
     hi = max(iv.hi for iv in ivs) + 1
-    grid = [lo + Fraction(k, 4) for k in range(int((hi - lo) * 4) + 1)]
+    grid = sorted({lo + Fraction(k, d) for d in dens for k in range(int((hi - lo) * d) + 1)})
     out: list[Span] = []
     for _ in range(rng.randint(0, 6)):
         roll = rng.random()

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadictop import (AmbientMismatchError, SetError, Span, SymbolicSet,
-                       TailRule, build_proper_subbase, embed, kernel_set,
-                       restrict)
+from dyadictop import (AmbientMismatchError, DyadicSubbase, SetError, Span,
+                       SymbolicSet, TailRule, build_proper_subbase, embed,
+                       encode_point, kernel_set, restrict)
 from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
 from dyadictop.sets import MAX_TAIL_INDEX, nearer_spans
 from dyadictop.space import GeometricSequence, Interval, Space, cb_kernel
 
-from oracle import (critical_values, o_closure, o_selected, o_spans, o_tail,
-                    o_tail_binary, random_set, random_tail, raw_spans, witnesses)
+from oracle import (critical_values, o_closure, o_member, o_selected, o_spans,
+                    o_tail, o_tail_binary, random_set, random_tail, raw_spans,
+                    witnesses)
 
 X1 = interval_space()
 X2 = interval_points_space()
@@ -420,3 +422,91 @@ def test_build_results_are_canonical(monkeypatch):
     assert made
     for s in made:
         _assert_canonical(s)
+
+
+# -- cut positions over a reduced denominator ------------------------------
+
+MIXED = (4, 3, 7)  # endpoints on quarters, thirds and sevenths
+TINY = F(1, 2 ** 40)
+
+
+def _probes(space: Space, sets) -> set[F]:
+    """Values off every set's grid (thirds, sevenths, 2^-40 away from an
+    end) and every span end of the sets, each with a point either side."""
+    out = set()
+    for iv in space.intervals():
+        out |= {iv.lo + (iv.hi - iv.lo) * f for f in (F(1, 3), F(5, 7), F(2, 3))}
+    for s in sets:
+        for sp in s.spans:
+            for v in (sp.lo, sp.hi):
+                out |= {v, v - TINY, v + TINY, v - TINY / 3, v + F(5, 7) * TINY}
+    return out | {F(1, 3), F(5, 7)}
+
+
+def _expected_den(s: SymbolicSet) -> int:
+    return math.lcm(*(v.denominator for sp in s.spans for v in (sp.lo, sp.hi)))
+
+
+def test_membership_off_the_grid_matches_brute_force():
+    rng = random.Random(20134)
+    for _ in range(120):
+        sp = rng.choice(SWEEP_SPACES)
+        raw_a, raw_b = raw_spans(sp, rng, MIXED), raw_spans(sp, rng, MIXED)
+        a, b = SymbolicSet(sp, tuple(raw_a)), SymbolicSet(sp, tuple(raw_b))
+        results = {name: getattr(a, name)(b) for name in OPS}
+        for x in _probes(sp, [a, b, *results.values()]):
+            assert a.membership(x) == o_member(sp, [raw_a], lambda v: v, x)
+            for name, fn in OPS.items():
+                assert results[name].membership(x) == o_member(sp, [raw_a, raw_b], fn, x), \
+                    (name, x)
+
+
+def test_forced_word_off_the_grid_matches_brute_force():
+    rng = random.Random(20135)
+    for _ in range(40):
+        sp = rng.choice(SWEEP_SPACES)
+        raws = [(raw_spans(sp, rng, MIXED), raw_spans(sp, rng, MIXED)) for _ in range(4)]
+        # the one side is what the zero side leaves, so the sides share no point
+        pairs = []
+        for raw0, raw1 in raws:
+            zero = SymbolicSet(sp, tuple(raw0))
+            pairs.append((zero, SymbolicSet(sp, tuple(raw1)).difference(zero)))
+        sb = DyadicSubbase.from_pairs(sp, pairs)
+        for x in _probes(sp, [s for pair in pairs for s in pair]):
+            expected = []
+            for idx, (raw0, raw1) in enumerate(raws):
+                if o_member(sp, [raw0], lambda v: v, x):
+                    expected.append((idx, 0))
+                elif o_member(sp, [raw1, raw0], lambda v, w: v and not w, x):
+                    expected.append((idx, 1))
+            assert sb.forced_word(x).entries == tuple(expected), x
+            if sp.contains(x):
+                assert encode_point(sb, x).word.entries == tuple(expected)
+
+
+def test_equal_sets_from_different_denominators_are_one_value():
+    half = SymbolicSet.region(X1, [(F(0), True, F(1, 2), True)])
+    thirds = SymbolicSet.region(X1, [(F(2, 3), False, F(1), True)])
+    assert half.union(thirds).den == 6
+    back = half.union(thirds).difference(thirds)
+    assert back == half and hash(back) == hash(half)
+    assert back.to_dict() == half.to_dict() and back.den == half.den == 2
+    whole = half.union(SymbolicSet.region(X1, [(F(1, 3), False, F(1), True)]))
+    assert whole == SymbolicSet.whole(X1) and whole.den == 1
+    assert hash(whole) == hash(SymbolicSet.whole(X1))
+
+
+def test_equal_sets_from_different_chains_are_one_value():
+    rng = random.Random(20136)
+    for _ in range(120):
+        sp = rng.choice(SWEEP_SPACES)
+        a, b, c = (SymbolicSet(sp, tuple(raw_spans(sp, rng, MIXED))) for _ in range(3))
+        for left, right in (
+                (a.union(b).intersection(c), a.intersection(c).union(b.intersection(c))),
+                (a.difference(b.intersection(c)), a.difference(b).union(a.difference(c))),
+                (a, a.union(b).difference(b.difference(a))),
+                (a.complement().complement(), a)):
+            assert left == right and hash(left) == hash(right)
+            assert left.to_dict() == right.to_dict()
+            assert left.den == _expected_den(left)
+            assert SymbolicSet.from_dict(sp, left.to_dict()) == right
