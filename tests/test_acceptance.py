@@ -114,6 +114,15 @@ def test_golden_match_dim():
         assert golden.render(res) == want, name
 
 
+def test_golden_hashes():
+    """The corpus builds at levels 1-6 in both degree modes reproduce the
+    sha256 of their rendering pinned in hashes.json."""
+    want = json.loads(golden.HASHES.read_text(encoding="utf-8"))
+    got = golden.digests()
+    assert len(got) == 60
+    assert got == want
+
+
 # -- criterion 2: degree matches dimension --------------------------------
 
 def test_criterion_2_degree():
