@@ -59,6 +59,14 @@ def test_check_rejects_broken_subbase(capsys):
     assert 'word=00' in out
 
 
+def test_check_subbase_refuses_depth_out_of_range(capsys):
+    code = main(["check", str(DATA / "bad_subbase.json"), "--depth", "99"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "depth-out-of-range" in err
+    assert '"depth":99' in err
+
+
 def test_check_space_passes(space_file, capsys):
     assert main(["check", space_file, "--levels", "2", "--depth", "3"]) == 0
     out = capsys.readouterr().out

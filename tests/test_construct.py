@@ -171,6 +171,43 @@ def test_extend_refuses_forged_classes():
     assert err.value.condition == "trace-missing-g"
 
 
+@pytest.mark.parametrize("name,n,kernel_probe,starred_probe", [
+    ("interval-sequence", 1, "1/6", "115/192"),
+    ("two-intervals-point", 2, "1/6", "227/384"),
+])
+def test_window_containment_names_its_probe(name, n, kernel_probe, starred_probe):
+    # seeds that auto_seeds would refuse reach the window check of each
+    # stage: a hull narrower than its core stops the kernel stage, and a
+    # core wider than its hull stops the starred stage on a valid kernel run
+    sp = CORPUS[name]()
+    kernel = cb_kernel(sp).kernel
+    seeds = auto_seeds(sp, 3)
+    entry = seeds.entries[n]
+    (c,) = entry.core.spans
+    (h,) = entry.hull.spans
+    comp = next(iv for iv in kernel.intervals() if iv.lo <= c.lo <= iv.hi)
+
+    def with_entry(**fields):
+        entries = list(seeds.entries)
+        entries[n] = replace(entry, **fields)
+        return construct.SeedFamily(sp, tuple(entries))
+
+    narrow = SymbolicSet.region(kernel, [(c.lo, c.lo_in, (c.lo + c.hi) / 2, False)])
+    with pytest.raises(ConstructionError) as err:
+        build_independent_subbase(kernel, 3, seeds=with_entry(hull=narrow))
+    assert (err.value.condition, err.value.level) == ("seed-window-containment", n)
+    assert err.value.details["probe"] == kernel_probe
+    assert err.value.details["trace"]["level"] == n
+
+    ksb, traces = build_independent_subbase(kernel, 3, seeds=seeds)
+    wide = SymbolicSet.region(kernel, [(c.lo, c.lo_in, (h.hi + comp.hi) / 2, False)])
+    with pytest.raises(ConstructionError) as err:
+        extend_to_proper(sp, ksb, traces, with_entry(core=wide))
+    assert (err.value.condition, err.value.level) == ("starred-window-containment", n)
+    assert err.value.details["probe"] == starred_probe
+    assert "pair_star" in err.value.details["trace"]
+
+
 def test_build_reaches_each_timed_stage(monkeypatch):
     # the benchmark times the stages by wrapping these module attributes,
     # so a build must call each of them through its module's name

@@ -19,6 +19,7 @@ from dyadictop.space import GeometricSequence, Interval, Space, cb_kernel
 from oracle import (critical_values, o_closure, o_member, o_selected, o_spans,
                     o_tail, o_tail_binary, random_set, random_tail, raw_spans,
                     witnesses)
+from spacegen import random_spaces
 
 X1 = interval_space()
 X2 = interval_points_space()
@@ -43,6 +44,10 @@ def test_region_picks_up_points_and_members():
     u = SymbolicSet.region(X4, [(F(0), True, F(1, 16), True)])
     assert u.tails[0].infinite and u.tails[0].start == 4
     assert u.points == frozenset({F(0)})
+    # a point at a closed end is picked up, one at an open end is not, and
+    # an empty block picks up nothing
+    v = SymbolicSet.region(X2, [(F(2), False, F(3), True), (F(2), True, F(2), False)])
+    assert v.points == frozenset({F(3)})
 
 
 def test_adjacent_spans_merge():
@@ -201,6 +206,16 @@ def test_regular_ops_in_kernel():
     assert regularization.render() == "[0/1,1/2)"
     assert regularization != s
     assert kernelS.difference(closure).render() == "(1/2,1/1]"
+
+
+def test_kernel_set_is_the_interval_part():
+    # the perfect kernel of cb_kernel, as closed spans through the public
+    # constructor, on the corpus and on seeded random spaces
+    spaces = [mk() for mk in CORPUS.values()] + random_spaces(20131018, 50)
+    for space in spaces:
+        want = SymbolicSet(space, [Span(iv.lo, True, iv.hi, True)
+                                   for iv in cb_kernel(space).kernel.intervals()])
+        assert kernel_set(space) == want, space.render()
 
 
 def test_embed_restrict_roundtrip():
