@@ -53,13 +53,16 @@ def _emit(args, text: str, payload) -> None:
         sys.stdout.write(body)
 
 
+def _check_depth(depth: int) -> None:
+    if not (0 <= depth <= MAX_DEPTH):
+        raise ConstructionError("depth-out-of-range", -1, {"depth": depth, "max": MAX_DEPTH})
+
+
 def _build_from(args, space: Space):
     if not (0 <= args.levels <= MAX_LEVELS):
         raise ConstructionError("levels-out-of-range", -1,
                                 {"levels": args.levels, "max": MAX_LEVELS})
-    if not (0 <= args.depth <= MAX_DEPTH):
-        raise ConstructionError("depth-out-of-range", -1,
-                                {"depth": args.depth, "max": MAX_DEPTH})
+    _check_depth(args.depth)
     epsilon = parse_rational(args.epsilon) if args.epsilon else None
     if epsilon is not None and epsilon <= 0:
         raise ConstructionError("epsilon-out-of-range", -1, {"epsilon": args.epsilon})
@@ -120,9 +123,7 @@ def _cmd_check(args) -> int:
         result = _build_from(args, obj)
         reports = result.reports
     else:
-        if not (0 <= args.depth <= MAX_DEPTH):
-            raise ConstructionError("depth-out-of-range", -1,
-                                    {"depth": args.depth, "max": MAX_DEPTH})
+        _check_depth(args.depth)
         reports = (check_dyadic(obj), check_proper(obj, args.depth),
                    degree_report(obj, len(obj.pairs), ()))
     ok = all(r.passed for r in reports)

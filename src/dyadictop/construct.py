@@ -226,16 +226,15 @@ def _split(cells, s0, s1) -> dict[str, SymbolicSet]:
             for w, cell in cells.items() for d, side in (("0", s0), ("1", s1))}
 
 
-def _check_window(cells, s0, s1, core, hull, marks, condition, trace) -> None:
+def _check_window(children, pairs, core, hull, marks, condition, trace) -> None:
     """Raise ``condition`` unless every probe of the window core that lies
-    off the new boundaries falls in a new cell inside the hull."""
+    off the boundaries of the pairs so far falls in a new cell inside the
+    hull; the probe's forced word names that cell."""
     for x in _window_probes(core, marks):
-        loc = s0.space.locate(x)
-        cell = next((c for c in cells.values() if c._holds(loc, x)), None)
-        if cell is None:
-            continue
-        side = s0 if s0._holds(loc, x) else s1 if s1._holds(loc, x) else None
-        if side is not None and not cell.intersection(side).subset_of(hull):
+        loc = hull.space.locate(x)
+        word = "".join("0" if s0._holds(loc, x) else "1" if s1._holds(loc, x) else "_"
+                       for s0, s1 in pairs)
+        if "_" not in word and not children[word].subset_of(hull):
             raise ConstructionError(condition, trace.level,
                                     {"probe": format_rational(x),
                                      "trace": trace.to_dict()})
@@ -296,9 +295,9 @@ def build_independent_subbase(kernel: Space, levels: int,
         cl_children = _split(cl_cells, s0.closure(), s1.closure())
         _validate_kernel_level(cells, children, cl_children, trace)
         marks = used | set(s0.boundary().as_finite_points() or ())
-        _check_window(cells, s0, s1, entry.core, entry.hull, marks,
-                      "seed-window-containment", trace)
         pairs.append((s0, s1))
+        _check_window(children, pairs, entry.core, entry.hull, marks,
+                      "seed-window-containment", trace)
         traces.append(trace)
         cells, cl_cells, used = children, cl_children, marks
     return DyadicSubbase(kernel, tuple(pairs)), traces
@@ -394,12 +393,12 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
             raise ConstructionError("starred-half-clopen", n,
                                     {"trace": new_tr.to_dict()})
         marks = used | set(s0.boundary().as_finite_points() or ())
-        _check_window(star_cells, s0s, s1s, entry.core, entry.hull_star, marks,
+        star_cells = _split(star_cells, s0s, s1s)
+        star_pairs.append((s0s, s1s))
+        _check_window(star_cells, star_pairs, entry.core, entry.hull_star, marks,
                       "starred-window-containment", new_tr)
 
-        star_pairs.append((s0s, s1s))
         out_traces.append(new_tr)
-        star_cells = _split(star_cells, s0s, s1s)
         used = marks
     return DyadicSubbase(space, tuple(star_pairs)), out_traces
 

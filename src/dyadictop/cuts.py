@@ -7,7 +7,9 @@ starting outside, so a cut p stands for the value (p >> 1) / den: an even
 cut flips membership at the value itself, an odd one just after it.  A
 span starting at an even cut has a closed lower end, one ending at an odd
 cut a closed upper end, and a span is the range of positions [start, end).
-The same lists, read as indices, are the switch points of a tail rule.
+Raw ranges, which may overlap, become cuts through ``union``; cut lists
+combine through the two-cursor ``merge``.  The same lists, read as
+indices, are the switch points of a tail rule.
 """
 from __future__ import annotations
 
@@ -54,28 +56,17 @@ def reduced(den: int, cuts) -> tuple[int, tuple[int, ...]]:
     return den // g, tuple((p >> 1) // g * 2 + (p & 1) for p in cuts)
 
 
-def switches(events, n: int, fn) -> list[int]:
-    """Positions where ``fn`` changes, in increasing order, from false.
-
-    For raw ranges that may overlap, as the public set constructor takes
-    them.  ``events`` holds (position, operand, +1 where a range of the
-    operand starts or -1 just past its end).  After the last event at a
-    position, ``fn`` is applied to whether each of the n operands has a
-    range open.  ``fn`` must be false when every operand is: the sweep
-    starts outside, before the first event, and the counts are all zero
-    after the last.
-    """
-    events.sort()
-    count = [0] * n
-    out = []
-    on = False
-    for k, (p, j, step) in enumerate(events):
-        count[j] += step
-        if k + 1 < len(events) and events[k + 1][0] == p:
-            continue
-        if fn(*[c > 0 for c in count]) != on:
-            on = not on
-            out.append(p)
+def union(ranges) -> list[int]:
+    """The cuts of a union of nonempty position ranges [start, end), which
+    may overlap or touch: one sort and one pass, each range extending the
+    last one when it starts at or before its end."""
+    out: list[int] = []
+    for a, e in sorted(ranges):
+        if out and a <= out[-1]:
+            if e > out[-1]:
+                out[-1] = e
+        else:
+            out += (a, e)
     return out
 
 

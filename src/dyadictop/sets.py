@@ -24,9 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cuts import (AND, AND_NOT, OR, combine, inside, merge, place, position, reduced,
-                   rescale, switches)
+                   rescale, union)
 from .rational import format_rational, parse_rational
-from .space import Space, _members_in_range, cb_kernel
+from .space import Space, _members_in_range
 
 
 class SetError(ValueError):
@@ -216,9 +216,10 @@ _set = object.__setattr__
 
 
 class SymbolicSet:
-    """``SymbolicSet(space, spans, points, tails)`` clips the spans, which
-    may overlap, to the ambient intervals, checks the points and pads the
-    tails with empty rules; the operations build their canonical results
+    """``SymbolicSet(space, spans, points, tails)`` takes the union of the
+    spans, which may overlap, as cuts (``cuts.union``), clips it to the
+    ambient intervals (``_ambient``), checks the points and pads the tails
+    with empty rules; the operations build their canonical results
     unchecked.  Immutable, and equal exactly when equal as sets."""
 
     __slots__ = ("space", "den", "cuts", "points", "tails")
@@ -234,17 +235,10 @@ class SymbolicSet:
         spans = tuple(spans)
         den, cuts = 1, ()
         if spans:
-            ivs = self.space.intervals()
-            den = math.lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)),
-                           *(x.denominator for sp in spans for x in (sp.lo, sp.hi)))
-            events = []
-            for sp in spans:
-                events.append((position(sp.lo, den) + (not sp.lo_in), 0, 1))
-                events.append((position(sp.hi, den) + sp.hi_in, 0, -1))
-            for iv in ivs:
-                events.append((position(iv.lo, den), 1, 1))
-                events.append((position(iv.hi, den) + 1, 1, -1))
-            den, cuts = reduced(den, switches(events, 2, lambda v, a: v and a))
+            den = math.lcm(*(x.denominator for sp in spans for x in (sp.lo, sp.hi)))
+            raw = union([(position(sp.lo, den) + (not sp.lo_in),
+                          position(sp.hi, den) + sp.hi_in) for sp in spans])
+            den, cuts = combine(den, raw, *_ambient(self.space), AND)
         _set(self, "den", den)
         _set(self, "cuts", cuts)
         pts = frozenset(self.points)
@@ -311,23 +305,19 @@ class SymbolicSet:
         ``blocks`` holds (lo, lo_in, hi, hi_in) tuples; members, isolated
         points and limits falling inside a block are picked up exactly.
         """
-        spans = []
-        for lo, lo_in, hi, hi_in in blocks:
-            if lo < hi or (lo == hi and lo_in and hi_in):
-                spans.append(Span(lo, lo_in, hi, hi_in))
-        blocks = [(sp.lo, sp.lo_in, sp.hi, sp.hi_in) for sp in spans]
-        points = frozenset(
-            p.value for p in space.isolated_points()
-            if any(Span(*b).contains(p.value) for b in blocks))
+        spans = tuple(Span(lo, lo_in, hi, hi_in) for lo, lo_in, hi, hi_in in blocks
+                      if lo < hi or (lo == hi and lo_in and hi_in))
+        points = frozenset(p.value for p in space.isolated_points()
+                           if any(sp.contains(p.value) for sp in spans))
         tails = []
         for s in space.sequences():
             rule = TAIL_NONE
-            for b in blocks:
-                r = _members_in_range(s, *b)
+            for sp in spans:
+                r = _members_in_range(s, sp.lo, sp.lo_in, sp.hi, sp.hi_in)
                 if r is not None:
                     rule = rule.union(TailRule((r[0],) if r[1] == -1 else (r[0], r[1] + 1)))
             tails.append(rule)
-        return cls(space, tuple(spans), points, tuple(tails))
+        return cls(space, spans, points, tuple(tails))
 
     @classmethod
     def ball(cls, space: Space, center: Fraction, radius: Fraction) -> "SymbolicSet":
@@ -483,17 +473,10 @@ class SymbolicSet:
             new = math.lcm(den, *(x.denominator for x in limits))
             cuts, den = rescale(cuts, new // den), new
         # each span takes in its end values, which joins it to a next span
-        # that started just after its open end
-        closed: list[int] = []
-        for a, e in zip(cuts[::2], cuts[1::2]):
-            if closed and closed[-1] >= a & ~1:
-                closed[-1] = e | 1
-            else:
-                closed += (a & ~1, e | 1)
-        if limits:
-            at = sorted({position(x, den) for x in limits})
-            closed = merge(closed, [p for q in at for p in (q, q + 1)], OR)
-        den, cuts = reduced(den, closed)
+        # that started just after its open end; each limit is one point
+        closed = [(a & ~1, e | 1) for a, e in zip(cuts[::2], cuts[1::2])]
+        closed += [(q, q + 1) for q in (position(x, den) for x in limits)]
+        den, cuts = reduced(den, union(closed))
         return SymbolicSet._canonical(self.space, den, cuts, frozenset(points), tuple(tails))
 
     def interior(self) -> "SymbolicSet":
@@ -605,9 +588,10 @@ class SymbolicSet:
 
 @lru_cache(maxsize=None)
 def kernel_set(space: Space) -> SymbolicSet:
-    """The perfect kernel as a subset of the full space."""
-    return SymbolicSet(space, tuple(Span(iv.lo, True, iv.hi, True)
-                                    for iv in cb_kernel(space).kernel.intervals()))
+    """The perfect kernel as a subset of the full space: the union of its
+    intervals, which is all of the kernel (``cb_kernel``)."""
+    return SymbolicSet._canonical(space, *_ambient(space), frozenset(),
+                                  (TAIL_NONE,) * len(space.sequences()))
 
 
 # -- moving sets between a space and its kernel ---------------------------
