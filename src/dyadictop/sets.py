@@ -588,8 +588,8 @@ class SymbolicSet:
 
 @lru_cache(maxsize=None)
 def kernel_set(space: Space) -> SymbolicSet:
-    """The perfect kernel as a subset of the full space: the union of its
-    intervals, which is all of the kernel (``cb_kernel``)."""
+    """The perfect kernel as a subset of the full space: the union of the
+    space's intervals, which ``cb_kernel`` documents is the whole kernel."""
     return SymbolicSet._canonical(space, *_ambient(space), frozenset(),
                                   (TAIL_NONE,) * len(space.sequences()))
 

@@ -32,13 +32,14 @@ def render(result) -> str:
 
 
 def digests() -> dict[str, str]:
-    """sha256 of ``render`` for each hash-pinned build, keyed like ``path``."""
+    """sha256 of ``render`` for each hash-pinned build, keyed by the stem
+    of its ``path``."""
     out = {}
     for name, mk in CORPUS.items():
         for mode in ("unconstrained", "match_dim"):
             for levels in HASH_LEVELS:
                 res = build_proper_subbase(mk(), levels, degree_mode=mode, depth=HASH_DEPTH)
-                out[f"{name}-{mode}-L{levels}"] = hashlib.sha256(
+                out[path(name, mode, levels).stem] = hashlib.sha256(
                     render(res).encode("utf-8")).hexdigest()
     return out
 
