@@ -7,7 +7,7 @@ import pytest
 from dyadictop import DyadicSubbase
 from dyadictop.cli import main
 from dyadictop.corpus import (converging_sequence_space, interval_points_space,
-                              interval_space)
+                              interval_sequence_space, interval_space)
 from dyadictop.sets import MAX_TAIL_INDEX
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -99,6 +99,18 @@ def test_out_writes_file(space_file, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["rank"] == 1
+
+
+def test_two_builds_of_one_file_write_the_same_bytes(tmp_path, capsys):
+    # the second run loads a space equal to the first, so it meets the
+    # caches the first run filled
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(interval_sequence_space().to_dict()))
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        assert main(["build", str(space), "--levels", "3", "--depth", "3",
+                     "--format", "json", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_missing_file_fails(capsys):

@@ -14,9 +14,10 @@ from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
 from dyadictop.sets import MAX_TAIL_INDEX, nearer_spans
-from dyadictop.space import GeometricSequence, Interval, Space, cb_kernel
+from dyadictop.space import (GeometricSequence, Interval, IsolatedPoint, Space, SpaceError,
+                             cb_kernel)
 
-from oracle import (critical_values, o_closure, o_member, o_selected, o_spans,
+from oracle import (critical_values, o_closure, o_interior, o_member, o_selected, o_spans,
                     o_tail, o_tail_binary, random_set, random_tail, raw_spans,
                     witnesses)
 from spacegen import random_spaces
@@ -525,3 +526,77 @@ def test_equal_sets_from_different_chains_are_one_value():
             assert left.to_dict() == right.to_dict()
             assert left.den == _expected_den(left)
             assert SymbolicSet.from_dict(sp, left.to_dict()) == right
+
+
+# -- interior and subset_of against their composed forms -------------------
+
+# sequences onto an interval's lower end from below and its upper end from
+# above (two of them there), onto an isolated point, onto a member of
+# another sequence (rank 2), and onto a limit outside the space
+LIMIT_SPACES = {
+    "interval-end": Space((Interval(F(0), F(1)), Interval(F(2), F(3)),
+                           GeometricSequence(F(1), F(1, 2)),
+                           GeometricSequence(F(1), F(3, 8)),
+                           GeometricSequence(F(2), F(-1, 4)))),
+    "isolated-point": Space((Interval(F(2), F(3)), IsolatedPoint(F(0)),
+                             GeometricSequence(F(0), F(1)))),
+    "member": Space((IsolatedPoint(F(0)), GeometricSequence(F(0), F(1)),
+                     GeometricSequence(F(1, 2), F(1, 8)), Interval(F(2), F(3)))),
+    "open-limit": Space((Interval(F(0), F(1)),
+                         GeometricSequence(F(3, 2), F(1, 4), open_limit=True),
+                         GeometricSequence(F(0), F(-1, 2)))),
+}
+
+
+def test_a_limit_inside_an_interval_is_not_a_space():
+    # its members would lie in the interval, so only interval ends,
+    # isolated points, members and open limits are left to cover
+    with pytest.raises(SpaceError):
+        Space((Interval(F(0), F(1)), GeometricSequence(F(1, 2), F(1, 4))))
+
+
+def _with_ends(space: Space, rng: random.Random) -> SymbolicSet:
+    """A ``random_set`` draw that often reaches an ambient end: a closed or
+    open block from an interval's end, or the end point alone."""
+    s = random_set(space, rng)
+    blocks = []
+    for iv in space.intervals():
+        roll = rng.random()
+        mid = iv.lo + (iv.hi - iv.lo) * F(rng.randint(1, 5), 6)
+        if roll < 0.25:
+            blocks.append((iv.lo, rng.random() < 0.7, mid, rng.random() < 0.5))
+        elif roll < 0.5:
+            blocks.append((mid, rng.random() < 0.5, iv.hi, rng.random() < 0.7))
+        elif roll < 0.6:
+            end = rng.choice((iv.lo, iv.hi))
+            blocks.append((end, True, end, True))
+    return s.union(SymbolicSet.region(space, blocks)) if rng.random() < 0.5 \
+        else s.difference(SymbolicSet.region(space, blocks))
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_SPACES))
+def test_interior_matches_composed_form_and_brute_force(name):
+    sp = LIMIT_SPACES[name]
+    rng = random.Random(20261018)
+    for _ in range(60):
+        s = _with_ends(sp, rng)
+        inner = s.interior()
+        assert inner == s.complement().closure().complement(), s.render()
+        crit = critical_values(sp, [s])
+        for x in witnesses(sp, crit):
+            assert inner.membership(x) == o_interior(sp, s.membership, crit, x), \
+                (s.render(), x)
+
+
+def test_subset_of_matches_the_difference():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(300):
+        sp = rng.choice(list(LIMIT_SPACES.values()) + SPACES)
+        a, c = _with_ends(sp, rng), random_set(sp, rng)
+        for left, right in ((a, c), (a, a.union(c)), (a.difference(c), a),
+                            (a.intersection(c), c), (c, a)):
+            verdict = left.subset_of(right)
+            assert verdict == left.difference(right).is_empty, (left.render(), right.render())
+            seen.add((verdict, left.den != right.den))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
