@@ -111,10 +111,16 @@ def merge(a, b, table) -> list[int]:
     return out
 
 
-def combine(den_a: int, a, den_b: int, b, table) -> tuple[int, tuple[int, ...]]:
-    """The canonical (den, cuts) of two operands' cuts combined by table;
-    they are rescaled only when their denominators differ."""
+def common(den_a: int, a, den_b: int, b):
+    """(den, a, b): two operands' cuts over one denominator, rescaled only
+    when theirs differ."""
     if den_a == den_b:
-        return reduced(den_a, merge(a, b, table))
+        return den_a, a, b
     den = math.lcm(den_a, den_b)
-    return reduced(den, merge(rescale(a, den // den_a), rescale(b, den // den_b), table))
+    return den, rescale(a, den // den_a), rescale(b, den // den_b)
+
+
+def combine(den_a: int, a, den_b: int, b, table) -> tuple[int, tuple[int, ...]]:
+    """The canonical (den, cuts) of two operands' cuts combined by table."""
+    den, a, b = common(den_a, a, den_b, b)
+    return reduced(den, merge(a, b, table))

@@ -14,6 +14,17 @@ A set is stored in three independent components:
 Because the primitives are pairwise disjoint this decomposition is unique,
 so structural equality of canonical forms is set equality, and every lattice
 and topology operation below is exact.
+
+``closure`` and ``interior`` each take one pass over the cuts and the
+sequence limits.  The closure closes every span end and adds the limit of
+each sequence the set holds infinitely often.  The interior opens every
+closed span end that is not an end of its ambient interval (an even start
+a becomes a + 1, an odd end e becomes e - 1, and a span left empty goes),
+and removes each limit in the space, whether an interval point, an
+isolated point or a member, whose tail the set does not hold cofinitely.
+``subset_of`` decides from the operands without building their difference:
+the points are a subset, and each tail's and the cuts' AND_NOT merge is
+empty, the cuts rescaled only when the denominators differ.
 """
 from __future__ import annotations
 
@@ -23,8 +34,8 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cuts import (AND, AND_NOT, OR, combine, inside, merge, place, position, reduced,
-                   rescale, union)
+from .cuts import (AND, AND_NOT, OR, combine, common, inside, merge, place, position,
+                   reduced, rescale, union)
 from .rational import format_rational, parse_rational
 from .space import Space, _members_in_range
 
@@ -80,6 +91,24 @@ def _ambient(space: Space) -> tuple[int, tuple[int, ...]]:
     # the intervals are disjoint and do not touch, so their ranges are too
     return reduced(den, sorted(p for iv in ivs
                                for p in (position(iv.lo, den), position(iv.hi, den) + 1)))
+
+
+def _ambient_ends(space: Space, den: int) -> set[int]:
+    """The cuts of ``_ambient`` that den places, as positions over den: an
+    interval's lower end at an even position, its upper end at an odd one."""
+    amb_den, amb = _ambient(space)
+    ends = set()
+    for c in amb:
+        q, r = divmod((c >> 1) * den, amb_den)
+        if not r:
+            ends.add(2 * q + (c & 1))
+    return ends
+
+
+@lru_cache(maxsize=None)
+def _limits(space: Space) -> tuple:
+    """``space.locate`` of each sequence's limit, in ``sequences()`` order."""
+    return tuple(space.locate(s.limit) for s in space.sequences())
 
 
 def _span(lo: Fraction, lo_in: bool, hi: Fraction, hi_in: bool) -> Span:
@@ -264,7 +293,7 @@ class SymbolicSet:
             return NotImplemented
         return (self.den == other.den and self.cuts == other.cuts
                 and self.points == other.points and self.tails == other.tails
-                and self.space == other.space)
+                and (self.space is other.space or self.space == other.space))
 
     def __hash__(self):
         return hash((self.space, self.den, self.cuts, self.points, self.tails))
@@ -449,7 +478,20 @@ class SymbolicSet:
         return SymbolicSet.whole(self.space).difference(self)
 
     def subset_of(self, other: "SymbolicSet") -> bool:
-        return self.difference(other).is_empty
+        """Whether nothing is left of the set when ``other`` is taken out,
+        decided from the operands without building that difference: the
+        points are a subset, and each tail's and the cuts' AND_NOT merge
+        is empty."""
+        self._require_same_space(other)
+        if not self.points <= other.points:
+            return False
+        if any(s.switches and merge(s.switches, t.switches, AND_NOT)
+               for s, t in zip(self.tails, other.tails)):
+            return False
+        if not self.cuts:
+            return True
+        _, a, b = common(self.den, self.cuts, other.den, other.cuts)
+        return not merge(a, b, AND_NOT)
 
     # -- topology --------------------------------------------------------
 
@@ -458,10 +500,9 @@ class SymbolicSet:
         points = set(self.points)
         tails = list(self.tails)
         limits = []
-        for j, s in enumerate(self.space.sequences()):
-            if not self.tails[j].infinite:
+        for s, loc, rule in zip(self.space.sequences(), _limits(self.space), self.tails):
+            if not rule.infinite:
                 continue
-            loc = self.space.locate(s.limit)
             if loc[0] == "interval":
                 limits.append(s.limit)
             elif loc[0] == "point":
@@ -480,7 +521,42 @@ class SymbolicSet:
         return SymbolicSet._canonical(self.space, den, cuts, frozenset(points), tuple(tails))
 
     def interior(self) -> "SymbolicSet":
-        return self.complement().closure().complement()
+        """The set less the closure of its complement, in one pass: the
+        complement's closure adds its span ends and the limits of the
+        sequences it holds infinitely often, so a closed span end that is
+        not an end of its ambient interval opens, and each limit in the
+        space whose tail the set does not hold cofinitely leaves."""
+        den, cuts = self.den, self.cuts
+        points, tails = self.points, list(self.tails)
+        if cuts:
+            ends = _ambient_ends(self.space, den)
+            opened = []
+            for a, e in zip(cuts[::2], cuts[1::2]):
+                if not a & 1 and a not in ends:
+                    a += 1
+                if e & 1 and e not in ends:
+                    e -= 1
+                if a < e:
+                    opened += (a, e)
+            cuts = opened
+        limits = []
+        for s, loc, rule in zip(self.space.sequences(), _limits(self.space), self.tails):
+            if rule.infinite:
+                continue
+            if loc[0] == "interval":
+                if inside(cuts, place(s.limit, den)[0]):
+                    limits.append(s.limit)
+            elif loc[0] == "point":
+                points = points - {s.limit}
+            elif loc[0] == "member":
+                j2, k2 = loc[1], loc[2]
+                tails[j2] = _tail_binary(tails[j2], TailRule((k2, k2 + 1)), AND_NOT)
+        if limits:
+            new = math.lcm(den, *(x.denominator for x in limits))
+            removed = union([(q, q + 1) for q in (position(x, new) for x in limits)])
+            cuts, den = merge(rescale(cuts, new // den), removed, AND_NOT), new
+        den, cuts = reduced(den, cuts)
+        return SymbolicSet._canonical(self.space, den, cuts, points, tuple(tails))
 
     def boundary(self) -> "SymbolicSet":
         return self.closure().difference(self.interior())

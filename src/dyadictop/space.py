@@ -13,6 +13,7 @@ which is what keeps every later operation decidable.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -133,6 +134,8 @@ class Space:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Space":
+        """The space a JSON object describes; equal primitive lists load as
+        one object (``_interned``)."""
         if not isinstance(data, dict) or "primitives" not in data:
             raise SpaceError('space JSON needs a top-level "primitives" list')
         if not isinstance(data["primitives"], list):
@@ -158,13 +161,29 @@ class Space:
                     raise SpaceError(f"unknown primitive kind {kind!r}")
             except KeyError as exc:
                 raise SpaceError(f"{kind} primitive needs {exc}") from None
-        return cls(tuple(prims))
+        return _interned(tuple(prims))
 
     def to_dict(self) -> dict:
         return {"primitives": [primitive_dict(p) for p in self.primitives]}
 
     def render(self) -> str:
         return " u ".join(p.render() for p in self.primitives) if self.primitives else "{}"
+
+
+# the live spaces by primitive list; an entry goes when nothing holds its space
+_LOADED = weakref.WeakValueDictionary()
+
+
+def _interned(primitives: tuple[Primitive, ...]) -> Space:
+    """The live Space with these primitives, made by a load or as a kernel,
+    else a new one.  The set algebra's caches keep what they derive from
+    the first equal space they meet, and keep that space alive, so every
+    later load gets that same object, and a comparison of two of its spaces
+    stops at identity.  A space nothing holds is not kept."""
+    space = _LOADED.get(primitives)
+    if space is None:
+        space = _LOADED[primitives] = Space(primitives)
+    return space
 
 
 def primitive_dict(p: Primitive) -> dict:
@@ -342,7 +361,7 @@ def cb_kernel(space: Space) -> KernelReport:
         if space.locate(l)[0] in ("point", "member"):
             survivors_outside = True
 
-    kernel = Space(space.intervals())
+    kernel = _interned(space.intervals())
     if not entries:
         rank = 0
     elif survivors_outside:

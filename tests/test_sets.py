@@ -600,3 +600,30 @@ def test_subset_of_matches_the_difference():
             assert verdict == left.difference(right).is_empty, (left.render(), right.render())
             seen.add((verdict, left.den != right.den))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_interior_and_subset_of_build_no_intermediate_set(monkeypatch):
+    # the one-pass forms must not slide back to the composed ones
+    calls = []
+    binary, canonical = SymbolicSet._binary, SymbolicSet._canonical.__func__
+
+    def counting_binary(self, other, table):
+        calls.append("_binary")
+        return binary(self, other, table)
+
+    def counting_canonical(cls, *parts):
+        calls.append("_canonical")
+        return canonical(cls, *parts)
+
+    rng = random.Random(20261020)
+    pairs = [(_with_ends(sp, rng), random_set(sp, rng))
+             for sp in list(LIMIT_SPACES.values()) + SPACES for _ in range(5)]
+    monkeypatch.setattr(SymbolicSet, "_binary", counting_binary)
+    monkeypatch.setattr(SymbolicSet, "_canonical", classmethod(counting_canonical))
+    for a, b in pairs:
+        a.subset_of(b)
+        a.subset_of(a)
+    assert calls == []
+    for a, _ in pairs:
+        a.interior()
+    assert calls == ["_canonical"] * len(pairs)

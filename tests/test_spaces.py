@@ -1,9 +1,12 @@
+import gc
+import json
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
 from dyadictop import (GeometricSequence, Interval, IsolatedPoint, Space,
-                       SpaceError, cb_kernel, scatter_clusters)
+                       SpaceError, cb_kernel, kernel_set, scatter_clusters)
 from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
@@ -193,6 +196,29 @@ def test_space_roundtrip_all_corpus():
     for mk in CORPUS.values():
         sp = mk()
         assert Space.from_dict(sp.to_dict()) == sp
+
+
+def test_equal_loads_are_one_space():
+    data = interval_sequence_space().to_dict()
+    first = Space.from_dict(data)
+    assert Space.from_dict(json.loads(json.dumps(data))) is first
+    assert Space.from_dict(interval_space().to_dict()) is not first
+
+
+def test_a_load_nothing_holds_is_not_kept():
+    data = {"primitives": [{"kind": "point", "value": "13/7"}]}
+    ref = weakref.ref(Space.from_dict(data))
+    gc.collect()
+    assert ref() is None
+
+
+def test_caches_answer_a_later_load_with_its_own_space():
+    data = {"primitives": [{"kind": "interval", "lo": "1/3", "hi": "2/3"},
+                           {"kind": "point", "value": "7/1"}]}
+    assert kernel_set(Space.from_dict(data)).space is Space.from_dict(data)
+    again = Space.from_dict(json.loads(json.dumps(data)))
+    assert kernel_set(again).space is again
+    assert cb_kernel(again) is cb_kernel(Space.from_dict(data))
 
 
 def test_space_from_dict_rejects_unknown_kind():
