@@ -206,6 +206,8 @@ def _one_pair(space, zero):
     _one_pair(SEQ, {"tails": [{"sequence": 0, "exceptions": [1.5]}]}),
     _one_pair(SEQ, {"tails": [{"sequence": 0, "start": 0}]}),
     _one_pair(SEQ, {"tails": [{"sequence": 0, "exceptions": [-5, 0]}]}),
+    *({"primitives": [{"kind": "sequence", "limit": "0", "offset": "1",
+                       "open_limit": flag}]} for flag in ("false", 1, None)),
 ])
 def test_malformed_json_is_refused(tmp_path, capsys, data):
     path = tmp_path / "bad.json"

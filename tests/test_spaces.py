@@ -1,12 +1,17 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction as F
 
 import pytest
 
+import dyadictop
 from dyadictop import (GeometricSequence, Interval, IsolatedPoint, Space,
-                       SpaceError, cb_kernel, kernel_set, scatter_clusters)
+                       SpaceError, build_proper_subbase, cb_kernel, kernel_set,
+                       scatter_clusters)
 from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
@@ -219,6 +224,66 @@ def test_caches_answer_a_later_load_with_its_own_space():
     again = Space.from_dict(json.loads(json.dumps(data)))
     assert kernel_set(again).space is again
     assert cb_kernel(again) is cb_kernel(Space.from_dict(data))
+
+
+# Run in a fresh interpreter, so that no space an earlier test made is live.
+_SECOND_BUILD_EQ_CALLS = """
+import json
+from dyadictop import Space, build_proper_subbase
+from dyadictop.corpus import interval_sequence_space
+
+calls = 0
+eq = Space.__eq__
+
+
+def counted(self, other):
+    global calls
+    calls += 1
+    return eq(self, other)
+
+
+Space.__eq__ = counted
+
+
+def second_build(make):
+    global calls
+    build_proper_subbase(make(), 4, depth=3)
+    calls = 0
+    build_proper_subbase(make(), 4, depth=3)
+    return calls
+
+
+data = interval_sequence_space().to_dict()
+print(json.dumps({"load": second_build(lambda: Space.from_dict(data)),
+                  "fresh": second_build(interval_sequence_space)}))
+"""
+
+
+def test_a_built_space_compares_no_more_than_a_loaded_one():
+    src = os.path.dirname(os.path.dirname(dyadictop.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _SECOND_BUILD_EQ_CALLS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    calls = json.loads(out)
+    assert calls["fresh"] <= calls["load"], calls
+
+
+def test_a_space_built_on_is_not_kept():
+    data = {"primitives": [{"kind": "interval", "lo": "1/9", "hi": "4/9"},
+                           {"kind": "point", "value": "8/9"}]}
+    sp = Space.from_dict(data)
+    build_proper_subbase(sp, 2, depth=3)
+    ref = weakref.ref(sp)
+    del sp
+    gc.collect()
+    assert ref() is None
+
+
+def test_an_interval_only_space_is_its_own_kernel():
+    built = Space((Interval(F(1, 5), F(3, 5)),))
+    for s in (built, Space.from_dict(built.to_dict())):
+        assert cb_kernel(s).kernel is s
+        assert kernel_set(s).space is s
 
 
 def test_space_from_dict_rejects_unknown_kind():
