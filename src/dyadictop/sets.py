@@ -32,12 +32,11 @@ import math
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .cuts import (AND, AND_NOT, OR, combine, common, inside, merge, place, position,
                    reduced, rescale, union)
 from .rational import format_rational, parse_rational
-from .space import Space, _members_in_range
+from .space import Space, _members_in_range, per_space
 
 
 class SetError(ValueError):
@@ -83,7 +82,7 @@ def parse_span(text: str) -> Span:
                 parse_rational(m.group(3)), m.group(4) == "]")
 
 
-@lru_cache(maxsize=None)
+@per_space
 def _ambient(space: Space) -> tuple[int, tuple[int, ...]]:
     """(den, cuts) of the union of the space's intervals."""
     ivs = space.intervals()
@@ -105,7 +104,7 @@ def _ambient_ends(space: Space, den: int) -> set[int]:
     return ends
 
 
-@lru_cache(maxsize=None)
+@per_space
 def _limits(space: Space) -> tuple:
     """``space.locate`` of each sequence's limit, in ``sequences()`` order."""
     return tuple(space.locate(s.limit) for s in space.sequences())
@@ -662,7 +661,7 @@ class SymbolicSet:
         return " u ".join(parts) if parts else "{}"
 
 
-@lru_cache(maxsize=None)
+@per_space
 def kernel_set(space: Space) -> SymbolicSet:
     """The perfect kernel as a subset of the full space: the union of the
     space's intervals, which ``cb_kernel`` documents is the whole kernel."""

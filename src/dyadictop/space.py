@@ -10,13 +10,15 @@ A space is a finite disjoint union of primitives:
 
 Pairwise disjointness of the primitives is decided exactly at load time,
 which is what keeps every later operation decidable.
+
+Facts derived from a space alone, such as its kernel, are kept on the
+space itself by ``per_space``.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 
 from .rational import exact_log2, floor_log2, format_rational, parse_rational
 
@@ -88,8 +90,10 @@ class Space:
                            ("_sequences", GeometricSequence)):
             object.__setattr__(self, name,
                                tuple(p for p in self.primitives if isinstance(p, kind)))
-        # spaces key the caches of the set algebra, so hash them once
+        # every set hashes its space, so hash it once
         object.__setattr__(self, "_hash", hash(self.primitives))
+        # not a field, so equality, hash, repr and to_dict ignore it
+        object.__setattr__(self, "_facts", {})
         _validate(self)
 
     def __hash__(self) -> int:
@@ -134,8 +138,7 @@ class Space:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Space":
-        """The space a JSON object describes; equal primitive lists load as
-        one object (``_interned``)."""
+        """The space a JSON object describes."""
         if not isinstance(data, dict) or "primitives" not in data:
             raise SpaceError('space JSON needs a top-level "primitives" list')
         if not isinstance(data["primitives"], list):
@@ -152,16 +155,16 @@ class Space:
                 elif kind == "point":
                     prims.append(IsolatedPoint(parse_rational(entry["value"])))
                 elif kind == "sequence":
-                    prims.append(GeometricSequence(
-                        parse_rational(entry["limit"]),
-                        parse_rational(entry["offset"]),
-                        bool(entry.get("open_limit", False)),
-                    ))
+                    open_limit = entry.get("open_limit", False)
+                    if not isinstance(open_limit, bool):
+                        raise SpaceError(f"open_limit must be true or false, got {open_limit!r}")
+                    prims.append(GeometricSequence(parse_rational(entry["limit"]),
+                                                   parse_rational(entry["offset"]), open_limit))
                 else:
                     raise SpaceError(f"unknown primitive kind {kind!r}")
             except KeyError as exc:
                 raise SpaceError(f"{kind} primitive needs {exc}") from None
-        return _interned(tuple(prims))
+        return cls(tuple(prims))
 
     def to_dict(self) -> dict:
         return {"primitives": [primitive_dict(p) for p in self.primitives]}
@@ -170,20 +173,17 @@ class Space:
         return " u ".join(p.render() for p in self.primitives) if self.primitives else "{}"
 
 
-# the live spaces by primitive list; an entry goes when nothing holds its space
-_LOADED = weakref.WeakValueDictionary()
-
-
-def _interned(primitives: tuple[Primitive, ...]) -> Space:
-    """The live Space with these primitives, made by a load or as a kernel,
-    else a new one.  The set algebra's caches keep what they derive from
-    the first equal space they meet, and keep that space alive, so every
-    later load gets that same object, and a comparison of two of its spaces
-    stops at identity.  A space nothing holds is not kept."""
-    space = _LOADED.get(primitives)
-    if space is None:
-        space = _LOADED[primitives] = Space(primitives)
-    return space
+def per_space(fn):
+    """``fn(space)``, worked out on the first call for each space and kept
+    on that space: a fact lives exactly as long as its space, and names
+    that same space, however the space was made."""
+    @wraps(fn)
+    def fact(space: Space):
+        facts = space._facts
+        if fn not in facts:
+            facts[fn] = fn(space)
+        return facts[fn]
+    return fact
 
 
 def primitive_dict(p: Primitive) -> dict:
@@ -332,14 +332,15 @@ class KernelReport:
         return line + f"; rank {self.rank}"
 
 
-@lru_cache(maxsize=None)
+@per_space
 def cb_kernel(space: Space) -> KernelReport:
     """Perfect kernel, scattered inventory and Cantor-Bendixson rank.
 
     The kernel is exactly the interval part: all sequence members and
     isolated points are gone after at most two derivative steps, and the
     second derivative is already a fixed point for any finite primitive
-    list, so the rank never exceeds 2.
+    list, so the rank never exceeds 2.  An interval-only space is its own
+    kernel.
     """
     seqs = space.sequences()
     in_space_limits = {s.limit for s in seqs if not s.open_limit}
@@ -361,7 +362,7 @@ def cb_kernel(space: Space) -> KernelReport:
         if space.locate(l)[0] in ("point", "member"):
             survivors_outside = True
 
-    kernel = _interned(space.intervals())
+    kernel = Space(space.intervals()) if entries else space
     if not entries:
         rank = 0
     elif survivors_outside:
@@ -392,7 +393,7 @@ class Cluster:
     member_atoms: tuple[tuple[int, int], ...] = ()
 
 
-@lru_cache(maxsize=None)
+@per_space
 def scatter_clusters(space: Space) -> tuple[Cluster, ...]:
     seqs = space.sequences()
     anchored: dict[int, set[int]] = {j: set() for j in range(len(seqs))}

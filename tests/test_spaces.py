@@ -203,13 +203,6 @@ def test_space_roundtrip_all_corpus():
         assert Space.from_dict(sp.to_dict()) == sp
 
 
-def test_equal_loads_are_one_space():
-    data = interval_sequence_space().to_dict()
-    first = Space.from_dict(data)
-    assert Space.from_dict(json.loads(json.dumps(data))) is first
-    assert Space.from_dict(interval_space().to_dict()) is not first
-
-
 def test_a_load_nothing_holds_is_not_kept():
     data = {"primitives": [{"kind": "point", "value": "13/7"}]}
     ref = weakref.ref(Space.from_dict(data))
@@ -220,10 +213,10 @@ def test_a_load_nothing_holds_is_not_kept():
 def test_caches_answer_a_later_load_with_its_own_space():
     data = {"primitives": [{"kind": "interval", "lo": "1/3", "hi": "2/3"},
                            {"kind": "point", "value": "7/1"}]}
-    assert kernel_set(Space.from_dict(data)).space is Space.from_dict(data)
+    first = Space.from_dict(data)
+    assert kernel_set(first).space is first
     again = Space.from_dict(json.loads(json.dumps(data)))
     assert kernel_set(again).space is again
-    assert cb_kernel(again) is cb_kernel(Space.from_dict(data))
 
 
 # Run in a fresh interpreter, so that no space an earlier test made is live.
