@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -111,6 +114,46 @@ def test_two_builds_of_one_file_write_the_same_bytes(tmp_path, capsys):
         assert main(["build", str(space), "--levels", "3", "--depth", "3",
                      "--format", "json", "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh(argv):
+    """Exit code, stdout and stderr of ``main(argv)`` in a new interpreter."""
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from dyadictop.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    return run.returncode, run.stdout, run.stderr
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("first,second", [
+    (["--format", "json", "--emit-trace"], ["--format", "json"]),
+    (["--format", "json"], ["--format", "text"]),
+    (["--levels", "two"], []),
+])
+def test_calls_in_one_process_keep_no_state(space_file, capsys, first, second):
+    # a call answers as a new process would, whatever call came before
+    base = ["build", space_file, "--levels", "2", "--depth", "3"]
+    runs = [_in_process(base + first, capsys), _in_process(base + second, capsys)]
+    assert runs == [_fresh(base + first), _fresh(base + second)]
+    if "--emit-trace" in first:
+        assert "traces" in json.loads(runs[0][1])
+        assert "traces" not in json.loads(runs[1][1])
+    if "two" in first:
+        assert runs[0][0] == 2 and runs[1][0] == 0
 
 
 def test_missing_file_fails(capsys):
