@@ -7,6 +7,7 @@ produced counterexamples, 1 for bad input or a failed construction.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,7 +189,9 @@ def _add_io_flags(p):
     p.add_argument("--out", default=None, help="write output to a file")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for later calls."""
     parser = argparse.ArgumentParser(
         prog="dyadictop",
         description="exact dyadic subbases of symbolic rational spaces")
@@ -220,8 +223,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="kernel analysis plus the full check bundle")
     _add_io_flags(p)
     _add_build_flags(p)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handlers = {"kernel": _cmd_kernel, "build": _cmd_build, "check": _cmd_check,
                 "encode": _cmd_encode, "decode": _cmd_decode,
                 "report": _cmd_report}

@@ -7,7 +7,10 @@ The pipeline runs in three stages:
    small regular open chunks G(word) swapped between the cells that V
    swallows (class A) and the cells clear of cl V (class B);
 2. each kernel pair is extended to a half-clopen pair on the full space by
-   pushing V and every G through the half-clopen extension lemma;
+   pushing V, and the union of each class's chunks G inside the union of
+   the class's starred windows, through the half-clopen extension lemma,
+   which so runs at most three times per level; each starred chunk is its
+   class's lift read back on its own starred cell;
 3. the scattered part is finished off with clopen pairs.
 
 Every level is validated exactly before the construction moves on; there
@@ -205,19 +208,19 @@ def _window_probes(core: SymbolicSet, values) -> list[Fraction]:
 
 # -- one level, shared by the kernel and starred stages -------------------
 
-def _assemble(whole, v, cl_v, g, a_words, b_words) -> tuple[SymbolicSet, SymbolicSet]:
-    """The pair: V and the exterior of V, with the chunks G swapped between them."""
-    s0 = v
-    for w in a_words:
-        s0 = s0.difference(g[w].closure())
-    for w in b_words:
-        s0 = s0.union(g[w])
-    s1 = whole.difference(cl_v)
-    for w in b_words:
-        s1 = s1.difference(g[w].closure())
-    for w in a_words:
-        s1 = s1.union(g[w])
-    return s0, s1
+def _union_all(sets, space: Space) -> SymbolicSet:
+    """The union of the sets, joined in pairs so each cut is copied log-many times."""
+    sets = list(sets) or [SymbolicSet.empty(space)]
+    while len(sets) > 1:
+        sets = [a.union(b) for a, b in zip(sets[::2], sets[1::2])] + sets[len(sets) & ~1:]
+    return sets[0]
+
+
+def _assemble(whole, v, cl_v, g_a, g_b) -> tuple[SymbolicSet, SymbolicSet]:
+    """The pair: V and the exterior of V, with the union G_A of class A's
+    chunks swapped out of V and the union G_B of class B's chunks in."""
+    return (v.difference(g_a.closure()).union(g_b),
+            whole.difference(cl_v).difference(g_b.closure()).union(g_a))
 
 
 def _split(cells, s0, s1) -> dict[str, SymbolicSet]:
@@ -289,7 +292,8 @@ def build_independent_subbase(kernel: Space, levels: int,
         cl_v = v.closure()
         a_words, b_words = _classify(cells, v, cl_v)
         g = {w: _middle_third(cells[w], used, match_dim) for w in a_words + b_words}
-        s0, s1 = _assemble(whole, v, cl_v, g, a_words, b_words)
+        s0, s1 = _assemble(whole, v, cl_v, _union_all((g[w] for w in a_words), kernel),
+                           _union_all((g[w] for w in b_words), kernel))
         trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1)
         children = _split(cells, s0, s1)
         cl_children = _split(cl_cells, s0.closure(), s1.closure())
@@ -334,8 +338,14 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
                      seeds: SeedFamily):
     """Half-clopen pairs on the full space restricting to the kernel pairs.
 
-    Lifts each level's recorded classes and chunks through the half-clopen
-    extension lemma.  Validated at every level: the starred one side is
+    Lifts each level's window V through the half-clopen extension lemma,
+    and each recorded class in one call: the union of its chunks, inside
+    V* (class A) or clear of cl V* (class B) within the union of the
+    class's starred cells.  Each starred chunk is its class's lift on its
+    own starred cell.  That is the chunk's own lift: a chunk's closure
+    lies inside a kernel component, so no sequence converges into it and
+    every scattered point is nearer to the component's ends than to the
+    chunk.  Validated at every level: the starred one side is
     the exterior of the starred zero side, both sides restrict to the
     kernel pair, boundaries stay inside the kernel, and window cores
     resolve into starred hulls.
@@ -371,14 +381,17 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
         if cl_v_star.intersection(kernelS) != embed(tr.v.closure(), space):
             raise ConstructionError("starred-closure-tightness", n,
                                     {"trace": tr.to_dict()})
-        g_star = {}
-        for w in tr.a_words:
-            g_star[w] = half_clopen_extension(
-                space, g[w], v_star.intersection(star_cells[w]))
-        for w in tr.b_words:
-            g_star[w] = half_clopen_extension(
-                space, g[w], star_cells[w].difference(cl_v_star))
-        s0s, s1s = _assemble(whole, v_star, cl_v_star, g_star, tr.a_words, tr.b_words)
+        lifts, g_star = [], {}
+        for words, window in ((tr.a_words, v_star.intersection),
+                              (tr.b_words, lambda cells: cells.difference(cl_v_star))):
+            lift = SymbolicSet.empty(space)
+            if words:
+                lift = half_clopen_extension(
+                    space, _union_all((g[w] for w in words), kernel),
+                    window(_union_all((star_cells[w] for w in words), space)))
+            lifts.append(lift)
+            g_star.update((w, lift.intersection(star_cells[w])) for w in words)
+        s0s, s1s = _assemble(whole, v_star, cl_v_star, *lifts)
 
         new_tr = replace(tr, v_star=v_star, g_star=tuple(sorted(g_star.items())),
                          s0_star=s0s, s1_star=s1s)

@@ -15,7 +15,8 @@ from functools import reduce
 import pytest
 
 from dyadictop import (SymbolicSet, auto_seeds, build_independent_subbase,
-                       cb_kernel, embed, extend_to_proper, half_clopen_extension)
+                       build_proper_subbase, cb_kernel, construct, embed,
+                       extend_to_proper, half_clopen_extension)
 from dyadictop.corpus import CORPUS
 from dyadictop.lemmas import check_half_clopen
 
@@ -106,3 +107,18 @@ def test_class_lift_and_one_pass_sides(name, space, mode, levels):
                 ((tr.s0_star, tr.s1_star), whole, tr.v_star, g_star)):
             assert _sequential(ambient, v, chunks, tr.a_words, tr.b_words) == sides
             assert _one_pass(ambient, v, chunks, tr.a_words, tr.b_words) == sides
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS if n != "converging-sequence"])
+def test_lemma_runs_at_most_three_times_per_level(name, monkeypatch):
+    # V and the two classes, whatever the number of chunks
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return half_clopen_extension(*args)
+    monkeypatch.setattr(construct, "half_clopen_extension", counted)
+    result = build_proper_subbase(CORPUS[name](), 6, depth=2)
+    assert result.passed
+    assert sum(len(dict(tr.g)) for tr in result.traces) > 3 * 6
+    assert 6 <= len(calls) <= 3 * 6

@@ -156,6 +156,30 @@ def test_calls_in_one_process_keep_no_state(space_file, capsys, first, second):
         assert runs[0][0] == 2 and runs[1][0] == 0
 
 
+def test_parser_is_built_once_and_not_at_import(space_file):
+    # argparse builds the top parser and one per subcommand
+    script = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from dyadictop import cli
+counts = [len(built)]
+for _ in range(3):
+    cli.main(["kernel", sys.argv[1]])
+    counts.append(len(built))
+print(*counts)
+"""
+    run = subprocess.run([sys.executable, "-c", script, space_file],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    counts = [int(c) for c in run.stdout.split()[-4:]]
+    assert counts == [0, 7, 7, 7], run.stdout + run.stderr
+
+
 def test_missing_file_fails(capsys):
     assert main(["kernel", "/no/such/file.json"]) == 1
     assert capsys.readouterr().err.startswith("error:")
