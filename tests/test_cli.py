@@ -200,15 +200,16 @@ def test_wrong_shape_fails(tmp_path, capsys):
 
 
 def test_levels_limit(space_file, capsys):
-    assert main(["build", space_file, "--levels", "40"]) == 1
-    assert "levels-out-of-range" in capsys.readouterr().err
+    for levels in ("14", "40"):
+        assert main(["build", space_file, "--levels", levels]) == 1
+        assert "levels-out-of-range" in capsys.readouterr().err
 
 
 def test_failed_construction_prints_details(space_file, capsys):
     assert main(["build", space_file, "--levels", "40"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: construction failed at level -1: levels-out-of-range",
-        'details: {"levels":40,"max":12}',
+        'details: {"levels":40,"max":13}',
     ]
 
 
