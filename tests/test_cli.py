@@ -119,14 +119,17 @@ def test_two_builds_of_one_file_write_the_same_bytes(tmp_path, capsys):
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+def _python(script, *args):
+    """A new interpreter running ``script`` on the library under test."""
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
 def _fresh(argv):
     """Exit code, stdout and stderr of ``main(argv)`` in a new interpreter."""
-    run = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from dyadictop.cli import main; sys.exit(main(sys.argv[1:]))",
-         *argv],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(SRC)})
+    run = _python("import sys; from dyadictop.cli import main; sys.exit(main(sys.argv[1:]))",
+                  *argv)
     return run.returncode, run.stdout, run.stderr
 
 
@@ -173,9 +176,7 @@ for _ in range(3):
     counts.append(len(built))
 print(*counts)
 """
-    run = subprocess.run([sys.executable, "-c", script, space_file],
-                         capture_output=True, text=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    run = _python(script, space_file)
     counts = [int(c) for c in run.stdout.split()[-4:]]
     assert counts == [0, 7, 7, 7], run.stdout + run.stderr
 
