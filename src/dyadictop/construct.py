@@ -7,10 +7,9 @@ The pipeline runs in three stages:
    small regular open chunks G(word) swapped between the cells that V
    swallows (class A) and the cells clear of cl V (class B);
 2. each kernel pair is extended to a half-clopen pair on the full space by
-   pushing V, and the union of each class's chunks G inside the union of
-   the class's starred windows, through the half-clopen extension lemma,
-   which so runs at most three times per level; each starred chunk is its
-   class's lift read back on its own starred cell;
+   pushing V through the half-clopen extension lemma, once per level; each
+   chunk G is its own lift, embedded as it stands, since its closure lies
+   inside one kernel component, away from the scattered part;
 3. the scattered part is finished off with clopen pairs.
 
 Every level is validated exactly before the construction moves on; there
@@ -339,16 +338,15 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
     """Half-clopen pairs on the full space restricting to the kernel pairs.
 
     Lifts each level's window V through the half-clopen extension lemma,
-    and each recorded class in one call: the union of its chunks, inside
-    V* (class A) or clear of cl V* (class B) within the union of the
-    class's starred cells.  Each starred chunk is its class's lift on its
-    own starred cell.  That is the chunk's own lift: a chunk's closure
-    lies inside a kernel component, so no sequence converges into it and
-    every scattered point is nearer to the component's ends than to the
-    chunk.  Validated at every level: the starred one side is
-    the exterior of the starred zero side, both sides restrict to the
-    kernel pair, boundaries stay inside the kernel, and window cores
-    resolve into starred hulls.
+    the one lemma call of the level, and swaps each recorded class's
+    chunks G in or out of it as they stand, embedded in the full space.
+    An embedded chunk is its own lift: its closure lies inside a kernel
+    component, so no sequence converges into it and every scattered point
+    is nearer to the component's ends than to the chunk.  Validated at
+    every level, which covers the chunks too: the starred one side is the
+    exterior of the starred zero side, both sides restrict to the kernel
+    pair, boundaries stay inside the kernel, and window cores resolve into
+    starred hulls.
     """
     kernel = cb_kernel(space).kernel
     if kernel_sb.space != kernel:
@@ -381,17 +379,10 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
         if cl_v_star.intersection(kernelS) != embed(tr.v.closure(), space):
             raise ConstructionError("starred-closure-tightness", n,
                                     {"trace": tr.to_dict()})
-        lifts, g_star = [], {}
-        for words, window in ((tr.a_words, v_star.intersection),
-                              (tr.b_words, lambda cells: cells.difference(cl_v_star))):
-            lift = SymbolicSet.empty(space)
-            if words:
-                lift = half_clopen_extension(
-                    space, _union_all((g[w] for w in words), kernel),
-                    window(_union_all((star_cells[w] for w in words), space)))
-            lifts.append(lift)
-            g_star.update((w, lift.intersection(star_cells[w])) for w in words)
-        s0s, s1s = _assemble(whole, v_star, cl_v_star, *lifts)
+        g_star = {w: embed(g[w], space) for w in tr.a_words + tr.b_words}
+        s0s, s1s = _assemble(whole, v_star, cl_v_star,
+                             _union_all((g_star[w] for w in tr.a_words), space),
+                             _union_all((g_star[w] for w in tr.b_words), space))
 
         new_tr = replace(tr, v_star=v_star, g_star=tuple(sorted(g_star.items())),
                          s0_star=s0s, s1_star=s1s)

@@ -105,8 +105,8 @@ def test_class_lift_and_one_pass_sides(name, space, mode, levels):
 
 
 @pytest.mark.parametrize("name", [n for n in CORPUS if n != "converging-sequence"])
-def test_lemma_runs_at_most_three_times_per_level(name, monkeypatch):
-    # V and the two classes, whatever the number of chunks
+def test_lemma_runs_once_per_level(name, monkeypatch):
+    # V alone, whatever the number of chunks
     calls = []
 
     def counted(*args):
@@ -115,5 +115,5 @@ def test_lemma_runs_at_most_three_times_per_level(name, monkeypatch):
     monkeypatch.setattr(construct, "half_clopen_extension", counted)
     result = build_proper_subbase(CORPUS[name](), 6, depth=2)
     assert result.passed
-    assert sum(len(dict(tr.g)) for tr in result.traces) > 3 * 6
-    assert 6 <= len(calls) <= 3 * 6
+    assert sum(len(dict(tr.g)) for tr in result.traces) > 6
+    assert len(calls) == 6
