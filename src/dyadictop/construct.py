@@ -87,20 +87,22 @@ class SeedFamily:
         return best
 
 
-def auto_seeds(space: Space, levels: int) -> SeedFamily:
+def auto_seeds(space: Space, levels: int, match_dim: bool = False) -> SeedFamily:
     """Breadth-first dyadic windows over the kernel components.
 
     Window n gets margin 2**-(n+3) of its component's length, clipped to
     the component; the full-space hull absorbs a scattered cluster when the
     cluster anchors inside the hull (forced, openness at the limit) or sits
-    no farther from the hull than from the rest of the kernel.
+    no farther from the hull than from the rest of the kernel.  In
+    ``match_dim`` mode a lone window on two or more components is half a
+    component, since a whole component's pair has no boundary (degree 0).
     """
     kernel = cb_kernel(space).kernel
     comps = kernel.intervals()
     entries: list[SeedEntry] = []
     if comps and levels > 0:
         windows = []
-        j = 0
+        j = 1 if match_dim and levels == 1 and len(comps) > 1 else 0
         while len(windows) < levels:
             for comp in comps:
                 step = (comp.hi - comp.lo) / 2 ** j
@@ -272,7 +274,7 @@ def build_independent_subbase(kernel: Space, levels: int,
     if not kernel.intervals():
         raise ConstructionError("kernel-empty", -1)
     if seeds is None:
-        seeds = auto_seeds(kernel, levels)
+        seeds = auto_seeds(kernel, levels, match_dim)
     if len(seeds.entries) < levels:
         raise ConstructionError("not-enough-seeds", -1,
                                 {"have": len(seeds.entries), "need": levels})
@@ -550,7 +552,7 @@ def build_proper_subbase(space: Space, levels: int,
     match = degree_mode == "match_dim"
 
     if kernel.intervals() and levels > 0:
-        seeds = auto_seeds(space, levels)
+        seeds = auto_seeds(space, levels, match)
         kernel_sb, traces = build_independent_subbase(
             kernel, levels, seeds=seeds, match_dim=match)
         star_sb, traces = extend_to_proper(space, kernel_sb, traces, seeds)
