@@ -17,7 +17,7 @@ import pytest
 from dyadictop import (DyadicSubbase, NotRegularOpenError, SymbolicSet,
                        build_proper_subbase, check_half_clopen, check_independent,
                        check_proper, check_separation, decode_word, degree_report,
-                       encode_point, half_clopen_extension, kernel_set,
+                       embed, encode_point, half_clopen_extension, kernel_set,
                        make_pair, restrict, separate_open_pair)
 from dyadictop.checks import CheckReport
 from dyadictop.construct import sample_points
@@ -190,7 +190,8 @@ def _trace_violations(res):
         if a != set(tr.a_words) or b != set(tr.b_words):
             bad.append(f"level {n}: recomputed A/B classes differ from the trace")
             return bad
-        g, gs = dict(tr.g), dict(tr.g_star)
+        g = dict(tr.g)
+        gs = {w: embed(s, res.space) for w, s in tr.g}
         for w in sorted(a | b):
             gw = g.get(w)
             if gw is None or gw.is_empty or not gw.is_regular_open \

@@ -137,8 +137,37 @@ def test_extend_rejects_kernel_mismatch():
     other = cb_kernel(two_intervals_point_space()).kernel
     seeds = auto_seeds(sp, 1)
     sb = DyadicSubbase(other, ())
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError) as err:
         extend_to_proper(sp, sb, [], seeds)
+    assert (err.value.condition, err.value.level) == ("kernel-mismatch", -1)
+
+
+def _kernel_run():
+    sp = interval_points_space()
+    seeds = auto_seeds(sp, 3)
+    ksb, traces = build_independent_subbase(cb_kernel(sp).kernel, 3, seeds=seeds)
+    return sp, seeds, ksb, traces
+
+
+def test_extend_rejects_traces_that_miss_pairs_or_seeds():
+    sp, seeds, ksb, traces = _kernel_run()
+    short_seeds = construct.SeedFamily(sp, seeds.entries[:2])
+    for args in ((ksb, traces[:2], seeds), (ksb, traces, short_seeds)):
+        with pytest.raises(ConstructionError) as err:
+            extend_to_proper(sp, *args)
+        assert (err.value.condition, err.value.level) == ("trace-seed-mismatch", -1)
+
+
+@pytest.mark.parametrize("forge", ["swapped-pair", "other-level"])
+def test_extend_rejects_a_trace_of_another_pair(forge):
+    sp, seeds, ksb, traces = _kernel_run()
+    tr = traces[1]
+    forged = list(traces)
+    forged[1] = (replace(tr, s0=tr.s1, s1=tr.s0) if forge == "swapped-pair"
+                 else replace(tr, level=2))
+    with pytest.raises(ConstructionError) as err:
+        extend_to_proper(sp, ksb, forged, seeds)
+    assert (err.value.condition, err.value.level) == ("trace-pair-mismatch", 1)
 
 
 def test_extend_refuses_forged_classes():
