@@ -7,9 +7,10 @@ The pipeline runs in three stages:
    small regular open chunks G(word) swapped between the cells that V
    swallows (class A) and the cells clear of cl V (class B);
 2. each kernel pair is extended to a half-clopen pair on the full space by
-   pushing V through the half-clopen extension lemma, once per level; each
-   chunk G is its own lift, embedded as it stands, since its closure lies
-   inside one kernel component, away from the scattered part;
+   pushing V through the half-clopen extension lemma, once per level; off
+   the kernel the zero side is V* and the one side the exterior of V*,
+   since every chunk G's closure lies inside one kernel component, away
+   from the scattered part;
 3. the scattered part is finished off with clopen pairs.
 
 Every level is validated exactly before the construction moves on; there
@@ -140,7 +141,6 @@ class StepTrace:
     s0: SymbolicSet
     s1: SymbolicSet
     v_star: SymbolicSet | None = None
-    g_star: tuple[tuple[str, SymbolicSet], ...] = ()
     s0_star: SymbolicSet | None = None
     s1_star: SymbolicSet | None = None
 
@@ -155,7 +155,8 @@ class StepTrace:
         }
         if self.v_star is not None:
             d["v_star"] = self.v_star.to_dict()
-            d["g_star"] = {w: s.to_dict() for w, s in self.g_star}
+            # each starred chunk is its kernel chunk, embedded as it stands
+            d["g_star"] = {w: s.to_dict() for w, s in self.g}
             d["pair_star"] = {"zero": self.s0_star.to_dict(),
                               "one": self.s1_star.to_dict()}
         return d
@@ -209,21 +210,6 @@ def _window_probes(core: SymbolicSet, values) -> list[Fraction]:
 
 # -- one level, shared by the kernel and starred stages -------------------
 
-def _union_all(sets, space: Space) -> SymbolicSet:
-    """The union of the sets, joined in pairs so each cut is copied log-many times."""
-    sets = list(sets) or [SymbolicSet.empty(space)]
-    while len(sets) > 1:
-        sets = [a.union(b) for a, b in zip(sets[::2], sets[1::2])] + sets[len(sets) & ~1:]
-    return sets[0]
-
-
-def _assemble(whole, v, cl_v, g_a, g_b) -> tuple[SymbolicSet, SymbolicSet]:
-    """The pair: V and the exterior of V, with the union G_A of class A's
-    chunks swapped out of V and the union G_B of class B's chunks in."""
-    return (v.difference(g_a.closure()).union(g_b),
-            whole.difference(cl_v).difference(g_b.closure()).union(g_a))
-
-
 def _split(cells, s0, s1) -> dict[str, SymbolicSet]:
     """The next level's cells: each cell cut by either side of the new pair."""
     return {w + d: cell.intersection(side)
@@ -245,6 +231,21 @@ def _check_window(children, pairs, core, hull, marks, condition, trace) -> None:
 
 
 # -- kernel stage ---------------------------------------------------------
+
+def _union_all(sets, space: Space) -> SymbolicSet:
+    """The union of the sets, joined in pairs so each cut is copied log-many times."""
+    sets = list(sets) or [SymbolicSet.empty(space)]
+    while len(sets) > 1:
+        sets = [a.union(b) for a, b in zip(sets[::2], sets[1::2])] + sets[len(sets) & ~1:]
+    return sets[0]
+
+
+def _assemble(whole, v, cl_v, g_a, g_b) -> tuple[SymbolicSet, SymbolicSet]:
+    """The pair: V and the exterior of V, with the union G_A of class A's
+    chunks swapped out of V and the union G_B of class B's chunks in."""
+    return (v.difference(g_a.closure()).union(g_b),
+            whole.difference(cl_v).difference(g_b.closure()).union(g_a))
+
 
 def _classify(cells, v, cl_v) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Words of the cells inside V (class A) and of those clear of cl V (class B)."""
@@ -340,15 +341,16 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
     """Half-clopen pairs on the full space restricting to the kernel pairs.
 
     Lifts each level's window V through the half-clopen extension lemma,
-    the one lemma call of the level, and swaps each recorded class's
-    chunks G in or out of it as they stand, embedded in the full space.
-    An embedded chunk is its own lift: its closure lies inside a kernel
-    component, so no sequence converges into it and every scattered point
-    is nearer to the component's ends than to the chunk.  Validated at
-    every level, which covers the chunks too: the starred one side is the
-    exterior of the starred zero side, both sides restrict to the kernel
-    pair, boundaries stay inside the kernel, and window cores resolve into
-    starred hulls.
+    the one lemma call of the level, and forms the starred pair from the
+    kernel pair and the scattered part S of the space:
+    ``s0* = s0 ∪ (V* ∩ S)`` and ``s1* = s1 ∪ (S − cl V*)``.  This is the
+    class-by-class assembly over the full space: each chunk's closure lies
+    inside one kernel component, so no chunk reaches S, and on the kernel
+    V* is V (the lemma's postcondition) and cl V* is cl V (checked here as
+    closure tightness).  Validated at every level: the starred one side is
+    the exterior of the starred zero side, both sides restrict to the
+    kernel pair, boundaries stay inside the kernel, and window cores
+    resolve into starred hulls.
     """
     kernel = cb_kernel(space).kernel
     if kernel_sb.space != kernel:
@@ -360,6 +362,7 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
 
     kernelS = kernel_set(space)
     whole = SymbolicSet.whole(space)
+    scattered = whole.difference(kernelS)
     star_pairs: list[tuple[SymbolicSet, SymbolicSet]] = []
     out_traces: list[StepTrace] = []
     star_cells: dict[str, SymbolicSet] = {"": whole}
@@ -369,25 +372,16 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
         s0, s1 = kernel_sb.pairs[n]
         if tr.s0 != s0 or tr.s1 != s1 or tr.level != n:
             raise ConstructionError("trace-pair-mismatch", n)
-        g = dict(tr.g)
-        # a class word names a cell of this level and carries a chunk
-        missing = set(tr.a_words + tr.b_words).difference(g.keys() & star_cells.keys())
-        if missing:
-            raise ConstructionError("trace-missing-g", n, {"word": min(missing)})
-
         entry = seeds.entries[n]
         v_star = half_clopen_extension(space, tr.v, entry.hull_star)
         cl_v_star = v_star.closure()
         if cl_v_star.intersection(kernelS) != embed(tr.v.closure(), space):
             raise ConstructionError("starred-closure-tightness", n,
                                     {"trace": tr.to_dict()})
-        g_star = {w: embed(g[w], space) for w in tr.a_words + tr.b_words}
-        s0s, s1s = _assemble(whole, v_star, cl_v_star,
-                             _union_all((g_star[w] for w in tr.a_words), space),
-                             _union_all((g_star[w] for w in tr.b_words), space))
+        s0s = embed(s0, space).union(v_star.intersection(scattered))
+        s1s = embed(s1, space).union(scattered.difference(cl_v_star))
 
-        new_tr = replace(tr, v_star=v_star, g_star=tuple(sorted(g_star.items())),
-                         s0_star=s0s, s1_star=s1s)
+        new_tr = replace(tr, v_star=v_star, s0_star=s0s, s1_star=s1s)
         if not s0s.is_regular_open or s1s != s0s.exterior():
             raise ConstructionError("starred-exterior-identity", n,
                                     {"trace": new_tr.to_dict()})
