@@ -571,10 +571,6 @@ class SymbolicSet:
         return self == self.interior()
 
     @property
-    def is_closed(self) -> bool:
-        return self == self.closure()
-
-    @property
     def is_regular_open(self) -> bool:
         return self == self.regularization()
 

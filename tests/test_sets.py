@@ -171,7 +171,7 @@ def test_kernel_limit_tail_is_not_closed():
     member_sing = SymbolicSet.singleton(X3, F(3, 2))
     assert member_sing.boundary().is_empty
     tail = SymbolicSet(X3, (), frozenset(), (TailRule.of(1, ()),))
-    assert tail.is_open and not tail.is_closed
+    assert tail.is_open and tail != tail.closure()
 
 
 # -- relative operations --------------------------------------------------
