@@ -6,15 +6,16 @@ The pipeline runs in three stages:
    (core inside hull); the new zero side is the interpolated window V with
    small regular open chunks G(word) swapped between the cells that V
    swallows (class A) and the cells clear of cl V (class B);
-2. each kernel pair is extended to a half-clopen pair on the full space by
-   pushing V through the half-clopen extension lemma, once per level; off
-   the kernel the zero side is V* and the one side the exterior of V*,
-   since every chunk G's closure lies inside one kernel component, away
-   from the scattered part;
+2. each kernel trace is extended to a half-clopen pair on the full space
+   by pushing V through the half-clopen extension lemma into the hull_star
+   of the seed the trace carries, once per level; off the kernel the zero
+   side is V* and the one side the exterior of V*, since every chunk G's
+   closure lies inside one kernel component, away from the scattered part;
 3. the scattered part is finished off with clopen pairs.
 
-Every level is validated exactly before the construction moves on; there
-is no backtracking, a violated condition aborts with the offending trace.
+Every level is validated exactly before the construction moves on, window
+containment on the kernel in stage 1 and off it in stage 2; there is no
+backtracking, a violated condition aborts with the offending trace.
 """
 from __future__ import annotations
 
@@ -140,6 +141,7 @@ class StepTrace:
     g: tuple[tuple[str, SymbolicSet], ...]
     s0: SymbolicSet
     s1: SymbolicSet
+    seed: SeedEntry  # the window the level was built from
     v_star: SymbolicSet | None = None
     s0_star: SymbolicSet | None = None
     s1_star: SymbolicSet | None = None
@@ -216,15 +218,14 @@ def _split(cells, s0, s1) -> dict[str, SymbolicSet]:
             for w, cell in cells.items() for d, side in (("0", s0), ("1", s1))}
 
 
-def _check_window(children, pairs, core, hull, marks, condition, trace) -> None:
-    """Raise ``condition`` unless every probe of the window core that lies
-    off the boundaries of the pairs so far falls in a new cell inside the
-    hull; the probe's forced word names that cell."""
-    for x in _window_probes(core, marks):
+def _check_window(children, pairs, hull, marks, condition, trace) -> None:
+    """Raise ``condition`` unless each probe of the trace's window core whose
+    word names a new cell (none does on a boundary) falls in it inside the hull."""
+    for x in _window_probes(trace.seed.core, marks):
         loc = hull.space.locate(x)
         word = "".join("0" if s0._holds(loc, x) else "1" if s1._holds(loc, x) else "_"
                        for s0, s1 in pairs)
-        if "_" not in word and not children[word].subset_of(hull):
+        if word in children and not children[word].subset_of(hull):
             raise ConstructionError(condition, trace.level,
                                     {"probe": format_rational(x),
                                      "trace": trace.to_dict()})
@@ -296,13 +297,13 @@ def build_independent_subbase(kernel: Space, levels: int,
         g = {w: _middle_third(cells[w], used, match_dim) for w in a_words + b_words}
         s0, s1 = _assemble(whole, v, cl_v, _union_all((g[w] for w in a_words), kernel),
                            _union_all((g[w] for w in b_words), kernel))
-        trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1)
+        trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1, entry)
         children = _split(cells, s0, s1)
         cl_children = _split(cl_cells, s0.closure(), s1.closure())
         _validate_kernel_level(cells, children, cl_children, trace)
         marks = used | set(s0.boundary().as_finite_points() or ())
         pairs.append((s0, s1))
-        _check_window(children, pairs, entry.core, entry.hull, marks,
+        _check_window(children, pairs, entry.hull, marks,
                       "seed-window-containment", trace)
         traces.append(trace)
         cells, cl_cells, used = children, cl_children, marks
@@ -336,13 +337,12 @@ def _validate_kernel_level(cells, children, cl_children, trace):
 
 # -- starred stage --------------------------------------------------------
 
-def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
-                     seeds: SeedFamily):
-    """Half-clopen pairs on the full space restricting to the kernel pairs.
+def extend_to_proper(space: Space, traces):
+    """Half-clopen pairs on the full space restricting to the traces' kernel pairs.
 
-    Lifts each level's window V through the half-clopen extension lemma,
-    the one lemma call of the level, and forms the starred pair from the
-    kernel pair and the scattered part S of the space:
+    Lifts each level's window V through the half-clopen extension lemma
+    into the hull_star of the seed its trace carries, once per level, and
+    forms the starred pair from the kernel pair and the scattered part S:
     ``s0* = s0 ∪ (V* ∩ S)`` and ``s1* = s1 ∪ (S − cl V*)``.  This is the
     class-by-class assembly over the full space: each chunk's closure lies
     inside one kernel component, so no chunk reaches S, and on the kernel
@@ -350,52 +350,52 @@ def extend_to_proper(space: Space, kernel_sb: DyadicSubbase, traces,
     closure tightness).  Validated at every level: the starred one side is
     the exterior of the starred zero side, both sides restrict to the
     kernel pair, boundaries stay inside the kernel, and window cores
-    resolve into starred hulls.
+    resolve into starred hulls off the kernel (the kernel stage checked
+    the kernel side against the hull).
     """
     kernel = cb_kernel(space).kernel
-    if kernel_sb.space != kernel:
-        raise ConstructionError("kernel-mismatch", -1)
     if not kernel.intervals():
         raise ConstructionError("kernel-empty", -1)
-    if len(traces) != len(kernel_sb.pairs) or len(seeds.entries) < len(traces):
-        raise ConstructionError("trace-seed-mismatch", -1)
 
     kernelS = kernel_set(space)
-    whole = SymbolicSet.whole(space)
-    scattered = whole.difference(kernelS)
+    scattered = SymbolicSet.whole(space).difference(kernelS)
     star_pairs: list[tuple[SymbolicSet, SymbolicSet]] = []
     out_traces: list[StepTrace] = []
-    star_cells: dict[str, SymbolicSet] = {"": whole}
+    cells: dict[str, SymbolicSet] = {"": scattered}  # the starred cells' scattered parts
     used: set[Fraction] = set()
 
     for n, tr in enumerate(traces):
-        s0, s1 = kernel_sb.pairs[n]
-        if tr.s0 != s0 or tr.s1 != s1 or tr.level != n:
+        if {tr.v.space, tr.s0.space, tr.s1.space} != {kernel}:
+            raise ConstructionError("kernel-mismatch", n)
+        if tr.level != n:
             raise ConstructionError("trace-pair-mismatch", n)
-        entry = seeds.entries[n]
+        entry = tr.seed
+        if entry is None or entry.hull.space != kernel or entry.hull_star.space != space \
+                or not embed(entry.hull, space).subset_of(entry.hull_star):
+            raise ConstructionError("trace-seed-mismatch", n)
         v_star = half_clopen_extension(space, tr.v, entry.hull_star)
         cl_v_star = v_star.closure()
         if cl_v_star.intersection(kernelS) != embed(tr.v.closure(), space):
             raise ConstructionError("starred-closure-tightness", n,
                                     {"trace": tr.to_dict()})
-        s0s = embed(s0, space).union(v_star.intersection(scattered))
-        s1s = embed(s1, space).union(scattered.difference(cl_v_star))
+        inside, outside = v_star.intersection(scattered), scattered.difference(cl_v_star)
+        s0s, s1s = embed(tr.s0, space).union(inside), embed(tr.s1, space).union(outside)
 
         new_tr = replace(tr, v_star=v_star, s0_star=s0s, s1_star=s1s)
         if not s0s.is_regular_open or s1s != s0s.exterior():
             raise ConstructionError("starred-exterior-identity", n,
                                     {"trace": new_tr.to_dict()})
-        if restrict(s0s, kernel) != s0 or restrict(s1s, kernel) != s1:
+        if restrict(s0s, kernel) != tr.s0 or restrict(s1s, kernel) != tr.s1:
             raise ConstructionError("restriction-identity", n,
                                     {"trace": new_tr.to_dict()})
         if not s0s.boundary().subset_of(kernelS) \
                 or not s1s.boundary().subset_of(kernelS):
             raise ConstructionError("starred-half-clopen", n,
                                     {"trace": new_tr.to_dict()})
-        marks = used | set(s0.boundary().as_finite_points() or ())
-        star_cells = _split(star_cells, s0s, s1s)
+        marks = used | set(tr.s0.boundary().as_finite_points() or ())
+        cells = {w: c for w, c in _split(cells, inside, outside).items() if not c.is_empty}
         star_pairs.append((s0s, s1s))
-        _check_window(star_cells, star_pairs, entry.core, entry.hull_star, marks,
+        _check_window(cells, star_pairs, entry.hull_star, marks,
                       "starred-window-containment", new_tr)
 
         out_traces.append(new_tr)
@@ -549,7 +549,7 @@ def build_proper_subbase(space: Space, levels: int,
         seeds = auto_seeds(space, levels, match)
         kernel_sb, traces = build_independent_subbase(
             kernel, levels, seeds=seeds, match_dim=match)
-        star_sb, traces = extend_to_proper(space, kernel_sb, traces, seeds)
+        star_sb, traces = extend_to_proper(space, traces)
         star_pairs = star_sb.pairs
     else:
         seeds = SeedFamily(space, ())

@@ -49,10 +49,10 @@ def _union(sets, space):
 def _starred_levels(space, levels, mode):
     """Each starred trace of the build, with the starred cells it cut."""
     match_dim = mode == "match_dim"
-    seeds = auto_seeds(space, levels, match_dim)
-    ksb, traces = build_independent_subbase(cb_kernel(space).kernel, levels,
-                                            seeds=seeds, match_dim=match_dim)
-    _, star = extend_to_proper(space, ksb, traces, seeds)
+    _, traces = build_independent_subbase(cb_kernel(space).kernel, levels,
+                                          seeds=auto_seeds(space, levels, match_dim),
+                                          match_dim=match_dim)
+    _, star = extend_to_proper(space, traces)
     cells = {"": SymbolicSet.whole(space)}
     for tr in star:
         yield tr, cells

@@ -8,8 +8,8 @@ import pytest
 from dyadictop import (ConstructionError, DyadicSubbase, SymbolicSet,
                        auto_seeds, build_independent_subbase,
                        build_proper_subbase, cb_kernel, check_independent,
-                       check_proper, extend_to_proper, kernel_set, restrict,
-                       scattered_clopen_base)
+                       check_proper, embed, extend_to_proper, kernel_set,
+                       restrict, scattered_clopen_base)
 from dyadictop import construct, lemmas
 from dyadictop.construct import sample_points
 from dyadictop.corpus import (CORPUS, converging_sequence_space,
@@ -108,12 +108,22 @@ def test_extend_interval_points_worked_example():
     sp = interval_points_space()
     kernel = cb_kernel(sp).kernel
     seeds = auto_seeds(sp, 2)
-    ksb, traces = build_independent_subbase(kernel, 2, seeds=seeds)
-    star, traces = extend_to_proper(sp, ksb, traces, seeds)
+    _, traces = build_independent_subbase(kernel, 2, seeds=seeds)
+    star, traces = extend_to_proper(sp, traces)
     s0s, s1s = star.pairs[0]
     assert s0s.render() == "[0/1,1/3) u (2/3,1/1] u {2} u {3}"
     assert s1s.render() == "(1/3,2/3)"
     assert traces[0].v_star == SymbolicSet.whole(sp)
+
+
+def _kernel_run(space=None):
+    sp = space or interval_points_space()
+    _, traces = build_independent_subbase(cb_kernel(sp).kernel, 3, seeds=auto_seeds(sp, 3))
+    return sp, traces
+
+
+def _with_seed(tr, **fields):
+    return replace(tr, seed=replace(tr.seed, **fields))
 
 
 def test_extend_restricts_to_kernel_pairs():
@@ -122,7 +132,7 @@ def test_extend_restricts_to_kernel_pairs():
         kernel = cb_kernel(sp).kernel
         seeds = auto_seeds(sp, 3)
         ksb, traces = build_independent_subbase(kernel, 3, seeds=seeds)
-        star, _ = extend_to_proper(sp, ksb, traces, seeds)
+        star, _ = extend_to_proper(sp, traces)
         assert [(restrict(a, kernel), restrict(b, kernel))
                 for a, b in star.pairs] == list(ksb.pairs)
         kernelS = kernel_set(sp)
@@ -133,51 +143,59 @@ def test_extend_restricts_to_kernel_pairs():
 
 
 def test_extend_rejects_kernel_mismatch():
-    sp = interval_points_space()
-    other = cb_kernel(two_intervals_point_space()).kernel
-    seeds = auto_seeds(sp, 1)
-    sb = DyadicSubbase(other, ())
-    with pytest.raises(ConstructionError) as err:
-        extend_to_proper(sp, sb, [], seeds)
-    assert (err.value.condition, err.value.level) == ("kernel-mismatch", -1)
-
-
-def _kernel_run():
-    sp = interval_points_space()
-    seeds = auto_seeds(sp, 3)
-    ksb, traces = build_independent_subbase(cb_kernel(sp).kernel, 3, seeds=seeds)
-    return sp, seeds, ksb, traces
-
-
-def test_extend_rejects_traces_that_miss_pairs_or_seeds():
-    sp, seeds, ksb, traces = _kernel_run()
-    short_seeds = construct.SeedFamily(sp, seeds.entries[:2])
-    for args in ((ksb, traces[:2], seeds), (ksb, traces, short_seeds)):
+    # each trace is checked at its own level
+    sp, traces = _kernel_run()
+    _, other = _kernel_run(two_intervals_point_space())
+    for forged, level in ((other, 0), (traces[:1] + other[1:], 1)):
         with pytest.raises(ConstructionError) as err:
-            extend_to_proper(sp, *args)
-        assert (err.value.condition, err.value.level) == ("trace-seed-mismatch", -1)
+            extend_to_proper(sp, forged)
+        assert (err.value.condition, err.value.level) == ("kernel-mismatch", level)
 
 
-@pytest.mark.parametrize("forge", ["swapped-pair", "other-level"])
-def test_extend_rejects_a_trace_of_another_pair(forge):
-    sp, seeds, ksb, traces = _kernel_run()
+@pytest.mark.parametrize("forge,level", [
+    ("seedless", 1),
+    # a run on the kernel alone seeds its traces over the kernel
+    ("unseeded-run", 0),
+    ("hull-star-misses-hull", 1),
+])
+def test_extend_names_a_seed_mismatch(forge, level):
+    sp, traces = _kernel_run()
+    tr = traces[1]
+    if forge == "unseeded-run":
+        _, forged = build_independent_subbase(cb_kernel(sp).kernel, 3)
+    else:
+        forged = list(traces)
+        forged[1] = (replace(tr, seed=None) if forge == "seedless"
+                     else _with_seed(tr, hull_star=embed(tr.seed.core, sp)))
+    with pytest.raises(ConstructionError) as err:
+        extend_to_proper(sp, forged)
+    assert (err.value.condition, err.value.level) == ("trace-seed-mismatch", level)
+
+
+@pytest.mark.parametrize("forge,condition", [
+    # nothing marks a swapped pair as foreign; the starred pair built on it
+    # puts a scattered point into the starred cell of probe 1/6
+    ("swapped-pair", "starred-window-containment"),
+    ("other-level", "trace-pair-mismatch"),
+], ids=["swapped-pair", "other-level"])
+def test_extend_rejects_a_trace_of_another_pair(forge, condition):
+    sp, traces = _kernel_run()
     tr = traces[1]
     forged = list(traces)
     forged[1] = (replace(tr, s0=tr.s1, s1=tr.s0) if forge == "swapped-pair"
                  else replace(tr, level=2))
     with pytest.raises(ConstructionError) as err:
-        extend_to_proper(sp, ksb, forged, seeds)
-    assert (err.value.condition, err.value.level) == ("trace-pair-mismatch", 1)
+        extend_to_proper(sp, forged)
+    assert (err.value.condition, err.value.level) == (condition, 1)
 
 
-@pytest.mark.parametrize("name,n,kernel_probe,starred_probe", [
-    ("interval-sequence", 1, "1/6", "115/192"),
-    ("two-intervals-point", 2, "1/6", "227/384"),
-])
-def test_window_containment_names_its_probe(name, n, kernel_probe, starred_probe):
-    # seeds that auto_seeds would refuse reach the window check of each
-    # stage: a hull narrower than its core stops the kernel stage, and a
-    # core wider than its hull stops the starred stage on a valid kernel run
+@pytest.mark.parametrize("name,n,narrow_probe,wide_probe", [
+    ("interval-sequence", 1, "1/6", "1/6"),
+    ("two-intervals-point", 2, "1/6", "377/768"),
+], ids=["interval-sequence", "two-intervals-point"])
+def test_window_containment_names_its_probe(name, n, narrow_probe, wide_probe):
+    # seeds that auto_seeds would refuse stop the kernel stage at its window
+    # check: a hull narrower than its core, or a core wider than its hull
     sp = CORPUS[name]()
     kernel = cb_kernel(sp).kernel
     seeds = auto_seeds(sp, 3)
@@ -185,25 +203,33 @@ def test_window_containment_names_its_probe(name, n, kernel_probe, starred_probe
     (c,) = entry.core.spans
     (h,) = entry.hull.spans
     comp = next(iv for iv in kernel.intervals() if iv.lo <= c.lo <= iv.hi)
-
-    def with_entry(**fields):
+    narrow = SymbolicSet.region(kernel, [(c.lo, c.lo_in, (c.lo + c.hi) / 2, False)])
+    wide = SymbolicSet.region(kernel, [(c.lo, c.lo_in, (h.hi + comp.hi) / 2, False)])
+    for fields, probe in (({"hull": narrow}, narrow_probe), ({"core": wide}, wide_probe)):
         entries = list(seeds.entries)
         entries[n] = replace(entry, **fields)
-        return construct.SeedFamily(sp, tuple(entries))
+        family = construct.SeedFamily(sp, tuple(entries))
+        with pytest.raises(ConstructionError) as err:
+            build_independent_subbase(kernel, 3, seeds=family)
+        assert (err.value.condition, err.value.level) == ("seed-window-containment", n)
+        assert err.value.details["probe"] == probe
+        assert err.value.details["trace"]["level"] == n
 
-    narrow = SymbolicSet.region(kernel, [(c.lo, c.lo_in, (c.lo + c.hi) / 2, False)])
-    with pytest.raises(ConstructionError) as err:
-        build_independent_subbase(kernel, 3, seeds=with_entry(hull=narrow))
-    assert (err.value.condition, err.value.level) == ("seed-window-containment", n)
-    assert err.value.details["probe"] == kernel_probe
-    assert err.value.details["trace"]["level"] == n
 
-    ksb, traces = build_independent_subbase(kernel, 3, seeds=seeds)
-    wide = SymbolicSet.region(kernel, [(c.lo, c.lo_in, (h.hi + comp.hi) / 2, False)])
+@pytest.mark.parametrize("name,n,probe", [
+    ("interval-points", 0, "1/2"),
+    ("two-intervals-point", 1, "5/2"),
+])
+def test_starred_window_containment_names_its_probe(name, n, probe):
+    # a trace seed whose hull_star is its embedded hull alone leaves the
+    # scattered points of the probe's starred cell outside
+    sp, traces = _kernel_run(CORPUS[name]())
+    forged = list(traces)
+    forged[n] = _with_seed(traces[n], hull_star=embed(traces[n].seed.hull, sp))
     with pytest.raises(ConstructionError) as err:
-        extend_to_proper(sp, ksb, traces, with_entry(core=wide))
+        extend_to_proper(sp, forged)
     assert (err.value.condition, err.value.level) == ("starred-window-containment", n)
-    assert err.value.details["probe"] == starred_probe
+    assert err.value.details["probe"] == probe
     assert "pair_star" in err.value.details["trace"]
 
 

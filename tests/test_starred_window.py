@@ -15,7 +15,7 @@ from itertools import chain, combinations
 
 import pytest
 
-from dyadictop import (ConstructionError, DyadicSubbase, SeedFamily, SymbolicSet, auto_seeds,
+from dyadictop import (ConstructionError, SeedFamily, SymbolicSet, auto_seeds,
                        build_independent_subbase, cb_kernel, embed,
                        extend_to_proper, half_clopen_extension, kernel_set,
                        scatter_clusters)
@@ -60,8 +60,7 @@ def _kernel_run(space, mode, levels):
 
 def _lift(space, traces, entries):
     """The starred stage on kernel traces lifted with the given seed entries."""
-    ksb = DyadicSubbase(cb_kernel(space).kernel, tuple((tr.s0, tr.s1) for tr in traces))
-    return extend_to_proper(space, ksb, traces, SeedFamily(space, tuple(entries)))
+    return extend_to_proper(space, [replace(tr, seed=e) for tr, e in zip(traces, entries)])
 
 
 def _verdict(space, traces, entries):
