@@ -76,35 +76,40 @@ def _walk_words(sb: DyadicSubbase, depth: int, want_closures: bool):
     yield from rec(0, "", whole, whole)
 
 
-def _pieces_held(space, x: Fraction, sides) -> list[int]:
-    """For each side, the bitmask of the pieces at x that it holds.
+def _pieces_held(sb: DyadicSubbase, x: Fraction, eff: int) -> list[int]:
+    """For each side of the first eff pairs, the bitmask of the pieces at x
+    that it holds.
 
     The pieces are x itself (bit 0), the left and right germs inside x's
     interval where they exist (bits 1 and 2), and one tail germ per sequence
     converging to x (bits 3 on).  A symbolic set contains all of a germ
-    near enough to x, or misses all of it: in a side's cuts the germs are
-    the positions either side of x's, or x's own when x falls inside an
-    open gap of the side's grid.
+    near enough to x, or misses all of it: over the word table's common
+    denominator the germs are the positions either side of x's, or x's own
+    when x falls inside an open gap of that grid.
     """
+    space, table = sb.space, sb.word_table
     loc = space.locate(x)
     left = right = False
     if loc[0] == "interval":
         iv = space.intervals()[loc[1]]
         left, right = iv.lo < x, x < iv.hi
+        p, on_grid = place(x, table.den)
+        step = 1 if on_grid else 0
+    else:
+        own = table.held(loc, x)
     tails = [j for j, s in enumerate(space.sequences()) if s.limit == x]
     out = []
-    for side in sides:
+    for i, side in enumerate(table.sides[:2 * eff]):
         held = 0
         if loc[0] == "interval":
-            p, on_grid = place(x, side.den)
-            step = 1 if on_grid else 0
-            if inside(side.cuts, p):
+            cuts = table.cuts[i]
+            if inside(cuts, p):
                 held |= 1
-            if left and inside(side.cuts, p - step):
+            if left and inside(cuts, p - step):
                 held |= 2
-            if right and inside(side.cuts, p + step):
+            if right and inside(cuts, p + step):
                 held |= 4
-        elif side._holds(loc, x):
+        elif own[i]:
             held = 1
         for b, j in enumerate(tails):
             held |= side.tails[j].infinite << (3 + b)
@@ -129,7 +134,7 @@ def _proper_by_pieces(sb: DyadicSubbase, eff: int) -> bool:
     points = {Fraction(p >> 1, side.den) for side in sides for p in side.cuts}
     points |= {s.limit for s in space.sequences() if not s.open_limit}
     for x in points:
-        held = _pieces_held(space, x, sides)
+        held = _pieces_held(sb, x, eff)
         reach = {-1}  # every piece, before any digit
         for idx in range(eff):
             steps = [h for h in held[2 * idx:2 * idx + 2] if h]

@@ -1,8 +1,11 @@
 """Coding points of a space by ternary words over a dyadic subbase.
 
 A point's word records, index by index, which side of each pair holds it;
-indices where the point sits on the shared boundary stay unfilled.  Decoding
-a word recovers the cell of all points matching its filled digits.
+indices where the point sits on the shared boundary stay unfilled.  Encoding
+reads the word of the point's atom from the subbase's ``WordTable``: one
+bisect over the cuts of every side for an interval point, one over the tail
+switches for a sequence member.  Decoding a word recovers the cell of all
+points matching its filled digits.
 """
 from __future__ import annotations
 
@@ -38,8 +41,9 @@ def encode_point(sb: DyadicSubbase, x: Fraction,
         width = len(sb)
     if width > len(sb):
         raise SubbaseError(f"width {width} exceeds the {len(sb)} pairs")
-    word = sb._word_at(loc, x, width)
-    return CodedPoint(x, word, width)
+    if width < 0:
+        raise SubbaseError(f"width {width} is negative")
+    return CodedPoint(x, sb.word_table.word(loc, x, width), width)
 
 
 def decode_word(sb: DyadicSubbase, word: TernaryWord) -> SymbolicSet:

@@ -65,3 +65,9 @@ def test_encode_rejects_excess_width():
     res = build_proper_subbase(interval_space(), 2)
     with pytest.raises(SubbaseError):
         encode_point(res.subbase, F(1, 2), width=len(res.subbase) + 1)
+
+
+def test_encode_rejects_negative_width():
+    res = build_proper_subbase(interval_space(), 2)
+    with pytest.raises(SubbaseError):
+        encode_point(res.subbase, F(1, 2), width=-1)
