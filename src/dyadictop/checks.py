@@ -3,12 +3,14 @@
 Counterexamples are words met in canonical order (⊥ < 0 < 1 per position,
 lower index more significant), the first ones a walk over the words finds,
 so runs are reproducible byte for byte.  ``check_independent`` walks every
-word.  ``check_proper`` takes its verdict from a table of the pieces around
-each point where a side can change, and walks the words only to list the
-counterexamples of a failing subbase.
+word over the atom masks of a word table, where a cell is empty exactly
+when the AND of its sides' masks is 0.  ``check_proper`` takes its verdict
+from a table of the pieces around each point where a side can change, and
+walks the words only to list the counterexamples of a failing subbase.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,24 +58,25 @@ def _effective_depth(sb: DyadicSubbase, depth: int) -> int:
     return max(0, min(depth, len(sb.pairs)))
 
 
-def _walk_words(sb: DyadicSubbase, depth: int, want_closures: bool):
-    """Yield (word, S(word), S̄(word)) for all 3**depth words, shared prefixes;
-    each word is its 0/1/_ string of length depth."""
-    whole = SymbolicSet.whole(sb.space)
-    closures = [(p[0].closure(), p[1].closure()) for p in sb.pairs[:depth]] \
-        if want_closures else None
-
-    def rec(idx: int, word: str, s: SymbolicSet, sbar: SymbolicSet):
+def _walk(depth: int, start, sides, meet):
+    """Yield (word, cell) for all 3**depth words, each word its 0/1/_ string
+    of length depth: the all-⊥ word's cell is ``start``, and a digit meets
+    the cell of the word's prefix with ``sides[idx][digit]``, once per
+    shared prefix."""
+    def rec(idx: int, word: str, cell):
         if idx == depth:
-            yield (word, s, sbar)
+            yield (word, cell)
             return
-        yield from rec(idx + 1, word + "_", s, sbar)
+        yield from rec(idx + 1, word + "_", cell)
         for digit in (0, 1):
-            s2 = s.intersection(sb.pairs[idx][digit])
-            sbar2 = sbar.intersection(closures[idx][digit]) if want_closures else sbar
-            yield from rec(idx + 1, word + str(digit), s2, sbar2)
+            yield from rec(idx + 1, word + str(digit), meet(cell, sides[idx][digit]))
 
-    yield from rec(0, "", whole, whole)
+    yield from rec(0, "", start)
+
+
+def _meet_closed(cell, side):
+    """(S, S̄) of a word cut by one more digit's (side, closure of side)."""
+    return cell[0].intersection(side[0]), cell[1].intersection(side[1])
 
 
 def _pieces_held(sb: DyadicSubbase, x: Fraction, eff: int) -> list[int]:
@@ -155,9 +158,11 @@ def check_proper(sb: DyadicSubbase, depth: int) -> CheckReport:
     stats = {"words_checked": 3 ** eff, "depth_requested": depth}
     if _proper_by_pieces(sb, eff):
         return CheckReport("proper", eff, True, (), stats)
+    whole = SymbolicSet.whole(sb.space)
+    sides = [[(side, side.closure()) for side in pair] for pair in sb.pairs[:eff]]
     counterexamples = []
     checked = 0
-    for word, s, sbar in _walk_words(sb, eff, want_closures=True):
+    for word, (s, sbar) in _walk(eff, (whole, whole), sides, _meet_closed):
         checked += 1
         cls = s.closure()
         if cls != sbar:
@@ -176,13 +181,22 @@ def check_proper(sb: DyadicSubbase, depth: int) -> CheckReport:
 
 
 def check_independent(sb: DyadicSubbase, depth: int) -> CheckReport:
-    """S(word) nonempty for every word up to the given depth."""
+    """S(word) nonempty for every word up to the given depth.
+
+    The walk ANDs the sides' atom masks in the word table of the first
+    depth pairs: a word with a digit has a nonempty cell exactly when its
+    mask is not 0, and the all-⊥ word's cell is X, its mask -1.
+    """
     eff = _effective_depth(sb, depth)
+    head = sb if eff == len(sb.pairs) else DyadicSubbase(sb.space, sb.pairs[:eff])
+    table = head.word_table
+    masks = [(table.mask(2 * idx), table.mask(2 * idx + 1)) for idx in range(eff)]
+    x_empty = SymbolicSet.whole(sb.space).is_empty
     counterexamples = []
     checked = 0
-    for word, s, _ in _walk_words(sb, eff, want_closures=False):
+    for word, m in _walk(eff, -1, masks, operator.and_):
         checked += 1
-        if s.is_empty:
+        if x_empty if m == -1 else not m:
             if len(counterexamples) < MAX_COUNTEREXAMPLES:
                 counterexamples.append({"word": word})
             else:

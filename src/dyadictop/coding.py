@@ -5,7 +5,8 @@ indices where the point sits on the shared boundary stay unfilled.  Encoding
 reads the word of the point's atom from the subbase's ``WordTable``: one
 bisect over the cuts of every side for an interval point, one over the tail
 switches for a sequence member.  Decoding a word recovers the cell of all
-points matching its filled digits.
+points matching its filled digits from the same table: the AND of the atom
+masks of the sides the word names, read back as a set.
 """
 from __future__ import annotations
 

@@ -4,13 +4,15 @@ A dyadic pair is a regular open set together with its exterior; a finite
 family of pairs generates, for each ternary word, the open cell S(word):
 the intersection of the chosen sides.
 
-A point's word, the side of each pair that holds it, comes from the
-subbase's ``WordTable``, built on first use.  The table cuts the space into
-atoms that every side holds whole or misses whole: the runs of interval
-positions between consecutive cuts of any side, the isolated points, and
-each sequence's runs of members between consecutive tail switches of any
-side.  One bisect finds a point's atom, and each atom's word is worked out
-the first time a point in it is asked for.
+Both directions of the coding read the subbase's ``WordTable``, built on
+first use.  The table cuts the space into atoms that every side holds whole
+or misses whole: the runs of interval positions between consecutive cuts of
+any side, the isolated points, and each sequence's runs of members between
+consecutive tail switches of any side.  One bisect finds a point's atom, and
+each atom's word is worked out the first time a point in it is asked for.
+A side is also one integer mask over the atoms, built the first time a word
+names it, so a cell S(word) is the AND of its sides' masks, read back as a
+set in one pass.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cuts import inside, place, rescale
-from .sets import SetError, SymbolicSet
+from .cuts import inside, place, reduced, rescale
+from .sets import TAIL_NONE, SetError, SymbolicSet, TailRule
 from .space import Space
 from .words import TernaryWord
 
@@ -71,17 +73,22 @@ class DyadicSubbase:
         return len(self.pairs)
 
     def sigma_sets(self, word: TernaryWord) -> SymbolicSet:
-        """The cell S(word); the empty word yields X."""
-        for idx, _ in word.entries:
+        """The cell S(word), the atoms of the AND of its sides' masks; the
+        empty word yields X, and a one-digit word its side."""
+        entries = word.entries
+        for idx, _ in entries:
             if idx >= len(self.pairs):
                 raise SubbaseError(f"word uses index {idx}, subbase has {len(self.pairs)}")
-        if not word.entries:
+        if not entries:
             return SymbolicSet.whole(self.space)
-        (idx, digit), *rest = word.entries
-        s = self.pairs[idx][digit]
-        for idx, digit in rest:
-            s = s.intersection(self.pairs[idx][digit])
-        return s
+        if len(entries) == 1:
+            idx, digit = entries[0]
+            return self.pairs[idx][digit]
+        table = self.word_table
+        m = -1
+        for idx, digit in entries:
+            m &= table.mask(2 * idx + digit)
+        return table.cell(m)
 
     def forced_word(self, x, width: int | None = None) -> TernaryWord:
         """Digits forced by membership; boundary indices stay bottom."""
@@ -134,9 +141,15 @@ class WordTable:
     ``("member", j, r)``, r the run of switches its index falls in.  Every
     side holds all of an atom or none of it, so ``words`` keeps at most one
     word per atom.
+
+    The atoms are also the bits of each side's mask: interval run r is bit
+    r, isolated point i is bit ``len(bounds) + 1 + i``, and run r of
+    sequence j is bit ``runs[j] + r``.  ``masks`` keeps the masks built so
+    far, by side.
     """
 
     def __init__(self, sb: DyadicSubbase):
+        self.space = sb.space
         self.sides = [side for pair in sb.pairs for side in pair]
         self.den = math.lcm(*(side.den for side in self.sides))
         self.cuts = [rescale(side.cuts, self.den // side.den) for side in self.sides]
@@ -144,6 +157,13 @@ class WordTable:
         self.switches = [sorted({k for side in self.sides for k in side.tails[j].switches})
                          for j in range(len(sb.space.sequences()))]
         self.words: dict[tuple, TernaryWord] = {}
+        self.runs = []
+        n = len(self.bounds) + 1 + len(sb.space.isolated_points())
+        for switches in self.switches:
+            self.runs.append(n)
+            n += len(switches) + 1
+        self.nbits = n
+        self.masks: dict[int, int] = {}
 
     def held(self, loc, x) -> list[bool]:
         """Whether each side, pair by pair, holds x, given its
@@ -180,6 +200,74 @@ class WordTable:
             entries = word.entries
             word = TernaryWord(entries[:bisect_left(entries, (width,))])
         return word
+
+    def mask(self, i: int) -> int:
+        """The atoms side i holds, as the set bits of an integer, built on
+        first ask: each cut, point end and tail switch of the side flips the
+        bit of the atom it starts, and a prefix XOR fills the runs between."""
+        m = self.masks.get(i)
+        if m is not None:
+            return m
+        side, bounds = self.sides[i], self.bounds
+        flips = [bisect_right(bounds, p) for p in self.cuts[i]]
+        if side.points:
+            first = len(bounds) + 1
+            for n, p in enumerate(self.space.isolated_points(), first):
+                if p.value in side.points:
+                    flips += (n, n + 1)
+        for rule, switches, n in zip(side.tails, self.switches, self.runs):
+            flips += [n + bisect_right(switches, k) for k in rule.switches]
+            if rule.infinite:
+                flips.append(n + len(switches) + 1)
+        bits = bytearray(self.nbits // 8 + 1)
+        for b in flips:
+            bits[b >> 3] ^= 1 << (b & 7)
+        m = int.from_bytes(bits, "little")
+        shift = 1
+        while shift < self.nbits:
+            m ^= m << shift
+            shift <<= 1
+        m &= (1 << self.nbits) - 1
+        self.masks[i] = m
+        return m
+
+    def cell(self, m: int) -> SymbolicSet:
+        """The set of the atoms whose bits m sets.
+
+        The bits where m flips, read off from the top, pair up into the
+        maximal runs of set bits.  Neither end run of the interval bits nor
+        the first run of a sequence is ever held, so no run crosses from
+        one part of the layout into the next.  A flip at interval bit r is
+        a cut at ``bounds[r - 1]``, where run r starts; a run of point bits
+        holds each of its points, and a run of a sequence's bits is one
+        pair of tail switches, the last one open when the run reaches the
+        sequence's last run.
+        """
+        flips = []
+        t = m ^ (m << 1)
+        while t:
+            b = t.bit_length() - 1
+            flips.append(b)
+            t ^= 1 << b
+        flips.reverse()
+        bounds, runs = self.bounds, self.runs
+        first = len(bounds) + 1
+        k = bisect_left(flips, first)
+        cuts = [bounds[r - 1] for r in flips[:k]]
+        points = []
+        tails = [[] for _ in runs]
+        for a, e in zip(flips[k::2], flips[k + 1::2]):
+            if not runs or a < runs[0]:
+                points += (p.value for p in self.space.isolated_points()[a - first:e - first])
+            else:
+                j = bisect_right(runs, a) - 1
+                n, switches = runs[j], self.switches[j]
+                tails[j].append(switches[a - n - 1])
+                if e <= n + len(switches):
+                    tails[j].append(switches[e - n - 1])
+        return SymbolicSet._canonical(
+            self.space, *reduced(self.den, cuts), frozenset(points),
+            tuple(TailRule(tuple(sw)) if sw else TAIL_NONE for sw in tails))
 
 
 def load_subbase(path: str) -> DyadicSubbase:

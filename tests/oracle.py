@@ -7,13 +7,14 @@ settles accumulation at a limit (tail selections are eventually constant,
 and every generator in this suite keeps its tail data well below the probe
 depth).  The probes never touch closure/interior/regularization on the
 symbolic side.  The word-by-word references at the end (properness,
-resolution) do build cells with the symbolic intersections and closures,
-which the probes test; what they stand in for is the checks' own
-shortcuts: the properness piece table and the resolution check's shared
-suffix cells.
+resolution, independence) do build cells with the symbolic intersections
+and closures, which the probes test; what they stand in for is the checks'
+own shortcuts: the properness piece table, the resolution check's shared
+suffix cells and the independence walk's atom masks.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -297,3 +298,24 @@ def o_resolution(sb, epsilon: Fraction, probes, limit: int) -> tuple[list, list]
                 word = shorter
         witnesses.append({"point": format_rational(x), "word": word})
     return counterexamples, witnesses
+
+
+# -- independence, word by word ----------------------------------------------
+
+def o_independent(sb, depth: int, limit: int) -> dict:
+    """The ``to_dict`` of the report ``check_independent`` gives: every word
+    over the first min(depth, pairs) pairs in canonical order, each cell
+    intersected afresh by ``o_cell``.  The first ``limit`` words with an
+    empty cell are listed, and the walk stops at the next one."""
+    eff = max(0, min(depth, len(sb.pairs)))
+    counterexamples, checked = [], 0
+    for digits in itertools.product("_01", repeat=eff):
+        checked += 1
+        word = "".join(digits)
+        if o_cell(sb, word).is_empty:
+            if len(counterexamples) == limit:
+                break
+            counterexamples.append({"word": word})
+    return {"property": "independent", "depth": eff, "passed": not counterexamples,
+            "counterexamples": counterexamples,
+            "stats": {"words_checked": checked, "depth_requested": depth}}

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dyadictop import (DyadicSubbase, NotRegularOpenError, SubbaseError,
+from dyadictop import (DyadicSubbase, NotRegularOpenError, Space, SubbaseError,
                        SymbolicSet, TernaryWord, check_dyadic,
                        check_independent, check_proper, degree_report,
                        build_proper_subbase, make_pair, resolution_check)
@@ -12,7 +12,7 @@ from dyadictop.construct import sample_points
 from dyadictop.corpus import (CORPUS, converging_sequence_space, gray_pairs,
                               interval_space)
 
-from oracle import o_improper_depth, o_resolution, random_set
+from oracle import o_improper_depth, o_independent, o_resolution, random_set
 
 X1 = interval_space()
 GRAY = DyadicSubbase.from_zero_sides(X1, gray_pairs(X1, 3))
@@ -144,6 +144,43 @@ def test_proper_verdict_matches_the_walk():
             assert check_proper(sb, depth).passed == want, (sb.to_dict(), depth)
             failed += not want
     assert failed >= 60
+
+
+
+def test_independent_report_matches_the_walk():
+    """check_independent's whole report is the brute-force walk's, at depths
+    0-6, on the broken pairs, zero-pair subbases, a pair on the empty
+    space, where even the all-⊥ word fails, and seeded mutants of Gray,
+    the broken pairs and the corpus builds: one pair's sides swapped, one
+    side swapped with a side of another pair, or one side emptied."""
+    nothing = SymbolicSet.empty(Space(()))
+    bases = [GRAY, broken_subbase(), DyadicSubbase.from_pairs(converging_sequence_space(), []),
+             DyadicSubbase.from_pairs(nothing.space, []),
+             DyadicSubbase.from_pairs(nothing.space, [(nothing, nothing)])]
+    bases += [build_proper_subbase(mk(), levels, depth=1).subbase
+              for levels in (2, 3, 4) for mk in CORPUS.values()]
+    rng = random.Random(19)
+    mutants = []
+    for _ in range(60):
+        sb = rng.choice([b for b in bases if len(b) >= 2])
+        sides = [list(pair) for pair in sb.pairs]
+        i, j = rng.sample(range(len(sides)), 2)
+        a, b = rng.randrange(2), rng.randrange(2)
+        kind = rng.choice(("swap", "cross", "empty"))
+        if kind == "swap":
+            sides[i].reverse()
+        elif kind == "cross":
+            sides[i][a], sides[j][b] = sides[j][b], sides[i][a]
+        else:
+            sides[i][a] = SymbolicSet.empty(sb.space)
+        mutants.append(DyadicSubbase.from_pairs(sb.space, [tuple(p) for p in sides]))
+    failed = 0
+    for sb in bases + mutants:
+        for depth in range(7):
+            want = o_independent(sb, depth, MAX_COUNTEREXAMPLES)
+            assert check_independent(sb, depth).to_dict() == want, (sb.to_dict(), depth)
+            failed += not want["passed"]
+    assert failed >= 100
 
 
 def test_check_dyadic_catches_wrong_one_side():

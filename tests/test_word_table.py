@@ -1,8 +1,9 @@
 """Point words and cells of a subbase, against its sides one by one.
 
 ``forced_word`` must give, pair by pair, the side whose ``membership``
-holds the point, and ``decode_word`` the cell ``oracle.o_cell`` intersects
-from the whole space.  The subbases are the corpus builds at levels 1-8
+holds the point, ``decode_word`` the cell ``oracle.o_cell`` intersects
+from the whole space, and ``check_independent``, which walks the sides'
+atom masks, the report of ``oracle.o_independent``.  The subbases are the corpus builds at levels 1-8
 and the builds at levels 1-4 of the valid spaces among the first 25 draws
 of three ``spacegen`` seeds, in both degree modes, the Gray subbase and the
 broken fixture of ``tests/data``, each also reloaded through
@@ -13,6 +14,7 @@ points, the members 1 to levels + 6 and the limit of each sequence, and
 points outside the space.
 """
 import functools
+import itertools
 import math
 import pathlib
 import random
@@ -20,11 +22,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from dyadictop import (DyadicSubbase, TernaryWord, build_proper_subbase, decode_word,
-                       encode_point, load_subbase)
+from dyadictop import (DyadicSubbase, SubbaseError, SymbolicSet, TernaryWord,
+                       build_proper_subbase, check_independent, decode_word, encode_point,
+                       load_subbase)
+from dyadictop.checks import MAX_COUNTEREXAMPLES
 from dyadictop.corpus import CORPUS, gray_pairs, interval_space
 
-from oracle import o_cell
+from oracle import o_cell, o_independent, random_set
 from spacegen import random_spaces
 
 MODES = ("unconstrained", "match_dim")
@@ -149,3 +153,104 @@ def test_the_memo_keeps_one_word_per_atom():
     atoms = (len(table.bounds) + 1 + len(sb.space.isolated_points())
              + sum(len(switches) + 1 for switches in table.switches))
     assert len(table.words) <= atoms
+
+
+@pytest.mark.parametrize("case", list(_cases()))
+def test_independent_report_matches_the_walk(case):
+    for _, sb in _subbases(case):
+        for depth in range(7):
+            want = o_independent(sb, depth, MAX_COUNTEREXAMPLES)
+            assert check_independent(sb, depth).to_dict() == want, depth
+
+
+def _late_words(sb, levels, rng):
+    """Words naming only the second half of the pairs: each point's forced
+    word cut to those pairs, and random digits there."""
+    n = len(sb)
+    late = [TernaryWord(tuple(e for e in sb.forced_word(x).entries if e[0] >= n // 2))
+            for x in _points(sb, levels)[::7]]
+    late += [TernaryWord.from_string("_" * (n // 2) + "".join(
+        rng.choice("01_") for _ in range(n - n // 2))) for _ in range(5)]
+    return late
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_decode_on_a_fresh_and_a_filled_table(name):
+    """The same cells whether decoding builds the table or encodes filled
+    it first, for every two-digit word, words naming only late pairs and
+    forced words; the cells met include tail-only ones on the spaces with
+    sequences, and point-only ones on those with a point no sequence
+    converges to."""
+    rng = random.Random(19)
+    levels, built = _subbases(f"{name}-unconstrained")[3]
+    n = len(built)
+    points = [x for x in _points(built, levels) if built.space.contains(x)]
+    words = [TernaryWord(((i, a), (j, b))) for i in range(n) for j in range(i + 1, n)
+             for a in (0, 1) for b in (0, 1)]
+    words += _late_words(built, levels, rng) + [built.forced_word(x) for x in points]
+    want = [o_cell(built, w.to_string(n)) for w in words]
+    fresh = DyadicSubbase.from_dict(built.to_dict())
+    filled = DyadicSubbase.from_dict(built.to_dict())
+    for x in points:
+        encode_point(filled, x)
+    assert "word_table" not in fresh.__dict__ and filled.word_table.words
+    for sb in (fresh, filled):
+        assert [decode_word(sb, w) for w in words] == want
+    kinds = {("cuts" if c.cuts else "") + ("points" if c.points else "")
+             + ("tails" if any(c.tails) else "") for c in want}
+    space = built.space
+    limits = {s.limit for s in space.sequences()}
+    assert "points" in kinds or all(p.value in limits for p in space.isolated_points())
+    assert "tails" in kinds or not space.sequences()
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_decode_sides_that_are_not_exteriors(name):
+    """Seeded random pairs through ``from_pairs``, neither side the other's
+    exterior nor regular open, decoded on every two- and three-digit word
+    and words naming only late pairs."""
+    rng = random.Random(name)
+    space = CORPUS[name]()
+    sb = DyadicSubbase.from_pairs(space, [(random_set(space, rng), random_set(space, rng))
+                                          for _ in range(5)])
+    words = [TernaryWord.from_string(w) for w in
+             ("".join(ds) for ds in itertools.product("_01", repeat=5))
+             if 2 <= len(w.replace("_", "")) <= 3]
+    words += _late_words(sb, 5, rng)
+    for w in words:
+        assert decode_word(sb, w) == o_cell(sb, w.to_string(5)), w
+
+
+def test_decode_with_a_one_side_that_is_not_the_exterior():
+    x1 = interval_space()
+    zero = SymbolicSet.region(x1, [(F(0), True, F(1, 2), False)])
+    one = SymbolicSet.region(x1, [(F(1, 4), False, F(1), True)])
+    gray = gray_pairs(x1, 2)
+    sb = DyadicSubbase.from_pairs(x1, [(zero, one), (gray[1], gray[1].exterior())])
+    for text in ("00", "01", "10", "11"):
+        assert decode_word(sb, TernaryWord.from_string(text)) == o_cell(sb, text), text
+    # the one side (1/4,1] overlaps the zero side [0,1/2)
+    assert decode_word(sb, TernaryWord.from_string("11")).render() == "(1/4,3/4)"
+
+
+def test_an_index_out_of_range_raises_before_the_table_is_built():
+    _, built = _subbases("interval-sequence-unconstrained")[3]
+    sb = DyadicSubbase.from_dict(built.to_dict())
+    with pytest.raises(SubbaseError, match="word uses index"):
+        decode_word(sb, TernaryWord(((0, 0), (len(sb), 1))))
+    assert "word_table" not in sb.__dict__
+    assert decode_word(sb, TernaryWord()) == SymbolicSet.whole(sb.space)
+    assert "word_table" not in sb.__dict__
+
+
+def test_masks_are_built_only_for_the_sides_words_name():
+    _, built = _subbases("interval-sequence-unconstrained")[-1]
+    sb = DyadicSubbase.from_dict(built.to_dict())
+    for x in _points(sb, 8)[::5]:
+        sb.forced_word(x)
+    assert not sb.word_table.masks
+    decode_word(sb, TernaryWord(((1, 0),)))
+    assert not sb.word_table.masks
+    decode_word(sb, TernaryWord(((1, 0), (4, 1))))
+    decode_word(sb, TernaryWord(((1, 0), (6, 0))))
+    assert sorted(sb.word_table.masks) == [2, 9, 12]
