@@ -3,15 +3,15 @@
 ``forced_word`` must give, pair by pair, the side whose ``membership``
 holds the point, ``decode_word`` the cell ``oracle.o_cell`` intersects
 from the whole space, and ``check_independent``, which walks the sides'
-atom masks, the report of ``oracle.o_independent``.  The subbases are the corpus builds at levels 1-8
-and the builds at levels 1-4 of the valid spaces among the first 25 draws
-of three ``spacegen`` seeds, in both degree modes, the Gray subbase and the
-broken fixture of ``tests/data``, each also reloaded through
-``DyadicSubbase.from_dict``.  The points are every cut value of a
-side and interval end, the midpoint of each gap between consecutive ones
-and the first multiple of 1/3, 1/5 and 1/7 inside it, the isolated
-points, the members 1 to levels + 6 and the limit of each sequence, and
-points outside the space.
+atom masks, the report of ``oracle.o_independent``.  The subbases are the
+corpus builds at levels 1-8 and the builds at levels 1-4 of the valid
+spaces among the first 25 draws of three ``spacegen`` seeds, in both
+degree modes, the Gray subbase and the broken fixture of ``tests/data``,
+each also reloaded through ``DyadicSubbase.from_dict``.  The points are
+every cut value of a side and interval end, the midpoint of each gap
+between consecutive ones and the first multiple of 1/3, 1/5 and 1/7 inside
+it, the isolated points, the members 1 to levels + 6 and the limit of each
+sequence, and points outside the space.
 """
 import functools
 import itertools
