@@ -5,16 +5,15 @@ lower index more significant), the first ones a walk over the words finds,
 so runs are reproducible byte for byte.  ``check_independent`` walks every
 word over the atom masks of a word table, where a cell is empty exactly
 when the AND of its sides' masks is 0.  ``check_proper`` takes its verdict
-from a table of the pieces around each point where a side can change, and
-walks the words only to list the counterexamples of a failing subbase.
+from the pieces around each point where a side can change, read off the
+same masks, and walks the words only to list the counterexamples of a
+failing subbase: the same walk, with one more bit per failing point.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cuts import inside, place
 from .rational import format_rational
 from .sets import SymbolicSet
 from .subbase import DyadicSubbase
@@ -58,124 +57,98 @@ def _effective_depth(sb: DyadicSubbase, depth: int) -> int:
     return max(0, min(depth, len(sb.pairs)))
 
 
-def _walk(depth: int, start, sides, meet):
-    """Yield (word, cell) for all 3**depth words, each word its 0/1/_ string
-    of length depth: the all-⊥ word's cell is ``start``, and a digit meets
-    the cell of the word's prefix with ``sides[idx][digit]``, once per
-    shared prefix."""
-    def rec(idx: int, word: str, cell):
+def _walk(depth: int, sides):
+    """Yield (word, mask) for all 3**depth words, each word its 0/1/_ string
+    of length depth: the all-⊥ word's mask is -1, and a digit ANDs the mask
+    of the word's prefix with ``sides[idx][digit]``, once per shared
+    prefix."""
+    def rec(idx: int, word: str, m: int):
         if idx == depth:
-            yield (word, cell)
+            yield (word, m)
             return
-        yield from rec(idx + 1, word + "_", cell)
+        yield from rec(idx + 1, word + "_", m)
         for digit in (0, 1):
-            yield from rec(idx + 1, word + str(digit), meet(cell, sides[idx][digit]))
+            yield from rec(idx + 1, word + str(digit), m & sides[idx][digit])
 
-    yield from rec(0, "", start)
-
-
-def _meet_closed(cell, side):
-    """(S, S̄) of a word cut by one more digit's (side, closure of side)."""
-    return cell[0].intersection(side[0]), cell[1].intersection(side[1])
+    yield from rec(0, "", -1)
 
 
-def _pieces_held(sb: DyadicSubbase, x: Fraction, eff: int) -> list[int]:
-    """For each side of the first eff pairs, the bitmask of the pieces at x
-    that it holds.
-
-    The pieces are x itself (bit 0), the left and right germs inside x's
-    interval where they exist (bits 1 and 2), and one tail germ per sequence
-    converging to x (bits 3 on).  A symbolic set contains all of a germ
-    near enough to x, or misses all of it: over the word table's common
-    denominator the germs are the positions either side of x's, or x's own
-    when x falls inside an open gap of that grid.
-    """
-    space, table = sb.space, sb.word_table
-    loc = space.locate(x)
-    left = right = False
-    if loc[0] == "interval":
-        iv = space.intervals()[loc[1]]
-        left, right = iv.lo < x, x < iv.hi
-        p, on_grid = place(x, table.den)
-        step = 1 if on_grid else 0
-    else:
-        own = table.held(loc, x)
-    tails = [j for j, s in enumerate(space.sequences()) if s.limit == x]
-    out = []
-    for i, side in enumerate(table.sides[:2 * eff]):
-        held = 0
-        if loc[0] == "interval":
-            cuts = table.cuts[i]
-            if inside(cuts, p):
-                held |= 1
-            if left and inside(cuts, p - step):
-                held |= 2
-            if right and inside(cuts, p + step):
-                held |= 4
-        elif own[i]:
-            held = 1
-        for b, j in enumerate(tails):
-            held |= side.tails[j].infinite << (3 + b)
-        out.append(held)
-    return out
-
-
-def _proper_by_pieces(sb: DyadicSubbase, eff: int) -> bool:
-    """Whether cl S(word) == S̄(word) for every word over the first eff pairs.
+def _improper_points(sb: DyadicSubbase, eff: int) -> list[tuple[Fraction, int]]:
+    """(x, pieces at x) for each point x where cl S(word) and S̄(word)
+    differ for some word over the first eff pairs, in the order
+    ``sample_point`` takes a difference's points in: interval points by
+    value, then isolated points by value, then members by (sequence,
+    index).
 
     Always cl S(word) ⊆ S̄(word), and x is in the closure of a set exactly
-    when the set holds one of the pieces at x (see ``_pieces_held``).  So a
-    word fails at x when each of its digits' sides holds some piece but no
-    piece is held by all of them.  The sides can differ around x only where
-    one of them has a span end or a tail converges, so only those points
-    are tried.  At each, the masks of pieces still held by every digit so
-    far are stepped through the pairs; a word fails there exactly when the
-    empty mask is reachable.
+    when the set holds one of the pieces at x (see ``WordTable.pieces``).
+    So a word fails at x when each of its digits' sides meets the pieces
+    but no piece is held by all of them.  The sides can differ around x
+    only where one of them has a span end or a tail converges, so only
+    those points are tried.  At each, the masks of pieces still held by
+    every digit so far, shifted down to the lowest piece bit, are stepped
+    through the pairs; a word fails there exactly when the empty mask is
+    reachable.
     """
-    space = sb.space
+    space, table = sb.space, sb.word_table
     sides = [side for pair in sb.pairs[:eff] for side in pair]
     points = {Fraction(p >> 1, side.den) for side in sides for p in side.cuts}
     points |= {s.limit for s in space.sequences() if not s.open_limit}
+    out = []
     for x in points:
-        held = _pieces_held(sb, x, eff)
+        pieces = table.pieces(x)
+        low = (pieces & -pieces).bit_length() - 1
+        held = [(table.mask(i) & pieces) >> low for i in range(2 * eff)]
         reach = {-1}  # every piece, before any digit
         for idx in range(eff):
             steps = [h for h in held[2 * idx:2 * idx + 2] if h]
             reach |= {m & h for m in reach for h in steps}
         if 0 in reach:
-            return False
-    return True
+            out.append((x, pieces))
+
+    def order(item):
+        loc = space.locate(item[0])
+        return (2, *loc[1:]) if loc[0] == "member" else (int(loc[0] == "point"), item[0])
+    return sorted(out, key=order)
 
 
 def check_proper(sb: DyadicSubbase, depth: int) -> CheckReport:
     """cl S(word) == S̄(word) for every word up to the given depth.
 
-    The verdict comes from the piece table of ``_proper_by_pieces``; a
-    passing report counts all 3**depth words as checked.  A failing
-    subbase walks the words to list its first counterexamples.
+    The verdict comes from ``_improper_points``; a passing report counts
+    all 3**depth words as checked.  A failing subbase walks the words to
+    list its first counterexamples.  Each side's walk mask is its atom
+    mask with one bit above the atoms for each improper point whose pieces
+    the side meets, so a word's AND keeps the points of S̄(word); the word
+    fails at the first of them whose pieces the AND's atoms, the atoms of
+    S(word), miss.
     """
     eff = _effective_depth(sb, depth)
     stats = {"words_checked": 3 ** eff, "depth_requested": depth}
-    if _proper_by_pieces(sb, eff):
+    improper = _improper_points(sb, eff)
+    if not improper:
         return CheckReport("proper", eff, True, (), stats)
-    whole = SymbolicSet.whole(sb.space)
-    sides = [[(side, side.closure()) for side in pair] for pair in sb.pairs[:eff]]
+    table = sb.word_table
+    nbits, top = table.nbits, (1 << len(improper)) - 1
+
+    def walk_mask(i):
+        m = table.mask(i)
+        return m | sum(1 << nbits + c for c, (_, pieces) in enumerate(improper) if m & pieces)
+
+    masks = [(walk_mask(2 * idx), walk_mask(2 * idx + 1)) for idx in range(eff)]
     counterexamples = []
     checked = 0
-    for word, (s, sbar) in _walk(eff, (whole, whole), sides, _meet_closed):
+    for word, m in _walk(eff, masks):
         checked += 1
-        cls = s.closure()
-        if cls != sbar:
+        met = m >> nbits & top  # the improper points of S̄(word)
+        while met and m & improper[(met & -met).bit_length() - 1][1]:
+            met &= met - 1  # one that cl S(word) holds
+        if met:
             if len(counterexamples) < MAX_COUNTEREXAMPLES:
-                witness = sbar.difference(cls).sample_point()
-                counterexamples.append({
-                    "word": word,
-                    "witness": format_rational(witness) if witness is not None else None,
-                })
+                witness = improper[(met & -met).bit_length() - 1][0]
+                counterexamples.append({"word": word, "witness": format_rational(witness)})
             else:
                 break
-    if not counterexamples:
-        raise RuntimeError("the piece table found a failing word that the walk does not")
     stats["words_checked"] = checked
     return CheckReport("proper", eff, False, tuple(counterexamples), stats)
 
@@ -194,7 +167,7 @@ def check_independent(sb: DyadicSubbase, depth: int) -> CheckReport:
     x_empty = SymbolicSet.whole(sb.space).is_empty
     counterexamples = []
     checked = 0
-    for word, m in _walk(eff, -1, masks, operator.and_):
+    for word, m in _walk(eff, masks):
         checked += 1
         if x_empty if m == -1 else not m:
             if len(counterexamples) < MAX_COUNTEREXAMPLES:

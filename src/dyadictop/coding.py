@@ -2,11 +2,12 @@
 
 A point's word records, index by index, which side of each pair holds it;
 indices where the point sits on the shared boundary stay unfilled.  Encoding
-reads the word of the point's atom from the subbase's ``WordTable``: one
-bisect over the cuts of every side for an interval point, one over the tail
-switches for a sequence member.  Decoding a word recovers the cell of all
-points matching its filled digits from the same table: the AND of the atom
-masks of the sides the word names, read back as a set.
+finds the point's atom in the subbase's ``WordTable``, with one bisect over
+the cuts of every side for an interval point or over the tail switches for
+a sequence member, and reads the atom's word off the sides' atom masks once
+per atom.  Decoding a word recovers the cell of all points matching its
+filled digits from the same table: the AND of the atom masks of the sides
+the word names, read back as a set.
 """
 from __future__ import annotations
 

@@ -8,11 +8,12 @@ Both directions of the coding read the subbase's ``WordTable``, built on
 first use.  The table cuts the space into atoms that every side holds whole
 or misses whole: the runs of interval positions between consecutive cuts of
 any side, the isolated points, and each sequence's runs of members between
-consecutive tail switches of any side.  One bisect finds a point's atom, and
-each atom's word is worked out the first time a point in it is asked for.
-A side is also one integer mask over the atoms, built the first time a word
-names it, so a cell S(word) is the AND of its sides' masks, read back as a
-set in one pass.
+consecutive tail switches of any side.  Each side is one integer mask over
+the atoms, built on first use, and the masks are the only record of which
+atoms a side holds.  One bisect finds a point's atom, whose word is read off
+the masks the first time a point in it is asked for; a cell S(word) is the
+AND of its sides' masks, read back as a set in one pass; and the properness
+check reads off the masks which sides meet the pieces around a point.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cuts import inside, place, reduced, rescale
+from .cuts import place, reduced, rescale
 from .sets import TAIL_NONE, SetError, SymbolicSet, TailRule
 from .space import Space
 from .words import TernaryWord
@@ -130,33 +131,30 @@ class DyadicSubbase:
 
 
 class WordTable:
-    """The words of a subbase's points, one per atom, each worked out on
-    first ask.
+    """The atoms of a subbase, the masks of its sides over them and the
+    words of its points, each worked out on first ask.
 
-    ``den`` is the lcm of the sides' denominators and ``cuts`` each side's
-    cuts rescaled to it, pair by pair; ``bounds`` is their sorted union.
+    ``sides`` lists the sides pair by pair, ``den`` is the lcm of their
+    denominators and ``bounds`` the sorted union of their cuts rescaled to
+    it.
     ``switches[j]`` is the sorted union of the sides' tail switches of
-    sequence j.  A point's atom is keyed by ``("interval", r)``, r the run
-    of bounds its position falls in, by its ``("point", i)`` location, or by
-    ``("member", j, r)``, r the run of switches its index falls in.  Every
-    side holds all of an atom or none of it, so ``words`` keeps at most one
-    word per atom.
-
-    The atoms are also the bits of each side's mask: interval run r is bit
-    r, isolated point i is bit ``len(bounds) + 1 + i``, and run r of
-    sequence j is bit ``runs[j] + r``.  ``masks`` keeps the masks built so
-    far, by side.
+    sequence j.  Every side holds all of an atom or none of it, and each
+    atom is one bit: interval run r, the run of bounds a position falls in,
+    is bit r, isolated point i is bit ``len(bounds) + 1 + i``, and run r of
+    sequence j, the run of switches an index falls in, is bit
+    ``runs[j] + r``.  ``masks`` keeps the masks built so far, by side, and
+    ``words`` one word per atom bit.
     """
 
     def __init__(self, sb: DyadicSubbase):
         self.space = sb.space
         self.sides = [side for pair in sb.pairs for side in pair]
         self.den = math.lcm(*(side.den for side in self.sides))
-        self.cuts = [rescale(side.cuts, self.den // side.den) for side in self.sides]
-        self.bounds = sorted({p for cuts in self.cuts for p in cuts})
+        self.bounds = sorted({p for side in self.sides
+                              for p in rescale(side.cuts, self.den // side.den)})
         self.switches = [sorted({k for side in self.sides for k in side.tails[j].switches})
                          for j in range(len(sb.space.sequences()))]
-        self.words: dict[tuple, TernaryWord] = {}
+        self.words: dict[int, TernaryWord] = {}
         self.runs = []
         n = len(self.bounds) + 1 + len(sb.space.isolated_points())
         for switches in self.switches:
@@ -165,41 +163,59 @@ class WordTable:
         self.nbits = n
         self.masks: dict[int, int] = {}
 
-    def held(self, loc, x) -> list[bool]:
-        """Whether each side, pair by pair, holds x, given its
-        ``space.locate`` result."""
+    def atom(self, loc, x) -> int | None:
+        """The bit of x's atom, given its ``space.locate`` result; None for
+        a point outside the space."""
         if loc[0] == "interval":
-            p = place(x, self.den)[0]
-            return [inside(cuts, p) for cuts in self.cuts]
+            return bisect_right(self.bounds, place(x, self.den)[0])
         if loc[0] == "point":
-            return [x in side.points for side in self.sides]
+            return len(self.bounds) + 1 + loc[1]
         if loc[0] == "member":
-            return [side.tails[loc[1]].selected(loc[2]) for side in self.sides]
-        return [False] * len(self.sides)
+            return self.runs[loc[1]] + bisect_right(self.switches[loc[1]], loc[2])
+        return None
 
     def word(self, loc, x, width: int | None = None) -> TernaryWord:
         """The word of x through the first ``width`` pairs (all by default),
-        given its ``space.locate`` result; a point outside the space has
-        the empty word."""
-        kind = loc[0]
-        if kind == "interval":
-            key = (kind, bisect_right(self.bounds, place(x, self.den)[0]))
-        elif kind == "member":
-            key = (kind, loc[1], bisect_right(self.switches[loc[1]], loc[2]))
-        elif kind == "point":
-            key = loc
-        else:
+        given its ``space.locate`` result: pair by pair, the side whose mask
+        holds x's atom, the zero side when both do.  A point outside the
+        space has the empty word."""
+        b = self.atom(loc, x)
+        if b is None:
             return TernaryWord()
-        word = self.words.get(key)
+        word = self.words.get(b)
         if word is None:
-            held = self.held(loc, x)
-            word = self.words[key] = TernaryWord(tuple(
-                (idx, 0 if zero else 1)
-                for idx, (zero, one) in enumerate(zip(held[::2], held[1::2])) if zero or one))
+            bit, entries = 1 << b, []
+            for idx in range(len(self.sides) // 2):
+                for digit in (0, 1):
+                    if self.mask(2 * idx + digit) & bit:
+                        entries.append((idx, digit))
+                        break
+            word = self.words[b] = TernaryWord(tuple(entries))
         if width is not None and width < len(self.sides) // 2:
             entries = word.entries
             word = TernaryWord(entries[:bisect_left(entries, (width,))])
         return word
+
+    def pieces(self, x) -> int:
+        """The atoms of the pieces at x, a point of the space, as a mask:
+        x's own atom, the atoms of the positions either side of x's inside
+        its interval when the grid places x, and the last run of each
+        sequence converging to x.  A set holds all of a piece near enough
+        to x or misses all of it, so a side's closure holds x exactly when
+        its mask meets these bits."""
+        loc = self.space.locate(x)
+        out = 1 << self.atom(loc, x)
+        if loc[0] == "interval":
+            iv = self.space.intervals()[loc[1]]
+            p, on_grid = place(x, self.den)
+            if on_grid and iv.lo < x:
+                out |= 1 << bisect_right(self.bounds, p - 1)
+            if on_grid and x < iv.hi:
+                out |= 1 << bisect_right(self.bounds, p + 1)
+        for s, switches, n in zip(self.space.sequences(), self.switches, self.runs):
+            if s.limit == x:
+                out |= 1 << (n + len(switches))
+        return out
 
     def mask(self, i: int) -> int:
         """The atoms side i holds, as the set bits of an integer, built on
@@ -209,7 +225,7 @@ class WordTable:
         if m is not None:
             return m
         side, bounds = self.sides[i], self.bounds
-        flips = [bisect_right(bounds, p) for p in self.cuts[i]]
+        flips = [bisect_right(bounds, p) for p in rescale(side.cuts, self.den // side.den)]
         if side.points:
             first = len(bounds) + 1
             for n, p in enumerate(self.space.isolated_points(), first):

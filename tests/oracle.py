@@ -9,8 +9,9 @@ depth).  The probes never touch closure/interior/regularization on the
 symbolic side.  The word-by-word references at the end (properness,
 resolution, independence) do build cells with the symbolic intersections
 and closures, which the probes test; what they stand in for is the checks'
-own shortcuts: the properness piece table, the resolution check's shared
-suffix cells and the independence walk's atom masks.
+own shortcuts: the properness check's pieces and walk over the atom masks,
+the resolution check's shared suffix cells and the independence walk's
+atom masks.
 """
 from __future__ import annotations
 
@@ -254,6 +255,40 @@ def o_improper_depth(sb, depth: int) -> int | None:
             return d + 1
         cells |= new
     return None
+
+
+def o_proper(sb, depth: int, limit: int) -> dict:
+    """The ``to_dict`` of the report ``check_proper`` gives: every word over
+    the first min(depth, pairs) pairs in canonical order, S(word) and
+    S̄(word) cut by each digit's side and its closure, once per shared
+    prefix.  A word fails when cl S(word) != S̄(word), its witness the
+    ``sample_point`` of the difference.  The first ``limit`` failing words
+    are listed, and the walk stops at the next one."""
+    eff = max(0, min(depth, len(sb.pairs)))
+    sides = [[(side, side.closure()) for side in pair] for pair in sb.pairs[:eff]]
+
+    def walk(idx, word, s, sbar):
+        if idx == eff:
+            yield word, s, sbar
+            return
+        yield from walk(idx + 1, word + "_", s, sbar)
+        for digit, (side, cl) in enumerate(sides[idx]):
+            yield from walk(idx + 1, word + str(digit),
+                            s.intersection(side), sbar.intersection(cl))
+
+    whole = SymbolicSet.whole(sb.space)
+    counterexamples, checked = [], 0
+    for word, s, sbar in walk(0, "", whole, whole):
+        checked += 1
+        cls = s.closure()
+        if cls != sbar:
+            if len(counterexamples) == limit:
+                break
+            witness = format_rational(sbar.difference(cls).sample_point())
+            counterexamples.append({"word": word, "witness": witness})
+    return {"property": "proper", "depth": eff, "passed": not counterexamples,
+            "counterexamples": counterexamples,
+            "stats": {"words_checked": checked, "depth_requested": depth}}
 
 
 # -- resolution greedy, recomputed from scratch ------------------------------

@@ -5,7 +5,8 @@ of sixteenths, so components come closer than a hull margin and points
 fall at equal distance from two components as the draw has it.  Sequences
 converge onto an interval end, onto an isolated point, or onto a limit
 outside the space.  A draw that ``Space`` refuses is not a space, and the
-generator says so by returning None.
+generator says so by returning None.  ``rank2_space`` is one fixed space
+beyond the draws: a sequence converging onto a member of another.
 """
 from __future__ import annotations
 
@@ -61,3 +62,11 @@ def random_spaces(seed: int, count: int) -> list[Space]:
     """The valid spaces among the first ``count`` draws of a seeded stream."""
     rng = random.Random(seed)
     return [s for s in (random_space(rng) for _ in range(count)) if s is not None]
+
+
+def rank2_space() -> Space:
+    """[0,1] with a sequence onto its end 1, the point 2 with a sequence
+    onto it, and a sequence onto 3/2, the first member of the first."""
+    return Space((Interval(Fraction(0), Fraction(1)), GeometricSequence(Fraction(1), Fraction(1)),
+                  IsolatedPoint(Fraction(2)), GeometricSequence(Fraction(2), Fraction(1, 2)),
+                  GeometricSequence(Fraction(3, 2), Fraction(1, 16))))

@@ -1,10 +1,11 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from dyadictop import (DyadicSubbase, NotRegularOpenError, Space, SubbaseError,
-                       SymbolicSet, TernaryWord, check_dyadic,
+                       SymbolicSet, TailRule, TernaryWord, check_dyadic,
                        check_independent, check_proper, degree_report,
                        build_proper_subbase, make_pair, resolution_check)
 from dyadictop.checks import MAX_COUNTEREXAMPLES
@@ -12,7 +13,8 @@ from dyadictop.construct import sample_points
 from dyadictop.corpus import (CORPUS, converging_sequence_space, gray_pairs,
                               interval_space)
 
-from oracle import o_improper_depth, o_independent, o_resolution, random_set
+from oracle import o_improper_depth, o_independent, o_proper, o_resolution, random_set
+from spacegen import rank2_space
 
 X1 = interval_space()
 GRAY = DyadicSubbase.from_zero_sides(X1, gray_pairs(X1, 3))
@@ -110,21 +112,11 @@ def test_broken_pairs_counterexample_lists():
         "_00", "_11", "000", "011", "100", "111"]
 
 
-def test_proper_verdict_matches_the_walk():
-    """check_proper's verdict is the brute-force walk's, at depths 1-6, on
-    the corpus builds, Gray, the broken pairs and seeded mutants of them
-    with random regular-open or arbitrary pairs put in."""
-    seq = converging_sequence_space()
-    zero = SymbolicSet.singleton(seq, F(0))
-    # {0} and the members 2^-k meet only in closure: the word 01 fails at 0
-    at_limit = DyadicSubbase.from_pairs(seq, [(zero, zero.complement())] * 2)
-    bases = [GRAY, DyadicSubbase.from_zero_sides(X1, gray_pairs(X1, 6)),
-             broken_subbase(), at_limit]
-    bases += [build_proper_subbase(mk(), levels, depth=1).subbase
-              for levels in (1, 2, 3, 4) for mk in CORPUS.values()]
-    rng = random.Random(8)
+def _put_in_pairs(bases, rng, count):
+    """Mutants of seeded choices among the bases: their first 0-5 pairs,
+    with one or two random regular-open or arbitrary pairs put in."""
     mutants = []
-    for _ in range(150):
+    for _ in range(count):
         sb = rng.choice(bases)
         pairs = list(sb.pairs[:rng.randint(0, 5)])
         for _ in range(rng.randint(1, 2)):
@@ -136,8 +128,57 @@ def test_proper_verdict_matches_the_walk():
                 pair = (a, random_set(sb.space, rng))
             pairs.insert(rng.randint(0, len(pairs)), pair)
         mutants.append(DyadicSubbase.from_pairs(sb.space, pairs))
+    return mutants
+
+
+def _limits_of_two_kinds():
+    """Subbases on ``rank2_space`` whose word 00 fails at two limits: the
+    zero sides are the members from index 2 on of two sequences, and the
+    finite set of their limits, which the tails miss."""
+    space = rank2_space()
+    limits = [s.limit for s in space.sequences()]  # 1, 2 and 3/2
+    out = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        tails = SymbolicSet(space, (), frozenset(), tuple(
+            TailRule.of(2, ()) if k in (i, j) else TailRule() for k in range(3)))
+        ends = SymbolicSet.singleton(space, limits[i]).union(
+            SymbolicSet.singleton(space, limits[j]))
+        out.append(DyadicSubbase.from_pairs(space, [(tails, SymbolicSet.empty(space)),
+                                                    (ends, SymbolicSet.empty(space))]))
+    return out
+
+
+@functools.cache
+def _proper_cases():
+    """The corpus builds at levels 1-4, Gray, the broken pairs and a pair
+    meeting a sequence only at its limit, with 150 mutants of them; then
+    the builds of ``rank2_space`` at levels 1-4 with 100 mutants of those,
+    and ``_limits_of_two_kinds``."""
+    seq = converging_sequence_space()
+    zero = SymbolicSet.singleton(seq, F(0))
+    # {0} and the members 2^-k meet only in closure: the word 01 fails at 0
+    at_limit = DyadicSubbase.from_pairs(seq, [(zero, zero.complement())] * 2)
+    bases = [GRAY, DyadicSubbase.from_zero_sides(X1, gray_pairs(X1, 6)),
+             broken_subbase(), at_limit]
+    bases += [build_proper_subbase(mk(), levels, depth=1).subbase
+              for levels in (1, 2, 3, 4) for mk in CORPUS.values()]
+    rank2 = [build_proper_subbase(rank2_space(), levels, depth=1).subbase for levels in (1, 2, 3, 4)]
+    return (bases + _put_in_pairs(bases, random.Random(8), 150)
+            + rank2 + _put_in_pairs(rank2, random.Random(20), 100) + _limits_of_two_kinds())
+
+
+def test_the_witness_is_the_limit_sample_point_picks():
+    """An interval point before an isolated point before a member."""
+    assert [check_proper(sb, 2).counterexamples for sb in _limits_of_two_kinds()] == [
+        ({"word": "00", "witness": "1/1"},), ({"word": "00", "witness": "1/1"},),
+        ({"word": "00", "witness": "2/1"},)]
+
+
+def test_proper_verdict_matches_the_walk():
+    """check_proper's verdict is the brute-force walk's, at depths 1-6, on
+    the cases of ``_proper_cases``."""
     failed = 0
-    for sb in bases + mutants:
+    for sb in _proper_cases():
         first = o_improper_depth(sb, 6)
         for depth in range(1, 7):
             want = first is None or first > depth
@@ -145,6 +186,19 @@ def test_proper_verdict_matches_the_walk():
             failed += not want
     assert failed >= 60
 
+
+def test_proper_report_matches_the_walk():
+    """check_proper's whole report, counterexamples, witnesses and words
+    checked, is the (S, S̄) walk's, at depths 0-6, on the cases of
+    ``_proper_cases``; the witnesses met lie in an interval, at an
+    isolated point and at a sequence member."""
+    kinds = set()
+    for sb in _proper_cases():
+        for depth in range(7):
+            want = o_proper(sb, depth, MAX_COUNTEREXAMPLES)
+            assert check_proper(sb, depth).to_dict() == want, (sb.to_dict(), depth)
+            kinds |= {sb.space.locate(F(c["witness"]))[0] for c in want["counterexamples"]}
+    assert kinds == {"interval", "point", "member"}
 
 
 def test_independent_report_matches_the_walk():

@@ -11,7 +11,10 @@ each also reloaded through ``DyadicSubbase.from_dict``.  The points are
 every cut value of a side and interval end, the midpoint of each gap
 between consecutive ones and the first multiple of 1/3, 1/5 and 1/7 inside
 it, the isolated points, the members 1 to levels + 6 and the limit of each
-sequence, and points outside the space.
+sequence, and points outside the space.  A side's mask must also meet
+``WordTable.pieces`` at exactly the points ``oracle.o_closure`` puts in
+the side's closure, on the builds of each corpus space and of
+``spacegen.rank2_space``.
 """
 import functools
 import itertools
@@ -28,8 +31,8 @@ from dyadictop import (DyadicSubbase, SubbaseError, SymbolicSet, TernaryWord,
 from dyadictop.checks import MAX_COUNTEREXAMPLES
 from dyadictop.corpus import CORPUS, gray_pairs, interval_space
 
-from oracle import o_cell, o_independent, random_set
-from spacegen import random_spaces
+from oracle import critical_values, o_cell, o_closure, o_independent, random_set
+from spacegen import random_spaces, rank2_space
 
 MODES = ("unconstrained", "match_dim")
 SEEDS = (7, 99, 20131018)
@@ -231,6 +234,8 @@ def test_decode_with_a_one_side_that_is_not_the_exterior():
         assert decode_word(sb, TernaryWord.from_string(text)) == o_cell(sb, text), text
     # the one side (1/4,1] overlaps the zero side [0,1/2)
     assert decode_word(sb, TernaryWord.from_string("11")).render() == "(1/4,3/4)"
+    # and a point both hold takes the zero digit
+    assert sb.forced_word(F(3, 8)).entries[0] == (0, 0)
 
 
 def test_an_index_out_of_range_raises_before_the_table_is_built():
@@ -244,13 +249,45 @@ def test_an_index_out_of_range_raises_before_the_table_is_built():
 
 
 def test_masks_are_built_only_for_the_sides_words_name():
+    """Decoding on a fresh load builds the masks of the sides its words
+    name and no others.  Encoding reads every side's mask, and its memo
+    keeps one word per atom bit of the points encoded."""
     _, built = _subbases("interval-sequence-unconstrained")[-1]
     sb = DyadicSubbase.from_dict(built.to_dict())
-    for x in _points(sb, 8)[::5]:
-        sb.forced_word(x)
-    assert not sb.word_table.masks
     decode_word(sb, TernaryWord(((1, 0),)))
-    assert not sb.word_table.masks
+    assert "word_table" not in sb.__dict__
     decode_word(sb, TernaryWord(((1, 0), (4, 1))))
     decode_word(sb, TernaryWord(((1, 0), (6, 0))))
-    assert sorted(sb.word_table.masks) == [2, 9, 12]
+    table = sb.word_table
+    assert sorted(table.masks) == [2, 9, 12]
+    points = [x for x in _points(sb, 8)[::5] if sb.space.contains(x)]
+    for x in points:
+        sb.forced_word(x)
+    assert sorted(table.masks) == list(range(2 * len(sb)))
+    assert set(table.words) == {table.atom(sb.space.locate(x), x) for x in points}
+    assert all(0 <= b < table.nbits for b in table.words)
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + ["rank2"])
+def test_pieces_meet_a_side_exactly_where_its_closure_holds_the_point(name):
+    """For the builds at levels 1-4 and five seeded pairs of random sides,
+    every critical point x and side i: ``mask(i) & pieces(x)`` is not 0
+    exactly when ``oracle.o_closure`` puts x in the side's closure.  The
+    points are those of ``_points`` inside the space: every cut value,
+    point and limit, and points off the grid between cut values."""
+    rng = random.Random(name)
+    space = rank2_space() if name == "rank2" else CORPUS[name]()
+    subbases = [build_proper_subbase(space, levels, depth=1).subbase for levels in range(1, 5)]
+    subbases.append(DyadicSubbase.from_pairs(space, [(random_set(space, rng), random_set(space, rng))
+                                                     for _ in range(5)]))
+    met = 0
+    for sb in subbases:
+        table = sb.word_table
+        sides = table.sides
+        for x in [x for x in _points(sb, 1) if space.contains(x)]:
+            pieces = table.pieces(x)
+            for i, side in enumerate(sides):
+                want = o_closure(space, side.membership, critical_values(space, [side]), x)
+                assert (table.mask(i) & pieces != 0) == want, (x, i)
+                met += want and not side.membership(x)
+    assert met
