@@ -8,6 +8,9 @@ when the AND of its sides' masks is 0.  ``check_proper`` takes its verdict
 from the pieces around each point where a side can change, read off the
 same masks, and walks the words only to list the counterexamples of a
 failing subbase: the same walk, with one more bit per failing point.
+``resolution_check`` fits each probe's cells into its ball on the same
+masks: one mask of the atoms inside the ball per probe, and one AND per
+cell.
 """
 from __future__ import annotations
 
@@ -261,35 +264,41 @@ def resolution_check(sb: DyadicSubbase, epsilon: Fraction, probes,
 
     Uses the digits forced by membership (the finest cell around the probe)
     and then greedily drops entries, left to right, to report a short
-    witness word.  ``cells[k]`` intersects the sides of entries k onward, so
-    entry k goes when what is kept of the earlier entries, cut by
-    ``cells[k + 1]``, still fits the ball.
+    witness word.  Every cell is a mask over the atoms of the word table:
+    ``cells[k]`` ANDs the side masks of entries k onward into the mask of
+    the space, so entry k goes when what is kept of the earlier entries,
+    cut by ``cells[k + 1]``, still fits the ball.  The ball is convex, so
+    an atom lies in it exactly when its outermost values do, and a cell
+    fits it exactly when the cell's mask has no bit outside the ball's
+    inner mask.  A failing probe's cell and ball are built as sets, for
+    the point where the cell escapes the ball.
     """
-    whole = SymbolicSet.whole(sb.space)
+    table = sb.word_table
     counterexamples = []
     witnesses = []
     for x in probes:
         word = sb.forced_word(x)
-        sides = [sb.pairs[idx][digit] for idx, digit in word.entries]
-        cells = [whole]
-        for side in reversed(sides):
-            cells.append(cells[-1].intersection(side))
+        masks = [table.mask(2 * idx + digit) for idx, digit in word.entries]
+        cells = [table.whole]
+        for m in reversed(masks):
+            cells.append(cells[-1] & m)
         cells.reverse()
-        ball = SymbolicSet.ball(sb.space, x, epsilon)
-        if not cells[0].subset_of(ball):
+        outside = ~table.inner(x - epsilon, x + epsilon)
+        if cells[0] & outside:
             if len(counterexamples) < MAX_COUNTEREXAMPLES:
-                stray = cells[0].difference(ball).sample_point()
+                ball = SymbolicSet.ball(sb.space, x, epsilon)
+                stray = sb.sigma_sets(word).difference(ball).sample_point()
                 counterexamples.append({
                     "point": format_rational(x),
                     "word": word.to_string(len(sb.pairs)),
                     "escapes_at": format_rational(stray) if stray is not None else None,
                 })
             continue
-        kept = whole
+        kept = table.whole
         chosen = []
-        for k, side in enumerate(sides):
-            if not kept.intersection(cells[k + 1]).subset_of(ball):
-                kept = kept.intersection(side)
+        for k, m in enumerate(masks):
+            if kept & cells[k + 1] & outside:
+                kept &= m
                 chosen.append(word.entries[k])
         witnesses.append({"point": format_rational(x),
                           "word": TernaryWord(tuple(chosen)).to_string(len(sb.pairs))})

@@ -352,6 +352,13 @@ def extend_to_proper(space: Space, traces):
     kernel pair, boundaries stay inside the kernel, and window cores
     resolve into starred hulls off the kernel (the kernel stage checked
     the kernel side against the hull).
+
+    A trace's pair and window core are trusted to be the kernel stage's
+    own: nothing here ties them to that stage's output, so a pair or core
+    changed after it goes unseen.  What is checked again of each trace is
+    its space (its sets live on the kernel), its level (trace n is level
+    n) and its seed (the hull lies on the kernel, the starred hull on the
+    full space, and the one inside the other).
     """
     kernel = cb_kernel(space).kernel
     if not kernel.intervals():

@@ -84,12 +84,10 @@ def parse_span(text: str) -> Span:
 
 @per_space
 def _ambient(space: Space) -> tuple[int, tuple[int, ...]]:
-    """(den, cuts) of the union of the space's intervals."""
-    ivs = space.intervals()
-    den = math.lcm(*(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
-    # the intervals are disjoint and do not touch, so their ranges are too
-    return reduced(den, sorted(p for iv in ivs
-                               for p in (position(iv.lo, den), position(iv.hi, den) + 1)))
+    """(den, cuts) of the union of the space's intervals: the cuts that
+    ``Space.locate`` bisects, reduced."""
+    den, ends, _ = space._grid
+    return reduced(den, ends)
 
 
 def _ambient_ends(space: Space, den: int) -> set[int]:

@@ -16,10 +16,13 @@ space itself by ``per_space``.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 
+from .cuts import place, position
 from .rational import exact_log2, floor_log2, format_rational, parse_rational
 
 
@@ -90,6 +93,16 @@ class Space:
                            ("_sequences", GeometricSequence)):
             object.__setattr__(self, name,
                                tuple(p for p in self.primitives if isinstance(p, kind)))
+        # locate's tables: the intervals' cuts over one denominator, in
+        # order of position, and each isolated point's index by value
+        ivs = self._intervals
+        den = math.lcm(*(v.denominator for iv in ivs for v in (iv.lo, iv.hi)))
+        order = sorted(range(len(ivs)), key=lambda i: ivs[i].lo)
+        ends = [p for i in order
+                for p in (position(ivs[i].lo, den), position(ivs[i].hi, den) + 1)]
+        object.__setattr__(self, "_grid", (den, ends, tuple(order)))
+        object.__setattr__(self, "_point_index",
+                           {p.value: i for i, p in enumerate(self._points)})
         # every set hashes its space, so hash it once
         object.__setattr__(self, "_hash", hash(self.primitives))
         # not a field, so equality, hash, repr and to_dict ignore it
@@ -117,14 +130,17 @@ class Space:
 
         Returns ("interval", i) / ("point", i) / ("member", j, k) with i an
         index into intervals()/isolated_points() and j into sequences(),
-        or ("outside",) when x is not in the space.
+        or ("outside",) when x is not in the space.  One bisect of x's
+        position among the intervals' cuts finds its interval, a dict its
+        isolated point.
         """
-        for i, iv in enumerate(self.intervals()):
-            if iv.lo <= x <= iv.hi:
-                return ("interval", i)
-        for i, p in enumerate(self.isolated_points()):
-            if p.value == x:
-                return ("point", i)
+        den, ends, order = self._grid
+        i = bisect_right(ends, place(x, den)[0])
+        if i & 1:
+            return ("interval", order[i >> 1])
+        i = self._point_index.get(x)
+        if i is not None:
+            return ("point", i)
         for j, s in enumerate(self.sequences()):
             k = s.member_index(x)
             if k is not None:

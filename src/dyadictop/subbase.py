@@ -12,8 +12,9 @@ consecutive tail switches of any side.  Each side is one integer mask over
 the atoms, built on first use, and the masks are the only record of which
 atoms a side holds.  One bisect finds a point's atom, whose word is read off
 the masks the first time a point in it is asked for; a cell S(word) is the
-AND of its sides' masks, read back as a set in one pass; and the properness
-check reads off the masks which sides meet the pieces around a point.
+AND of its sides' masks, read back as a set in one pass; the properness
+check reads off the masks which sides meet the pieces around a point; and
+the resolution check fits cells into a ball by their masks.
 """
 from __future__ import annotations
 
@@ -21,10 +22,11 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .cuts import place, reduced, rescale
-from .sets import TAIL_NONE, SetError, SymbolicSet, TailRule
+from .sets import TAIL_NONE, SetError, SymbolicSet, TailRule, kernel_set
 from .space import Space
 from .words import TernaryWord
 
@@ -135,8 +137,9 @@ class WordTable:
     words of its points, each worked out on first ask.
 
     ``sides`` lists the sides pair by pair, ``den`` is the lcm of their
-    denominators and ``bounds`` the sorted union of their cuts rescaled to
-    it.
+    denominators and the space's, and ``bounds`` the sorted union of their
+    cuts and the cuts of the space's intervals, rescaled to it, so each
+    interval run lies in the space or misses it.
     ``switches[j]`` is the sorted union of the sides' tail switches of
     sequence j.  Every side holds all of an atom or none of it, and each
     atom is one bit: interval run r, the run of bounds a position falls in,
@@ -149,9 +152,11 @@ class WordTable:
     def __init__(self, sb: DyadicSubbase):
         self.space = sb.space
         self.sides = [side for pair in sb.pairs for side in pair]
-        self.den = math.lcm(*(side.den for side in self.sides))
-        self.bounds = sorted({p for side in self.sides
-                              for p in rescale(side.cuts, self.den // side.den)})
+        ivs = kernel_set(sb.space)  # the union of the space's intervals
+        self.den = math.lcm(ivs.den, *(side.den for side in self.sides))
+        self.bounds = sorted({*rescale(ivs.cuts, self.den // ivs.den),
+                              *(p for side in self.sides
+                                for p in rescale(side.cuts, self.den // side.den))})
         self.switches = [sorted({k for side in self.sides for k in side.tails[j].switches})
                          for j in range(len(sb.space.sequences()))]
         self.words: dict[int, TernaryWord] = {}
@@ -245,6 +250,48 @@ class WordTable:
             shift <<= 1
         m &= (1 << self.nbits) - 1
         self.masks[i] = m
+        return m
+
+    @cached_property
+    def whole(self) -> int:
+        """The atoms of the space, as a mask: the interval runs inside the
+        space's intervals, whose cuts ``bounds`` holds, and the atoms of
+        ``extremes``."""
+        ivs = kernel_set(self.space)
+        ends = [bisect_right(self.bounds, p) for p in rescale(ivs.cuts, self.den // ivs.den)]
+        m = sum((1 << e) - (1 << a) for a, e in zip(ends[::2], ends[1::2]))
+        for bit, *_ in self.extremes:
+            m |= 1 << bit
+        return m
+
+    @cached_property
+    def extremes(self) -> list[tuple[int, Fraction, Fraction, bool]]:
+        """(bit, first, last, limit) for each isolated point and each
+        nonempty sequence run: the atom's values run from first to last
+        and hold both, or, when limit is set, the last run's members
+        approach its limit ``last`` strictly, from first on."""
+        first = len(self.bounds) + 1
+        out = [(b, p.value, p.value, False)
+               for b, p in enumerate(self.space.isolated_points(), first)]
+        for s, switches, n in zip(self.space.sequences(), self.switches, self.runs):
+            starts = [1, *switches]
+            out += [(n + r, s.member(a), s.member(e - 1), False)
+                    for r, (a, e) in enumerate(zip(starts, switches)) if a < e]
+            out.append((n + len(switches), s.member(starts[-1]), s.limit, True))
+        return out
+
+    def inner(self, lo: Fraction, hi: Fraction) -> int:
+        """The atoms that lie wholly inside the open range (lo, hi), as a
+        mask: the interval runs from the first position past lo's up to
+        hi's, found with two bisects, and each atom of ``extremes`` whose
+        first and last values lie inside, a limit in the closed range."""
+        bounds = self.bounds
+        start = bisect_left(bounds, place(lo, self.den)[0] + 1) + 1
+        stop = bisect_right(bounds, place(hi, self.den)[0])
+        m = (1 << stop) - (1 << start) if start < stop else 0
+        for bit, a, b, limit in self.extremes:
+            if lo < a < hi and (lo <= b <= hi if limit else lo < b < hi):
+                m |= 1 << bit
         return m
 
     def cell(self, m: int) -> SymbolicSet:

@@ -10,8 +10,8 @@ symbolic side.  The word-by-word references at the end (properness,
 resolution, independence) do build cells with the symbolic intersections
 and closures, which the probes test; what they stand in for is the checks'
 own shortcuts: the properness check's pieces and walk over the atom masks,
-the resolution check's shared suffix cells and the independence walk's
-atom masks.
+the resolution check's suffix cell masks and inner ball masks, and the
+independence walk's atom masks.
 """
 from __future__ import annotations
 

@@ -16,6 +16,8 @@ from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
 
+from spacegen import random_spaces, rank2_space
+
 
 # -- primitives -----------------------------------------------------------
 
@@ -119,6 +121,41 @@ def test_locate_all_kinds():
     sp2 = interval_points_space()
     assert sp2.locate(F(2)) == ("point", 0)
     assert sp2.locate(F(3)) == ("point", 1)
+
+
+def _scan_locate(space, x):
+    """``Space.locate`` as a linear scan: each interval's ends compared
+    with x, then each isolated point, then each sequence's member index."""
+    for i, iv in enumerate(space.intervals()):
+        if iv.lo <= x <= iv.hi:
+            return ("interval", i)
+    for i, p in enumerate(space.isolated_points()):
+        if p.value == x:
+            return ("point", i)
+    for j, s in enumerate(space.sequences()):
+        k = s.member_index(x)
+        if k is not None:
+            return ("member", j, k)
+    return ("outside",)
+
+
+def test_locate_matches_the_scan_on_draws():
+    """The valid ``spacegen`` draws of one seed, ``rank2_space`` and the
+    corpus, each also with its primitives listed in reverse, so that the
+    intervals come out of order: every interval end, the values just
+    inside and outside it, every point, member 1 to 6 and limit, and a
+    grid in 12ths with an off-grid value in each step."""
+    spaces = random_spaces(5, 20) + [rank2_space()] + [mk() for mk in CORPUS.values()]
+    spaces += [Space(tuple(reversed(sp.primitives))) for sp in spaces]
+    tiny = F(1, 2 ** 30)
+    for sp in spaces:
+        values = {v + d for iv in sp.intervals() for v in (iv.lo, iv.hi)
+                  for d in (-tiny, 0, tiny)}
+        values |= {p.value for p in sp.isolated_points()}
+        values |= {v for s in sp.sequences() for v in (s.limit, *map(s.member, range(1, 7)))}
+        values |= {F(k, 12) + d for k in range(-24, 768) for d in (0, F(1, 97))}
+        for x in values:
+            assert sp.locate(x) == _scan_locate(sp, x), (sp.render(), x)
 
 
 # -- kernel analysis ------------------------------------------------------

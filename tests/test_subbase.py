@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from dyadictop import (DyadicSubbase, NotRegularOpenError, Space, SubbaseError,
-                       SymbolicSet, TailRule, TernaryWord, check_dyadic,
+from dyadictop import (DyadicSubbase, GeometricSequence, Interval, NotRegularOpenError,
+                       Space, SubbaseError, SymbolicSet, TailRule, TernaryWord, check_dyadic,
                        check_independent, check_proper, degree_report,
                        build_proper_subbase, make_pair, resolution_check)
 from dyadictop.checks import MAX_COUNTEREXAMPLES
@@ -14,7 +14,7 @@ from dyadictop.corpus import (CORPUS, converging_sequence_space, gray_pairs,
                               interval_space)
 
 from oracle import o_improper_depth, o_independent, o_proper, o_resolution, random_set
-from spacegen import rank2_space
+from spacegen import random_spaces, rank2_space
 
 X1 = interval_space()
 GRAY = DyadicSubbase.from_zero_sides(X1, gray_pairs(X1, 3))
@@ -298,24 +298,86 @@ def test_resolution_example_fails_at_one_hundredth():
     assert rep.counterexamples[0]["point"] == "3/10"
 
 
+def _edge_radii(sb, x, rng, count=2):
+    """(kind, radius) for radii that put an end of the ball around x exactly
+    on a side's cut value, an isolated point, a sequence member at either
+    end of a side's run of members, a limit in the space and an open limit:
+    up to count values of each kind, drawn by rng."""
+    space = sb.space
+    kinds = [
+        sorted({F(p >> 1, side.den) for pair in sb.pairs for side in pair for p in side.cuts}),
+        [p.value for p in space.isolated_points()],
+        sorted({s.member(k) for pair in sb.pairs for side in pair
+                for s, rule in zip(space.sequences(), side.tails)
+                for switch in rule.switches for k in (switch - 1, switch) if k}),
+        [s.limit for s in space.sequences() if not s.open_limit],
+        [s.limit for s in space.sequences() if s.open_limit],
+    ]
+    return [(kind, abs(v - x)) for kind, values in enumerate(kinds)
+            for v in rng.sample(values, min(count, len(values))) if v != x]
+
+
+def lone_end_subbase():
+    """[0,1] with the sequence -2^-(k+1) onto 0 from the left, and two
+    pairs: (0,1/2) and its exterior, so that 0 is on the boundary and no
+    side has a cut there, and the members 1 to 3, a clopen run of three."""
+    space = Space((Interval(F(0), F(1)), GeometricSequence(F(0), F(-1, 2))))
+    return DyadicSubbase.from_zero_sides(space, [
+        SymbolicSet.region(space, [(F(0), False, F(1, 2), False)]),
+        SymbolicSet(space, tails=(TailRule((1, 4)),))])
+
+
 def test_resolution_matches_greedy_oracle():
+    """The corpus builds at levels 2-4 and the builds at levels 1-4, in
+    both degree modes, of ``spacegen.rank2_space`` and the valid spaces
+    among the first 12 draws of a ``spacegen`` seed, with the Gray
+    subbase, ``lone_end_subbase`` and each corpus space without pairs: a
+    few radii for all probes, and for each of three probes the radii
+    whose ball ends on a cut, a point, a member or a limit."""
     rng = random.Random(2013)
-    subbases = [GRAY] + [build_proper_subbase(mk(), levels, depth=1).subbase
-                         for levels in (2, 3, 4) for mk in CORPUS.values()]
-    failed = 0
+    subbases = [GRAY, lone_end_subbase()] + [build_proper_subbase(mk(), levels, depth=1).subbase
+                                             for levels in (2, 3, 4) for mk in CORPUS.values()]
+    subbases += [DyadicSubbase.from_pairs(mk(), ()) for mk in CORPUS.values()]
+    subbases += [build_proper_subbase(space, levels, mode, depth=1).subbase
+                 for space in [rank2_space(), *random_spaces(2013, 12)]
+                 for levels in (1, 2, 3, 4) for mode in ("unconstrained", "match_dim")]
+    failed, kinds = 0, set()
     for sb in subbases:
         grid = [F(k, 16) for k in range(-16, 97) if sb.space.contains(F(k, 16))]
-        probes = sample_points(sb.space, 6, rng, member_depth=6) + rng.sample(grid, 4)
-        for epsilon in (F(1, 1000), F(1, rng.choice((3, 8, 20))), F(rng.randint(1, 6), 4)):
-            rep = resolution_check(sb, epsilon, probes)
-            counterexamples, witnesses = o_resolution(sb, epsilon, probes,
+        probes = sample_points(sb.space, 6, rng, member_depth=6)
+        probes += rng.sample(grid, min(4, len(grid)))
+        runs = [(epsilon, probes) for epsilon in
+                (F(1, 1000), F(1, rng.choice((3, 8, 20))), F(rng.randint(1, 6), 4))]
+        for x in probes[:3]:
+            for kind, epsilon in _edge_radii(sb, x, rng):
+                runs.append((epsilon, [x]))
+                kinds.add(kind)
+        for epsilon, points in runs:
+            rep = resolution_check(sb, epsilon, points)
+            counterexamples, witnesses = o_resolution(sb, epsilon, points,
                                                       MAX_COUNTEREXAMPLES)
             assert list(rep.counterexamples) == counterexamples
-            assert rep.stats == {"probes_checked": len(probes),
+            assert rep.stats == {"probes_checked": len(points),
                                  "epsilon": f"{epsilon.numerator}/{epsilon.denominator}",
                                  "witnesses": witnesses}
             failed += bool(counterexamples)
     assert failed >= len(subbases)
+    assert kinds == {0, 1, 2, 3, 4}
+
+
+def test_resolution_edges_on_lone_end_match_greedy_oracle():
+    """Every probe of ``lone_end_subbase`` at every radius whose ball ends
+    on a value ``_edge_radii`` draws from, among them the last member of
+    the run of three, the limit 0 and the end 0 that no side cuts."""
+    sb = lone_end_subbase()
+    probes = [sb.space.sequences()[0].member(k) for k in range(1, 7)]
+    probes += [F(k, 8) for k in range(9)]
+    for x in probes:
+        for _, epsilon in _edge_radii(sb, x, random.Random(0), count=99):
+            rep = resolution_check(sb, epsilon, [x])
+            counterexamples, witnesses = o_resolution(sb, epsilon, [x], MAX_COUNTEREXAMPLES)
+            assert list(rep.counterexamples) == counterexamples
+            assert rep.stats["witnesses"] == witnesses
 
 
 # -- serialization --------------------------------------------------------
