@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cuts import place, rescale
 from .rational import format_rational
 from .sets import SymbolicSet
 from .subbase import DyadicSubbase
@@ -91,23 +92,30 @@ def _improper_points(sb: DyadicSubbase, eff: int) -> list[tuple[Fraction, int]]:
     those points are tried.  At each, the masks of pieces still held by
     every digit so far, shifted down to the lowest piece bit, are stepped
     through the pairs; a word fails there exactly when the empty mask is
-    reachable.
+    reachable.  A span end is tried as its position on the table's grid,
+    and only an improper one becomes a value.
     """
     space, table = sb.space, sb.word_table
-    sides = [side for pair in sb.pairs[:eff] for side in pair]
-    points = {Fraction(p >> 1, side.den) for side in sides for p in side.cuts}
-    points |= {s.limit for s in space.sequences() if not s.open_limit}
-    out = []
-    for x in points:
-        pieces = table.pieces(x)
+    den = table.den
+    limits = {s.limit for s in space.sequences() if not s.open_limit}
+    ends = {c & ~1 for pair in sb.pairs[:eff] for side in pair
+            for c in rescale(side.cuts, den // side.den)}
+    ends -= {place(x, den)[0] for x in limits}  # tried below, with their tails
+
+    masks = [table.mask(i) for i in range(2 * eff)]
+
+    def improper(pieces):
         low = (pieces & -pieces).bit_length() - 1
-        held = [(table.mask(i) & pieces) >> low for i in range(2 * eff)]
+        held = [(m & pieces) >> low for m in masks]
         reach = {-1}  # every piece, before any digit
         for idx in range(eff):
             steps = [h for h in held[2 * idx:2 * idx + 2] if h]
             reach |= {m & h for m in reach for h in steps}
-        if 0 in reach:
-            out.append((x, pieces))
+        return 0 in reach
+
+    out = [(Fraction(p >> 1, den), pieces) for p in ends
+           if improper(pieces := table.end_pieces(p))]
+    out += [(x, pieces) for x in limits if improper(pieces := table.pieces(x))]
 
     def order(item):
         loc = space.locate(item[0])

@@ -24,12 +24,19 @@ def parse_rational(text: str | int) -> Fraction:
         return Fraction(text)
     if isinstance(text, Fraction):
         return text
+    return Fraction(*parse_ratio(text))
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The integers (p, q) of a ``"p/q"`` or ``"p"`` string as written, not
+    reduced; q is 1 when absent and never 0."""
     if not isinstance(text, str) or not _RATIONAL.match(text.strip()):
         raise RationalFormatError(f"expected p/q form, got {text!r}")
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise RationalFormatError(f"zero denominator in {text!r}") from None
+    p, _, q = text.strip().partition("/")
+    q = int(q) if q else 1
+    if not q:
+        raise RationalFormatError(f"zero denominator in {text!r}")
+    return int(p), q
 
 
 def format_rational(x: Fraction) -> str:

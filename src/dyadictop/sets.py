@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .cuts import (AND, AND_NOT, OR, combine, common, inside, merge, place, position,
                    reduced, rescale, union)
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_ratio, parse_rational
 from .space import Space, _members_in_range, per_space
 
 
@@ -66,20 +67,58 @@ class Span:
         return (x == self.lo and self.lo_in) or (x == self.hi and self.hi_in)
 
     def render(self) -> str:
-        l = "[" if self.lo_in else "("
-        r = "]" if self.hi_in else ")"
-        return f"{l}{format_rational(self.lo)},{format_rational(self.hi)}{r}"
+        return _render(self.lo, self.lo_in, self.hi, self.hi_in)
 
 
-_SPAN_RE = re.compile(r"^([\[\(])\s*([^,\s]+)\s*,\s*([^\]\)\s]+)\s*([\]\)])$")
+def _render(lo: Fraction, lo_in: bool, hi: Fraction, hi_in: bool) -> str:
+    l = "[" if lo_in else "("
+    r = "]" if hi_in else ")"
+    return f"{l}{format_rational(lo)},{format_rational(hi)}{r}"
 
 
-def parse_span(text: str) -> Span:
-    m = _SPAN_RE.match(text.strip()) if isinstance(text, str) else None
-    if not m:
-        raise SetError(f"bad interval literal {text!r}")
-    return Span(parse_rational(m.group(2)), m.group(1) == "[",
-                parse_rational(m.group(3)), m.group(4) == "]")
+_END = r"\s*([+-]?\d+)(?:/(\d+))?\s*"
+_LITERAL = re.compile(rf"^([\[\(]){_END},{_END}([\]\)])$")
+_SHAPE = re.compile(r"^([\[\(])\s*([^,\s]+)\s*,\s*([^\]\)\s]+)\s*([\]\)])$")
+
+
+def _parse_literal(text: str) -> tuple[int, int, bool, int, int, bool]:
+    """(p, q, lo_in, r, s, hi_in) of an interval literal from p/q to r/s, the
+    integers as written, read in one match; refused as a ``Span`` would
+    refuse its bounds."""
+    m = _LITERAL.match(text.strip()) if isinstance(text, str) else None
+    if m is None:
+        raise _literal_fault(text)
+    lo, p, q, r, s, hi = m.groups()
+    p, q, r, s = int(p), int(q or 1), int(r), int(s or 1)
+    if not (q and s):
+        raise _literal_fault(text)
+    lo_in, hi_in = lo == "[", hi == "]"
+    if p * s > r * q or (p * s == r * q and not (lo_in and hi_in)):
+        raise SetError(f"bad span bounds {_render(Fraction(p, q), lo_in, Fraction(r, s), hi_in)}")
+    return p, q, lo_in, r, s, hi_in
+
+
+def _literal_fault(text) -> ValueError:
+    """The error for a literal that is not two p/q ends with nonzero q
+    between brackets: its first fault, the shape and then each end as
+    ``parse_ratio`` reads it, which raises."""
+    m = _SHAPE.match(text.strip()) if isinstance(text, str) else None
+    for end in m.group(2, 3) if m else ():
+        parse_ratio(end)
+    return SetError(f"bad interval literal {text!r}")
+
+
+def _covered(space: Space, lo: Fraction, lo_in: bool, hi: Fraction, hi_in: bool):
+    """(values, switches): the isolated points that the real interval from
+    lo to hi holds, and per sequence the tail switches of its members
+    there."""
+    values = [p.value for p in space.isolated_points()
+              if lo < p.value < hi or (p.value == lo and lo_in) or (p.value == hi and hi_in)]
+    switches = []
+    for s in space.sequences():
+        r = _members_in_range(s, lo, lo_in, hi, hi_in)
+        switches.append(() if r is None else (r[0],) if r[1] == -1 else (r[0], r[1] + 1))
+    return values, switches
 
 
 @per_space
@@ -213,6 +252,15 @@ def _tail_binary(a: TailRule, b: TailRule, table) -> TailRule:
 TAIL_ALL = TailRule((1,))
 TAIL_NONE = TailRule()
 
+
+def _tail_rule(parts) -> TailRule:
+    """The union of tail rules given as switch lists."""
+    sw: list[int] = []
+    for part in parts:
+        sw = merge(sw, part, OR)
+    return TailRule(tuple(sw)) if sw else TAIL_NONE
+
+
 # Largest tail index a set file may name; the builder names indices up to
 # its levels + 3.  Combining rules costs nothing per index, but the members
 # of a finite rule are listed whole (``exceptions``, ``as_finite_points``,
@@ -333,17 +381,13 @@ class SymbolicSet:
         """
         spans = tuple(Span(lo, lo_in, hi, hi_in) for lo, lo_in, hi, hi_in in blocks
                       if lo < hi or (lo == hi and lo_in and hi_in))
-        points = frozenset(p.value for p in space.isolated_points()
-                           if any(sp.contains(p.value) for sp in spans))
-        tails = []
-        for s in space.sequences():
-            rule = TAIL_NONE
-            for sp in spans:
-                r = _members_in_range(s, sp.lo, sp.lo_in, sp.hi, sp.hi_in)
-                if r is not None:
-                    rule = rule.union(TailRule((r[0],) if r[1] == -1 else (r[0], r[1] + 1)))
-            tails.append(rule)
-        return cls(space, spans, points, tuple(tails))
+        points, switches = set(), [[] for _ in space.sequences()]
+        for sp in spans:
+            values, sws = _covered(space, sp.lo, sp.lo_in, sp.hi, sp.hi_in)
+            points.update(values)
+            for parts, sw in zip(switches, sws):
+                parts.append(sw)
+        return cls(space, spans, frozenset(points), tuple(map(_tail_rule, switches)))
 
     @classmethod
     def ball(cls, space: Space, center: Fraction, radius: Fraction) -> "SymbolicSet":
@@ -611,18 +655,34 @@ class SymbolicSet:
 
     @classmethod
     def from_dict(cls, space: Space, data: dict) -> "SymbolicSet":
+        """The set a JSON object describes, in one pass.
+
+        Each interval literal is parsed to integers and becomes a range of
+        positions over one denominator for the whole set, and one union
+        clipped to the space's intervals gives the cuts.  A literal is the
+        trace of a real interval, so one that leaves the space's intervals
+        also takes in the isolated points and members it covers, as
+        ``region`` does; one inside them covers none, since the primitives
+        are disjoint.  Each point is located once and joins the cuts, the
+        points or its sequence's tail, and the tail rules are merged per
+        sequence.  Errors come in file order: intervals, points, tails.
+        """
         if not isinstance(data, dict):
             raise SetError("set JSON must be an object")
-        out = cls.empty(space)
-        blocks = []
-        for text in _json_list(data, "intervals"):
-            sp = parse_span(text)
-            blocks.append((sp.lo, sp.lo_in, sp.hi, sp.hi_in))
-        if blocks:
-            out = out.union(cls.region(space, blocks))
+        literals = [_parse_literal(text) for text in _json_list(data, "intervals")]
+        values, points, switches = [], set(), [[] for _ in space.sequences()]
         for text in _json_list(data, "points"):
-            out = out.union(cls.singleton(space, parse_rational(text)))
-        n_seq = len(space.sequences())
+            x = parse_rational(text)
+            loc = space.locate(x)
+            if loc[0] == "interval":
+                values.append(x)
+            elif loc[0] == "point":
+                points.add(x)
+            elif loc[0] == "member":
+                switches[loc[1]].append((loc[2], loc[2] + 1))
+            else:
+                raise SetError(f"{x} is not in the space")
+        n_seq = len(switches)
         for entry in _json_list(data, "tails"):
             if not isinstance(entry, dict):
                 raise SetError(f"tail rule {entry!r} is not an object")
@@ -633,10 +693,28 @@ class SymbolicSet:
             if start is not None:
                 _tail_index(start, "start")
             exc = [_tail_index(e, "exception") for e in _json_list(entry, "exceptions")]
-            tails = [TAIL_NONE] * n_seq
-            tails[j] = TailRule.of(start, exc)
-            out = out.union(cls(space, tails=tuple(tails)))
-        return out
+            switches[j].append(TailRule.of(start, exc).switches)
+        den, cuts = 1, ()
+        if literals or values:
+            amb_den, amb = _ambient(space)
+            den = math.lcm(amb_den, *(x.denominator for x in values),
+                           *(d for _, q, _, _, s, _ in literals for d in (q, s)))
+            amb = rescale(amb, den // amb_den)
+            ranges = [(2 * p * (den // q) + (not lo_in), 2 * r * (den // s) + hi_in)
+                      for p, q, lo_in, r, s, hi_in in literals]
+            if space.isolated_points() or space.sequences():
+                for (a, e), (p, q, lo_in, r, s, hi_in) in zip(ranges, literals):
+                    i = bisect_right(amb, a)
+                    if i & 1 and e <= amb[i]:
+                        continue  # inside one interval
+                    found, sws = _covered(space, Fraction(p, q), lo_in, Fraction(r, s), hi_in)
+                    points.update(found)
+                    for parts, sw in zip(switches, sws):
+                        parts.append(sw)
+            ranges += [(a, a + 1) for a in (position(x, den) for x in values)]
+            den, cuts = reduced(den, merge(union(ranges), amb, AND))
+        return cls._canonical(space, den, cuts, frozenset(points),
+                              tuple(map(_tail_rule, switches)))
 
     def render(self) -> str:
         parts = [sp.render() for sp in self.spans]

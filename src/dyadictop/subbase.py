@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cuts import place, reduced, rescale
+from .cuts import inside, place, reduced, rescale
 from .sets import TAIL_NONE, SetError, SymbolicSet, TailRule, kernel_set
 from .space import Space
 from .words import TernaryWord
@@ -137,9 +137,10 @@ class WordTable:
     words of its points, each worked out on first ask.
 
     ``sides`` lists the sides pair by pair, ``den`` is the lcm of their
-    denominators and the space's, and ``bounds`` the sorted union of their
-    cuts and the cuts of the space's intervals, rescaled to it, so each
-    interval run lies in the space or misses it.
+    denominators and the space's, ``edges`` the cuts of the space's
+    intervals rescaled to it, and ``bounds`` the sorted union of the sides'
+    cuts, rescaled to it, and the edges, so each interval run lies in the
+    space or misses it.
     ``switches[j]`` is the sorted union of the sides' tail switches of
     sequence j.  Every side holds all of an atom or none of it, and each
     atom is one bit: interval run r, the run of bounds a position falls in,
@@ -154,9 +155,9 @@ class WordTable:
         self.sides = [side for pair in sb.pairs for side in pair]
         ivs = kernel_set(sb.space)  # the union of the space's intervals
         self.den = math.lcm(ivs.den, *(side.den for side in self.sides))
-        self.bounds = sorted({*rescale(ivs.cuts, self.den // ivs.den),
-                              *(p for side in self.sides
-                                for p in rescale(side.cuts, self.den // side.den))})
+        self.edges = rescale(ivs.cuts, self.den // ivs.den)
+        self.bounds = sorted({*self.edges, *(p for side in self.sides
+                                             for p in rescale(side.cuts, self.den // side.den))})
         self.switches = [sorted({k for side in self.sides for k in side.tails[j].switches})
                          for j in range(len(sb.space.sequences()))]
         self.words: dict[int, TernaryWord] = {}
@@ -209,17 +210,21 @@ class WordTable:
         to x or misses all of it, so a side's closure holds x exactly when
         its mask meets these bits."""
         loc = self.space.locate(x)
-        out = 1 << self.atom(loc, x)
-        if loc[0] == "interval":
-            iv = self.space.intervals()[loc[1]]
-            p, on_grid = place(x, self.den)
-            if on_grid and iv.lo < x:
-                out |= 1 << bisect_right(self.bounds, p - 1)
-            if on_grid and x < iv.hi:
-                out |= 1 << bisect_right(self.bounds, p + 1)
+        p, on_grid = place(x, self.den)
+        out = self.end_pieces(p) if loc[0] == "interval" and on_grid else 1 << self.atom(loc, x)
         for s, switches, n in zip(self.space.sequences(), self.switches, self.runs):
             if s.limit == x:
                 out |= 1 << (n + len(switches))
+        return out
+
+    def end_pieces(self, p: int) -> int:
+        """The atoms of the pieces at the interval point at even position p
+        on the grid, tails aside: its own atom and the atoms of the
+        positions either side of it that lie in the space."""
+        out = 1 << bisect_right(self.bounds, p)
+        for q in (p - 1, p + 1):
+            if inside(self.edges, q):
+                out |= 1 << bisect_right(self.bounds, q)
         return out
 
     def mask(self, i: int) -> int:
@@ -257,8 +262,7 @@ class WordTable:
         """The atoms of the space, as a mask: the interval runs inside the
         space's intervals, whose cuts ``bounds`` holds, and the atoms of
         ``extremes``."""
-        ivs = kernel_set(self.space)
-        ends = [bisect_right(self.bounds, p) for p in rescale(ivs.cuts, self.den // ivs.den)]
+        ends = [bisect_right(self.bounds, p) for p in self.edges]
         m = sum((1 << e) - (1 << a) for a, e in zip(ends[::2], ends[1::2]))
         for bit, *_ in self.extremes:
             m |= 1 << bit

@@ -13,6 +13,8 @@ from dyadictop import (AmbientMismatchError, DyadicSubbase, SetError, Span,
 from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
+from dyadictop import rational as rational_mod, sets as sets_mod, space as space_mod
+from dyadictop.rational import RationalFormatError, parse_rational
 from dyadictop.sets import MAX_TAIL_INDEX, nearer_spans
 from dyadictop.space import (GeometricSequence, Interval, IsolatedPoint, Space, SpaceError,
                              cb_kernel)
@@ -20,7 +22,7 @@ from dyadictop.space import (GeometricSequence, Interval, IsolatedPoint, Space, 
 from oracle import (critical_values, o_closure, o_interior, o_member, o_selected, o_spans,
                     o_tail, o_tail_binary, random_set, random_tail, raw_spans,
                     witnesses)
-from spacegen import random_spaces
+from spacegen import random_spaces, rank2_space
 
 X1 = interval_space()
 X2 = interval_points_space()
@@ -252,6 +254,154 @@ def test_from_dict_region_semantics():
     d = {"intervals": ["[0/1,1/2)"]}
     s = SymbolicSet.from_dict(X1, d)
     assert s.render() == "[0/1,1/2)"
+
+
+# Loader behaviour on interval-sequence, [0,1] plus the members 1 + 2^-k:
+# (set JSON, the exception type and text, or the loaded set's JSON).
+LOADER_TABLE = [
+    ({"intervals": ["[1/2,1/4]"]}, SetError, "bad span bounds [1/2,1/4]"),
+    ({"intervals": ["[2/4,1/4]"]}, SetError, "bad span bounds [1/2,1/4]"),
+    ({"intervals": ["(1/2,1/2)"]}, SetError, "bad span bounds (1/2,1/2)"),
+    ({"intervals": ["[0/0,1/1]"]}, RationalFormatError, "zero denominator in '0/0'"),
+    ({"intervals": ["[a,1/1]"]}, RationalFormatError, "expected p/q form, got 'a'"),
+    ({"intervals": [5]}, SetError, "bad interval literal 5"),
+    ({"intervals": ["[0/1,1/2"]}, SetError, "bad interval literal '[0/1,1/2'"),
+    ({"points": ["3/1"]}, SetError, "3 is not in the space"),
+    # intervals are read before points, and points before tails
+    ({"intervals": ["[a,1/1]"], "points": ["3/1"]}, RationalFormatError,
+     "expected p/q form, got 'a'"),
+    ({"points": ["3/1"], "tails": [{"sequence": 1}]}, SetError, "3 is not in the space"),
+    ({"intervals": ["[1/2,1/2]"]}, None, {"intervals": ["[1/2,1/2]"]}),
+    ({"intervals": ["[ 0/1 , 1/2 ]"]}, None, {"intervals": ["[0/1,1/2]"]}),
+    ({"intervals": ["[0,1/2)"]}, None, {"intervals": ["[0/1,1/2)"]}),
+    ({"intervals": ["[+0/1,2/4)"]}, None, {"intervals": ["[0/1,1/2)"]}),
+    ({"intervals": ["[-1/1,3/1]"]}, None,
+     {"intervals": ["[0/1,1/1]"], "tails": [{"sequence": 0, "start": 1}]}),
+    ({"points": ["1/2"]}, None, {"intervals": ["[1/2,1/2]"]}),
+]
+
+
+@pytest.mark.parametrize("data, error, expected", LOADER_TABLE)
+def test_loader_table(data, error, expected):
+    if error is None:
+        assert SymbolicSet.from_dict(X3, data).to_dict() == expected
+        return
+    with pytest.raises(error) as info:
+        SymbolicSet.from_dict(X3, data)
+    assert type(info.value) is error and str(info.value) == expected
+
+
+def _literal(text):
+    """(lo, lo_in, hi, hi_in) of an interval literal, read with Fractions."""
+    lo, hi = text.strip()[1:-1].split(",")
+    return F(lo.strip()), text.strip()[0] == "[", F(hi.strip()), text.strip()[-1] == "]"
+
+
+def _chain_load(space, data):
+    """A set JSON read the long way: the region of its literals, then one
+    union per point and per tail rule."""
+    out = SymbolicSet.region(space, [_literal(t) for t in data.get("intervals", [])])
+    for text in data.get("points", []):
+        out = out.union(SymbolicSet.singleton(space, F(text)))
+    for entry in data.get("tails", []):
+        tails = [TailRule()] * len(space.sequences())
+        tails[entry["sequence"]] = TailRule.of(entry.get("start"), entry.get("exceptions", ()))
+        out = out.union(SymbolicSet(space, tails=tuple(tails)))
+    return out
+
+
+def _json_member(space, data, x):
+    """Whether x lies in the set a JSON object describes, from the JSON."""
+    if not space.contains(x):
+        return False
+    for lo, lo_in, hi, hi_in in map(_literal, data.get("intervals", [])):
+        if lo < x < hi or (x == lo and lo_in) or (x == hi and hi_in):
+            return True
+    if x in {F(p) for p in data.get("points", [])}:
+        return True
+    for entry in data.get("tails", []):
+        k = space.sequences()[entry["sequence"]].member_index(x)
+        if k is not None and o_selected(entry.get("start"), entry.get("exceptions", ()), k):
+            return True
+    return False
+
+
+def _hand_made_set(space, rng):
+    """Set JSON whose literals reach past the intervals over the isolated
+    points and members, whose points are points of every kind of the
+    space, and whose tails overlap them."""
+    values = [v for iv in space.intervals() for v in (iv.lo, iv.hi)]
+    values += [p.value for p in space.isolated_points()]
+    values += [v for s in space.sequences() for v in (s.limit, s.member(1), s.member(3))]
+    lo, hi = min(values) - 1, max(values) + 1
+    grid = [lo + (hi - lo) * F(k, 48) for k in range(49)] + values
+    data = {"intervals": [], "points": [], "tails": []}
+    for _ in range(rng.randint(0, 3)):
+        a, b = sorted(rng.sample(grid, 2))
+        data["intervals"].append(f"{'[(' [rng.random() < 0.5]}{a.numerator}/{a.denominator},"
+                                 f"{b.numerator}/{b.denominator}{'])' [rng.random() < 0.5]}")
+    members = [s.member(k) for s in space.sequences() for k in (1, 2, 5)]
+    inner = [(iv.lo + iv.hi) / 2 for iv in space.intervals()]
+    pool = [p.value for p in space.isolated_points()] + members + inner
+    for x in rng.sample(pool, min(len(pool), rng.randint(0, 3))):
+        data["points"].append(f"{x.numerator}/{x.denominator}")
+    for j in range(len(space.sequences())):
+        if rng.random() < 0.5:
+            data["tails"].append({"sequence": j, "start": rng.randint(1, 6),
+                                  "exceptions": rng.sample(range(1, 8), 2)})
+    return data
+
+
+def test_loader_agrees_with_the_chain_and_the_json():
+    rng = random.Random(2013)
+    spaces = SPACES + random_spaces(7, 25) + [rank2_space()]
+    for space in spaces:
+        crit = critical_values(space, [])
+        for _ in range(12):
+            data = _hand_made_set(space, rng)
+            s = SymbolicSet.from_dict(space, data)
+            assert s == _chain_load(space, data)
+            again = SymbolicSet.from_dict(space, json.loads(json.dumps(s.to_dict())))
+            assert again == s and again.to_dict() == s.to_dict()
+            ends = {v for t in data["intervals"] for v in _literal(t)[::2]}
+            members = {seq.member(k) for seq in space.sequences() for k in range(1, 10)}
+            for x in witnesses(space, crit | critical_values(space, [s]) | ends) + sorted(members):
+                assert s.membership(x) == _json_member(space, data, x), (data, x)
+
+
+def test_loading_reads_no_span_twice(monkeypatch):
+    """Builder-made sides never leave the space's intervals, so loading
+    them runs no member scan and parses no span end through a Fraction."""
+    sb = build_proper_subbase(X3, 8, depth=1).subbase
+    data = json.loads(json.dumps(sb.to_dict()))
+    space = Space.from_dict(data["space"])
+    calls = {"scan": 0, "parse": 0, "str": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class Counting(F):
+        def __new__(cls, *args, **kwargs):
+            calls["str"] += bool(args) and isinstance(args[0], str)
+            return F(*args, **kwargs)
+
+    scan, parse = counted("scan", space_mod._members_in_range), counted("parse", parse_rational)
+    for mod in (space_mod, sets_mod):
+        monkeypatch.setattr(mod, "_members_in_range", scan)
+    for mod in (rational_mod, sets_mod):
+        monkeypatch.setattr(mod, "parse_rational", parse)
+        monkeypatch.setattr(mod, "Fraction", Counting)
+    sides = [SymbolicSet.from_dict(space, side) for pair in data["pairs"]
+             for side in (pair["zero"], pair["one"])]
+    assert sides == [side for pair in sb.pairs for side in pair]
+    assert sum(len(side.cuts) for side in sides) > 500
+    assert calls == {"scan": 0, "parse": 0, "str": 0}
+    # a literal that leaves the intervals is scanned, once per sequence
+    SymbolicSet.from_dict(space, {"intervals": ["[-1/1,3/1]"]})
+    assert calls["scan"] == len(space.sequences())
 
 
 # -- property tests -------------------------------------------------------

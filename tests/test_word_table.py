@@ -7,7 +7,8 @@ atom masks, the report of ``oracle.o_independent``.  The subbases are the
 corpus builds at levels 1-8 and the builds at levels 1-4 of the valid
 spaces among the first 25 draws of three ``spacegen`` seeds, in both
 degree modes, the Gray subbase and the broken fixture of ``tests/data``,
-each also reloaded through ``DyadicSubbase.from_dict``.  The points are
+each also reloaded through ``DyadicSubbase.from_dict``, which must give
+it back with byte-identical JSON.  The points are
 every cut value of a side and interval end, the midpoint of each gap
 between consecutive ones and the first multiple of 1/3, 1/5 and 1/7 inside
 it, the isolated points, the members 1 to levels + 6 and the limit of each
@@ -18,6 +19,7 @@ the side's closure, on the builds of each corpus space and of
 """
 import functools
 import itertools
+import json
 import math
 import pathlib
 import random
@@ -106,6 +108,16 @@ def _prefix(entries, width):
 def _with_reloaded(case):
     for levels, sb in _subbases(case):
         yield levels, sb, DyadicSubbase.from_dict(sb.to_dict())
+
+
+@pytest.mark.parametrize("case", list(_cases()))
+def test_a_subbase_file_loads_back_byte_identical(case):
+    """Loading a subbase's JSON gives the same subbase, whose JSON is the
+    same text."""
+    for _, sb in _subbases(case):
+        text = json.dumps(sb.to_dict())
+        back = DyadicSubbase.from_dict(json.loads(text))
+        assert back == sb and json.dumps(back.to_dict()) == text
 
 
 @pytest.mark.parametrize("case", list(_cases()))
