@@ -334,12 +334,12 @@ def _hand_made_set(space, rng):
     values += [p.value for p in space.isolated_points()]
     values += [v for s in space.sequences() for v in (s.limit, s.member(1), s.member(3))]
     lo, hi = min(values) - 1, max(values) + 1
-    grid = [lo + (hi - lo) * F(k, 48) for k in range(49)] + values
+    grid = sorted({lo + (hi - lo) * F(k, 48) for k in range(49)} | set(values))
     data = {"intervals": [], "points": [], "tails": []}
     for _ in range(rng.randint(0, 3)):
         a, b = sorted(rng.sample(grid, 2))
-        data["intervals"].append(f"{'[(' [rng.random() < 0.5]}{a.numerator}/{a.denominator},"
-                                 f"{b.numerator}/{b.denominator}{'])' [rng.random() < 0.5]}")
+        data["intervals"].append(f"{rng.choice('[(')}{a.numerator}/{a.denominator},"
+                                 f"{b.numerator}/{b.denominator}{rng.choice('])')}")
     members = [s.member(k) for s in space.sequences() for k in (1, 2, 5)]
     inner = [(iv.lo + iv.hi) / 2 for iv in space.intervals()]
     pool = [p.value for p in space.isolated_points()] + members + inner

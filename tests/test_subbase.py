@@ -11,7 +11,7 @@ from dyadictop import (DyadicSubbase, GeometricSequence, Interval, NotRegularOpe
 from dyadictop.checks import MAX_COUNTEREXAMPLES
 from dyadictop.construct import sample_points
 from dyadictop.corpus import (CORPUS, converging_sequence_space, gray_pairs,
-                              interval_space)
+                              interval_sequence_space, interval_space)
 
 from oracle import o_improper_depth, o_independent, o_proper, o_resolution, random_set
 from spacegen import random_spaces, rank2_space
@@ -148,12 +148,25 @@ def _limits_of_two_kinds():
     return out
 
 
+def _tail_at_a_span_end():
+    """A subbase on interval-sequence, proper at 1, where both zero sides
+    end at 1: [0,1) and {1}, each with every member 1 + 2^-k.  The cell of
+    the word 00 is the members, whose closure holds 1, so only the tail
+    piece at 1 keeps the span ends from failing there."""
+    space = interval_sequence_space()
+    tail = SymbolicSet(space, tails=(TailRule.of(1, ()),))
+    left = SymbolicSet.region(space, [(F(0), True, F(1), False)]).union(tail)
+    point = SymbolicSet.singleton(space, F(1)).union(tail)
+    return [DyadicSubbase.from_pairs(space, [(left, SymbolicSet.empty(space)),
+                                             (point, SymbolicSet.empty(space))])]
+
+
 @functools.cache
 def _proper_cases():
     """The corpus builds at levels 1-4, Gray, the broken pairs and a pair
     meeting a sequence only at its limit, with 150 mutants of them; then
     the builds of ``rank2_space`` at levels 1-4 with 100 mutants of those,
-    and ``_limits_of_two_kinds``."""
+    ``_limits_of_two_kinds`` and ``_tail_at_a_span_end``."""
     seq = converging_sequence_space()
     zero = SymbolicSet.singleton(seq, F(0))
     # {0} and the members 2^-k meet only in closure: the word 01 fails at 0
@@ -164,7 +177,8 @@ def _proper_cases():
               for levels in (1, 2, 3, 4) for mk in CORPUS.values()]
     rank2 = [build_proper_subbase(rank2_space(), levels, depth=1).subbase for levels in (1, 2, 3, 4)]
     return (bases + _put_in_pairs(bases, random.Random(8), 150)
-            + rank2 + _put_in_pairs(rank2, random.Random(20), 100) + _limits_of_two_kinds())
+            + rank2 + _put_in_pairs(rank2, random.Random(20), 100) + _limits_of_two_kinds()
+            + _tail_at_a_span_end())
 
 
 def test_the_witness_is_the_limit_sample_point_picks():

@@ -298,6 +298,7 @@ def test_pieces_meet_a_side_exactly_where_its_closure_holds_the_point(name):
         sides = table.sides
         for x in [x for x in _points(sb, 1) if space.contains(x)]:
             pieces = table.pieces(x)
+            assert pieces & ~table.whole == 0, x  # pieces lie in the space
             for i, side in enumerate(sides):
                 want = o_closure(space, side.membership, critical_values(space, [side]), x)
                 assert (table.mask(i) & pieces != 0) == want, (x, i)
