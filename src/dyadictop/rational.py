@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
 class RationalFormatError(ValueError):
@@ -30,9 +30,10 @@ def parse_rational(text: str | int) -> Fraction:
 def parse_ratio(text: str) -> tuple[int, int]:
     """The integers (p, q) of a ``"p/q"`` or ``"p"`` string as written, not
     reduced; q is 1 when absent and never 0."""
-    if not isinstance(text, str) or not _RATIONAL.match(text.strip()):
+    m = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
         raise RationalFormatError(f"expected p/q form, got {text!r}")
-    p, _, q = text.strip().partition("/")
+    p, q = m.groups()
     q = int(q) if q else 1
     if not q:
         raise RationalFormatError(f"zero denominator in {text!r}")

@@ -76,36 +76,21 @@ def _render(lo: Fraction, lo_in: bool, hi: Fraction, hi_in: bool) -> str:
     return f"{l}{format_rational(lo)},{format_rational(hi)}{r}"
 
 
-_END = r"\s*([+-]?\d+)(?:/(\d+))?\s*"
-_LITERAL = re.compile(rf"^([\[\(]){_END},{_END}([\]\)])$")
-_SHAPE = re.compile(r"^([\[\(])\s*([^,\s]+)\s*,\s*([^\]\)\s]+)\s*([\]\)])$")
+_SPAN_RE = re.compile(r"^([\[\(])\s*([^,\s]+)\s*,\s*([^\]\)\s]+)\s*([\]\)])$")
 
 
 def _parse_literal(text: str) -> tuple[int, int, bool, int, int, bool]:
     """(p, q, lo_in, r, s, hi_in) of an interval literal from p/q to r/s, the
-    integers as written, read in one match; refused as a ``Span`` would
-    refuse its bounds."""
-    m = _LITERAL.match(text.strip()) if isinstance(text, str) else None
+    integers as written; refused as a ``Span`` would refuse its bounds."""
+    m = _SPAN_RE.match(text.strip()) if isinstance(text, str) else None
     if m is None:
-        raise _literal_fault(text)
-    lo, p, q, r, s, hi = m.groups()
-    p, q, r, s = int(p), int(q or 1), int(r), int(s or 1)
-    if not (q and s):
-        raise _literal_fault(text)
-    lo_in, hi_in = lo == "[", hi == "]"
+        raise SetError(f"bad interval literal {text!r}")
+    p, q = parse_ratio(m[2])
+    r, s = parse_ratio(m[3])
+    lo_in, hi_in = m[1] == "[", m[4] == "]"
     if p * s > r * q or (p * s == r * q and not (lo_in and hi_in)):
         raise SetError(f"bad span bounds {_render(Fraction(p, q), lo_in, Fraction(r, s), hi_in)}")
     return p, q, lo_in, r, s, hi_in
-
-
-def _literal_fault(text) -> ValueError:
-    """The error for a literal that is not two p/q ends with nonzero q
-    between brackets: its first fault, the shape and then each end as
-    ``parse_ratio`` reads it, which raises."""
-    m = _SHAPE.match(text.strip()) if isinstance(text, str) else None
-    for end in m.group(2, 3) if m else ():
-        parse_ratio(end)
-    return SetError(f"bad interval literal {text!r}")
 
 
 def _covered(space: Space, lo: Fraction, lo_in: bool, hi: Fraction, hi_in: bool):

@@ -298,9 +298,24 @@ def _literal(text):
 
 
 def _chain_load(space, data):
-    """A set JSON read the long way: the region of its literals, then one
-    union per point and per tail rule."""
-    out = SymbolicSet.region(space, [_literal(t) for t in data.get("intervals", [])])
+    """A set JSON read the long way, apart from the loader's helpers: the
+    literals as Spans clipped by the constructor, the isolated points and
+    members that ``Span.contains`` finds in them, then one union per point
+    and per tail rule."""
+    spans = [Span(*_literal(t)) for t in data.get("intervals", [])]
+    points = frozenset(p.value for p in space.isolated_points()
+                       if any(sp.contains(p.value) for sp in spans))
+    tails = []
+    for seq in space.sequences():
+        # from index n on every member lies nearer the limit than each span
+        # end other than the limit, so the spans hold all of them or none
+        gaps = [abs(v - seq.limit) for sp in spans for v in (sp.lo, sp.hi) if v != seq.limit]
+        n = 1
+        while gaps and abs(seq.offset) / 2 ** n >= min(gaps):
+            n += 1
+        held = [k for k in range(1, n + 1) if any(sp.contains(seq.member(k)) for sp in spans)]
+        tails.append(TailRule.of(n if n in held else None, [k for k in held if k < n]))
+    out = SymbolicSet(space, spans, points, tuple(tails))
     for text in data.get("points", []):
         out = out.union(SymbolicSet.singleton(space, F(text)))
     for entry in data.get("tails", []):
