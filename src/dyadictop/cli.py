@@ -21,7 +21,7 @@ from .space import Space, SpaceError, cb_kernel
 from .subbase import DyadicSubbase, SubbaseError
 from .words import TernaryWord, WordError
 
-MAX_LEVELS = 13
+MAX_LEVELS = 14
 MAX_DEPTH = 12
 
 _ERRORS = (SpaceError, SetError, SubbaseError, WordError, RationalFormatError,

@@ -16,15 +16,25 @@ The pipeline runs in three stages:
 Every level is validated exactly before the construction moves on, window
 containment on the kernel in stage 1 and off it in stage 2; there is no
 backtracking, a violated condition aborts with the offending trace.
+
+Stages 1 and 2 each keep one table of kernel atoms (``_Atoms``) that every
+level cuts at its new sets and splits by its pair.  Each atom carries the
+word of its cell, so the 2^n cells are labels, not sets: the classes, the
+chunks' runs, the cell checks and the word of each window probe are read
+off the labels, and the window marks are the table's boundary points.
 """
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
 from .checks import (CheckReport, check_dyadic, check_independent, check_proper,
                      degree_report, resolution_check)
+from .cuts import place, position, reduced, rescale
 from .lemmas import _assign_cluster, cluster_set, half_clopen_extension
 from .rational import format_rational
 from .sets import Span, SymbolicSet, embed, kernel_set, restrict
@@ -164,9 +174,94 @@ class StepTrace:
         return d
 
 
+# -- the kernel's atoms ---------------------------------------------------
+
+class _Atoms:
+    """The kernel cut into atoms, each labelled with the word of its cell.
+
+    ``bounds`` are the cuts, over ``den``, of the kernel's intervals and of
+    every set added so far, so each of those sets holds an atom whole or
+    misses it: atom r is the run of positions from ``bounds[r - 1]`` up to
+    ``bounds[r]``.  ``labels[r]`` is None off the kernel, else the atom's
+    word over the pairs split so far, with ``_`` for a pair that holds it
+    on neither side.  The cell S(w) of a word w without ``_`` is the union
+    of the atoms labelled w, and ``words`` are the words of the nonempty
+    cells.  ``marks`` are the sorted positions of the points on a pair's
+    boundary, the atoms labelled with a ``_``.
+    """
+
+    def __init__(self, kernel: Space):
+        ivs = kernel_set(kernel)
+        self.space, self.den, self.bounds, self.marks = kernel, ivs.den, list(ivs.cuts), []
+        self.labels = [None if r % 2 == 0 else "" for r in range(len(ivs.cuts) + 1)]
+        self.words = {""}
+
+    def __contains__(self, x: Fraction) -> bool:
+        """Whether x is a marked value."""
+        p, on_grid = place(x, self.den)
+        i = bisect_left(self.marks, p)
+        return on_grid and self.marks[i:i + 1] == [p]
+
+    def runs(self, s: SymbolicSet) -> list[tuple[int, int]]:
+        """The atoms of each span of s, whose cuts the table holds, as index ranges."""
+        cuts, bounds = rescale(s.cuts, self.den // s.den), self.bounds
+        return [(bisect_right(bounds, a), bisect_right(bounds, e))
+                for a, e in zip(cuts[::2], cuts[1::2])]
+
+    def add(self, *sets: SymbolicSet) -> None:
+        """Cut the atoms at the cuts of the sets; each piece keeps its label."""
+        den = math.lcm(self.den, *(s.den for s in sets))
+        if den != self.den:
+            self.bounds = rescale(self.bounds, den // self.den)
+            self.marks = [p * (den // self.den) for p in self.marks]
+            self.den = den
+        bounds, labels = self.bounds, self.labels
+        nb, nl, i = [], [], 0
+        for c in sorted({c for s in sets for c in rescale(s.cuts, den // s.den)}):
+            r = bisect_left(bounds, c, i)
+            if bounds[r:r + 1] != [c]:
+                nb += bounds[i:r]
+                nb.append(c)
+                nl += labels[i:r + 1]  # atom r, cut at c, ends there and restarts
+                i = r
+        self.bounds, self.labels = nb + bounds[i:], nl + labels[i:]
+
+    def split(self, s0: SymbolicSet, s1: SymbolicSet) -> list[int]:
+        """Cut the atoms at the pair's cuts, and append to each label the
+        digit of the side that holds the atom, or ``_`` on the kernel where
+        neither does, at a point of the pair's boundary, which joins the
+        marks.  Returns the atoms of those points."""
+        self.add(s0, s1)
+        labels = self.labels
+        new = [None if w is None else w + "_" for w in labels]
+        for digit, side in (("0", s0), ("1", s1)):
+            for i, j in self.runs(side):
+                new[i:j] = [w + digit for w in labels[i:j]]
+        residue = [r for r, w in enumerate(new) if w is not None and w[-1] == "_"]
+        self.labels = new
+        self.words = {w for w in set(new) if w is not None and "_" not in w}
+        self.marks = sorted({*self.marks, *(self.bounds[r - 1] for r in residue)})
+        return residue
+
+    def first_runs(self, words) -> dict[str, tuple[Fraction, Fraction]]:
+        """The ends of each word's first run of atoms, in ``intervals()`` order."""
+        first, bounds, labels, den = {}, self.bounds, self.labels, self.den
+        for iv in reversed(self.space.intervals()):
+            i = bisect_right(bounds, position(iv.lo, den))
+            j = bisect_right(bounds, position(iv.hi, den) + 1)
+            first.update(zip(reversed(labels[i:j]), range(j - 1, i - 1, -1)))
+        out = {}
+        for w in words:
+            r = e = first[w]
+            while labels[e + 1] == w:
+                e += 1
+            out[w] = Fraction(bounds[r - 1] >> 1, den), Fraction(bounds[e] >> 1, den)
+        return out
+
+
 # -- windows and chunks --------------------------------------------------
 
-def _pick_between(anchor: Fraction, limit: Fraction, used: set[Fraction]) -> Fraction:
+def _pick_between(anchor: Fraction, limit: Fraction, used) -> Fraction:
     """A fresh value strictly between anchor and limit, halving towards anchor."""
     t = (anchor + limit) / 2
     while t in used:
@@ -175,7 +270,7 @@ def _pick_between(anchor: Fraction, limit: Fraction, used: set[Fraction]) -> Fra
 
 
 def _interpolate_window(kernel: Space, core: SymbolicSet, hull: SymbolicSet,
-                        used: set[Fraction]) -> SymbolicSet:
+                        used) -> SymbolicSet:
     """Regular open V with cl core ⊆ V ⊆ cl V ⊆ hull, fresh boundary values."""
     (c,) = core.spans
     (h,) = hull.spans
@@ -188,44 +283,36 @@ def _interpolate_window(kernel: Space, core: SymbolicSet, hull: SymbolicSet,
     return SymbolicSet(kernel, (Span(lo, lo_in, hi, hi_in),))
 
 
-def _middle_third(cell: SymbolicSet, used: set[Fraction], avoid: bool) -> SymbolicSet:
-    """Nonempty regular open G with cl G inside the cell's leftmost component."""
-    sp = cell.spans[0]
-    width = sp.hi - sp.lo
-    g1 = sp.lo + width / 3
-    g2 = sp.hi - width / 3
+def _middle_third(kernel: Space, lo: Fraction, hi: Fraction, used,
+                  avoid: bool) -> SymbolicSet:
+    """The open middle third of (lo, hi), a range inside the kernel, each
+    end moved off the used values towards its own end of the range when
+    ``avoid`` is set."""
+    third = (hi - lo) / 3
+    g1, g2 = lo + third, hi - third
     if avoid:
         while g1 in used:
-            g1 = (sp.lo + g1) / 2
+            g1 = (lo + g1) / 2
         while g2 in used:
-            g2 = (sp.hi + g2) / 2
-    return SymbolicSet(cell.space, (Span(g1, False, g2, False),))
+            g2 = (hi + g2) / 2
+    den = math.lcm(g1.denominator, g2.denominator)
+    return SymbolicSet._canonical(kernel, den, (position(g1, den) + 1, position(g2, den)),
+                                  frozenset(), ())
 
 
-def _window_probes(core: SymbolicSet, values) -> list[Fraction]:
-    """Midpoints between consecutive marked values inside the window core."""
-    (sp,) = core.spans
-    vals = sorted({sp.lo, sp.hi} | {v for v in values if sp.lo <= v <= sp.hi})
-    mids = [(u + w) / 2 for u, w in zip(vals, vals[1:])]
-    return [m for m in mids if core.membership(m)]
-
-
-# -- one level, shared by the kernel and starred stages -------------------
-
-def _split(cells, s0, s1) -> dict[str, SymbolicSet]:
-    """The next level's cells: each cell cut by either side of the new pair."""
-    return {w + d: cell.intersection(side)
-            for w, cell in cells.items() for d, side in (("0", s0), ("1", s1))}
-
-
-def _check_window(children, pairs, hull, marks, condition, trace) -> None:
-    """Raise ``condition`` unless each probe of the trace's window core whose
-    word names a new cell (none does on a boundary) falls in it inside the hull."""
-    for x in _window_probes(trace.seed.core, marks):
-        loc = hull.space.locate(x)
-        word = "".join("0" if s0._holds(loc, x) else "1" if s1._holds(loc, x) else "_"
-                       for s0, s1 in pairs)
-        if word in children and not children[word].subset_of(hull):
+def _check_window(table: _Atoms, trace, escapes, condition) -> None:
+    """Raise ``condition`` at the first probe of the trace's window core whose
+    word, its atom's label, is one of ``escapes``: the words of the cells
+    that leave the hull.  The probes are the midpoints between consecutive
+    marks inside the core, its ends counted as marks."""
+    (sp,) = trace.seed.core.spans
+    marks, den = table.marks, table.den
+    inner = marks[bisect_right(marks, place(sp.lo, den)[0]):
+                  bisect_left(marks, place(sp.hi, den)[0])]
+    d = math.lcm(den, sp.lo.denominator, sp.hi.denominator)
+    ends = [position(sp.lo, d), *(p * (d // den) for p in inner), position(sp.hi, d)]
+    for x in (Fraction(u + w, 4 * d) for u, w in zip(ends, ends[1:])):
+        if table.labels[bisect_right(table.bounds, place(x, den)[0])] in escapes:
             raise ConstructionError(condition, trace.level,
                                     {"probe": format_rational(x),
                                      "trace": trace.to_dict()})
@@ -233,12 +320,12 @@ def _check_window(children, pairs, hull, marks, condition, trace) -> None:
 
 # -- kernel stage ---------------------------------------------------------
 
-def _union_all(sets, space: Space) -> SymbolicSet:
-    """The union of the sets, joined in pairs so each cut is copied log-many times."""
-    sets = list(sets) or [SymbolicSet.empty(space)]
-    while len(sets) > 1:
-        sets = [a.union(b) for a, b in zip(sets[::2], sets[1::2])] + sets[len(sets) & ~1:]
-    return sets[0]
+def _union(kernel: Space, chunks) -> SymbolicSet:
+    """The union of disjoint one-span sets inside the kernel, in one sort."""
+    chunks = list(chunks)
+    den = math.lcm(1, *(g.den for g in chunks))
+    return SymbolicSet._canonical(kernel, *reduced(den, sorted(
+        c for g in chunks for c in rescale(g.cuts, den // g.den))), frozenset(), ())
 
 
 def _assemble(whole, v, cl_v, g_a, g_b) -> tuple[SymbolicSet, SymbolicSet]:
@@ -248,15 +335,14 @@ def _assemble(whole, v, cl_v, g_a, g_b) -> tuple[SymbolicSet, SymbolicSet]:
             whole.difference(cl_v).difference(g_b.closure()).union(g_a))
 
 
-def _classify(cells, v, cl_v) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Words of the cells inside V (class A) and of those clear of cl V (class B)."""
-    a_words, b_words = [], []
-    for w in sorted(cells):
-        if cells[w].subset_of(v):
-            a_words.append(w)
-        elif cells[w].intersection(cl_v).is_empty:
-            b_words.append(w)
-    return tuple(a_words), tuple(b_words)
+def _classify(table: _Atoms, v, cl_v) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Words of the cells inside V (class A: no atom outside V's) and of
+    those clear of cl V (class B: no atom among cl V's)."""
+    labels = table.labels
+    ((i, j),), ((k, m),) = table.runs(v), table.runs(cl_v)
+    a_words = table.words.intersection(labels[i:j]).difference(labels[:i], labels[j:])
+    b_words = table.words.difference(labels[k:m])
+    return tuple(sorted(a_words)), tuple(sorted(b_words))
 
 
 def build_independent_subbase(kernel: Space, levels: int,
@@ -264,10 +350,12 @@ def build_independent_subbase(kernel: Space, levels: int,
                               match_dim: bool = False):
     """Pairs on a nonempty perfect space, one per level.
 
+    The cells are labels on one table of atoms (``_Atoms``) that each level
+    cuts at V, cl V, the hull and the new pair, and splits by the pair.
     Validated at every level: the one side is the exterior of the zero
-    side, closures distribute over every full cell, every full cell is
-    nonempty, and window cores resolve into their hulls.  Returns the
-    subbase together with the per-level traces.
+    side, each chunk lies inside its cell, every full cell is nonempty,
+    closures distribute over every full cell, and window cores resolve into
+    their hulls.  Returns the subbase together with the per-level traces.
     """
     if any(not isinstance(p, Interval) for p in kernel.primitives):
         raise ConstructionError("kernel-not-perfect", -1)
@@ -282,57 +370,77 @@ def build_independent_subbase(kernel: Space, levels: int,
                                 {"have": len(seeds.entries), "need": levels})
 
     whole = SymbolicSet.whole(kernel)
-    used: set[Fraction] = set()
+    table = _Atoms(kernel)
     pairs: list[tuple[SymbolicSet, SymbolicSet]] = []
     traces: list[StepTrace] = []
-    # each cell and the intersection of its sides' closures
-    cells: dict[str, SymbolicSet] = {"": whole}
-    cl_cells: dict[str, SymbolicSet] = {"": whole}
 
     for n in range(levels):
         entry = seeds.entries[n]
-        v = _interpolate_window(kernel, entry.core, entry.hull, used)
+        v = _interpolate_window(kernel, entry.core, entry.hull, table)
         cl_v = v.closure()
-        a_words, b_words = _classify(cells, v, cl_v)
-        g = {w: _middle_third(cells[w], used, match_dim) for w in a_words + b_words}
-        s0, s1 = _assemble(whole, v, cl_v, _union_all((g[w] for w in a_words), kernel),
-                           _union_all((g[w] for w in b_words), kernel))
+        table.add(v, cl_v, entry.hull)
+        a_words, b_words = _classify(table, v, cl_v)
+        runs = table.first_runs(a_words + b_words)
+        g = {w: _middle_third(kernel, *runs[w], table, match_dim) for w in runs}
+        s0, s1 = _assemble(whole, v, cl_v, _union(kernel, (g[w] for w in a_words)),
+                           _union(kernel, (g[w] for w in b_words)))
         trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1, entry)
-        children = _split(cells, s0, s1)
-        cl_children = _split(cl_cells, s0.closure(), s1.closure())
-        _validate_kernel_level(cells, children, cl_children, trace)
-        marks = used | set(s0.boundary().as_finite_points() or ())
+        _validate_pair(trace, g, runs)
+        _validate_cells(table, table.split(s0, s1), trace)
         pairs.append((s0, s1))
-        _check_window(children, pairs, entry.hull, marks,
-                      "seed-window-containment", trace)
+        ((i, j),) = table.runs(entry.hull)
+        _check_window(table, trace,
+                      table.words.intersection(table.labels[:i] + table.labels[j:]),
+                      "seed-window-containment")
         traces.append(trace)
-        cells, cl_cells, used = children, cl_children, marks
     return DyadicSubbase(kernel, tuple(pairs)), traces
 
 
-def _validate_kernel_level(cells, children, cl_children, trace):
+def _validate_pair(trace, g, runs) -> None:
+    """The new pair is a dyadic pair, and each chunk's closure lies inside
+    the run of its cell's atoms it was cut from."""
     n = trace.level
-    g = dict(trace.g)
     if not trace.s0.is_regular_open:
         raise ConstructionError("zero-side-not-regular-open", n,
                                 {"trace": trace.to_dict()})
     if trace.s1 != trace.s0.exterior():
         raise ConstructionError("exterior-identity", n, {"trace": trace.to_dict()})
     for w in trace.a_words + trace.b_words:
-        cell = cells[w]
-        gw = g[w]
-        if gw.is_empty or not gw.is_regular_open \
-                or not gw.closure().subset_of(cell) \
-                or cell.difference(gw.closure()).is_empty:
+        (lo, hi), bounds = runs[w], g[w].closure_bounds()
+        if bounds is None or not lo < bounds[0] < bounds[1] < hi:
             raise ConstructionError("g-inside-cell", n,
                                     {"word": w, "trace": trace.to_dict()})
-    for w, child in children.items():
-        if child.is_empty:
-            raise ConstructionError("cells-nonempty", n,
-                                    {"word": w[:-1], "trace": trace.to_dict()})
-        if child.closure() != cl_children[w]:
-            raise ConstructionError("closure-product-identity", n,
-                                    {"word": w[:-1], "trace": trace.to_dict()})
+
+
+def _validate_cells(table: _Atoms, residue, trace) -> None:
+    """Every new cell is nonempty, and cl S(w) is the intersection of the
+    closures of w's sides for every new word w, reported at the first word
+    in canonical order that fails either.
+
+    The previous level holds the identity for the shorter words, and the
+    new sides are open, so it can fail only at a boundary point x of the
+    new pair, an atom of ``residue``.  The sides are regular open, so the
+    atoms either side of x, both on the kernel, hold every side that meets
+    x's pieces, and their labels are full words.  A word fails at x exactly
+    when each of its digits is one of theirs there and it is neither; one
+    exists when the two differ before the last digit.
+    """
+    n, labels, words = trace.level, table.labels, table.words
+    bad = []
+    if len(words) < 2 ** (n + 1):
+        bad.append(next(w for w in map("".join, product("01", repeat=n + 1))
+                        if w not in words))
+    for k in residue:
+        left, right = labels[k - 1], labels[k + 1]
+        if left in words and right in words and left[:-1] != right[:-1]:
+            choices = [sorted({a, b}) for a, b in zip(left, right)]
+            bad.append(next(w for w in map("".join, product(*choices))
+                            if w not in (left, right)))
+    if bad:
+        w = min(bad)
+        raise ConstructionError(
+            "closure-product-identity" if w in words else "cells-nonempty", n,
+            {"word": w[:-1], "trace": trace.to_dict()})
 
 
 # -- starred stage --------------------------------------------------------
@@ -351,7 +459,10 @@ def extend_to_proper(space: Space, traces):
     the exterior of the starred zero side, both sides restrict to the
     kernel pair, boundaries stay inside the kernel, and window cores
     resolve into starred hulls off the kernel (the kernel stage checked
-    the kernel side against the hull).
+    the kernel side against the hull).  A window probe lies on the kernel,
+    where its starred word is its kernel word, so it is read off a kernel
+    atom table (``_Atoms``) split by the traces' pairs; only the few
+    nonempty scattered parts of the starred cells are built as sets.
 
     A trace's pair and window core are trusted to be the kernel stage's
     own: nothing here ties them to that stage's output, so a pair or core
@@ -369,7 +480,7 @@ def extend_to_proper(space: Space, traces):
     star_pairs: list[tuple[SymbolicSet, SymbolicSet]] = []
     out_traces: list[StepTrace] = []
     cells: dict[str, SymbolicSet] = {"": scattered}  # the starred cells' scattered parts
-    used: set[Fraction] = set()
+    table = _Atoms(kernel)
 
     for n, tr in enumerate(traces):
         if {tr.v.space, tr.s0.space, tr.s1.space} != {kernel}:
@@ -399,14 +510,16 @@ def extend_to_proper(space: Space, traces):
                 or not s1s.boundary().subset_of(kernelS):
             raise ConstructionError("starred-half-clopen", n,
                                     {"trace": new_tr.to_dict()})
-        marks = used | set(tr.s0.boundary().as_finite_points() or ())
-        cells = {w: c for w, c in _split(cells, inside, outside).items() if not c.is_empty}
+        table.split(tr.s0, tr.s1)
+        cells = {w + d: c for w, cell in cells.items()
+                 for d, side in (("0", inside), ("1", outside))
+                 if not (c := cell.intersection(side)).is_empty}
         star_pairs.append((s0s, s1s))
-        _check_window(cells, star_pairs, entry.hull_star, marks,
-                      "starred-window-containment", new_tr)
+        _check_window(table, new_tr,
+                      {w for w, c in cells.items() if not c.subset_of(entry.hull_star)},
+                      "starred-window-containment")
 
         out_traces.append(new_tr)
-        used = marks
     return DyadicSubbase(space, tuple(star_pairs)), out_traces
 
 

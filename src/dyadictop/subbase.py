@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cuts import inside, place, reduced, rescale
+from .rational import RationalFormatError
 from .sets import TAIL_NONE, SetError, SymbolicSet, TailRule, kernel_set
 from .space import Space
 from .words import TernaryWord
@@ -126,7 +127,7 @@ class DyadicSubbase:
             try:
                 a = SymbolicSet.from_dict(space, entry["zero"])
                 b = SymbolicSet.from_dict(space, entry["one"])
-            except (KeyError, SetError) as exc:
+            except (KeyError, SetError, RationalFormatError) as exc:
                 raise SubbaseError(f"bad pair entry: {exc}") from None
             pairs.append((a, b))
         return cls.from_pairs(space, pairs)

@@ -354,3 +354,108 @@ def o_independent(sb, depth: int, limit: int) -> dict:
     return {"property": "independent", "depth": eff, "passed": not counterexamples,
             "counterexamples": counterexamples,
             "stats": {"words_checked": checked, "depth_requested": depth}}
+
+
+# -- the kernel stage, with every cell a set -----------------------------------
+
+def _o_middle_third(cell: SymbolicSet, used, avoid: bool) -> SymbolicSet:
+    """Open middle third of the cell's first span in ``spans`` order."""
+    sp = cell.spans[0]
+    width = sp.hi - sp.lo
+    g1, g2 = sp.lo + width / 3, sp.hi - width / 3
+    if avoid:
+        while g1 in used:
+            g1 = (sp.lo + g1) / 2
+        while g2 in used:
+            g2 = (sp.hi + g2) / 2
+    return SymbolicSet(cell.space, (Span(g1, False, g2, False),))
+
+
+def _o_split(cells, s0, s1) -> dict:
+    """The next level's cells: each cell cut by either side of the new pair."""
+    return {w + d: cell.intersection(side)
+            for w, cell in cells.items() for d, side in (("0", s0), ("1", s1))}
+
+
+def _o_classify(cells, v, cl_v) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    a_words, b_words = [], []
+    for w in sorted(cells):
+        if cells[w].subset_of(v):
+            a_words.append(w)
+        elif cells[w].intersection(cl_v).is_empty:
+            b_words.append(w)
+    return tuple(a_words), tuple(b_words)
+
+
+def _o_window_probes(core: SymbolicSet, values) -> list[Fraction]:
+    (sp,) = core.spans
+    vals = sorted({sp.lo, sp.hi} | {v for v in values if sp.lo <= v <= sp.hi})
+    mids = [(u + w) / 2 for u, w in zip(vals, vals[1:])]
+    return [m for m in mids if core.membership(m)]
+
+
+def o_kernel_stage(kernel, levels: int, seeds, match_dim: bool = False):
+    """(pairs, traces) of ``build_independent_subbase`` on a nonempty perfect
+    kernel with enough seeds, or the ``ConstructionError`` it raises, with
+    each cell S(w) and each intersection of the closures of w's sides kept
+    as a set and cut by the new pair's sides every level.
+
+    Each level checks, in this order: the zero side regular open, the one
+    side its exterior, each chunk's closure inside its cell and short of
+    it, and then, word by word in canonical order, each new cell nonempty
+    and its closure the intersection of its sides' closures.  A window
+    probe's word comes from membership in each side, and its cell must lie
+    in the hull.  Window marks are the boundary points of every zero side
+    so far, as values.
+    """
+    from dyadictop.construct import (ConstructionError, StepTrace, _assemble,
+                                     _interpolate_window)
+
+    whole = SymbolicSet.whole(kernel)
+    used: set[Fraction] = set()
+    pairs, traces = [], []
+    cells = {"": whole}
+    cl_cells = {"": whole}
+    for n in range(levels):
+        entry = seeds.entries[n]
+        v = _interpolate_window(kernel, entry.core, entry.hull, used)
+        cl_v = v.closure()
+        a_words, b_words = _o_classify(cells, v, cl_v)
+        g = {w: _o_middle_third(cells[w], used, match_dim) for w in a_words + b_words}
+        g_a, g_b = SymbolicSet.empty(kernel), SymbolicSet.empty(kernel)
+        for w in a_words:
+            g_a = g_a.union(g[w])
+        for w in b_words:
+            g_b = g_b.union(g[w])
+        s0, s1 = _assemble(whole, v, cl_v, g_a, g_b)
+        trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1, entry)
+
+        def fail(condition, **details):
+            raise ConstructionError(condition, n, {**details, "trace": trace.to_dict()})
+
+        if not s0.is_regular_open:
+            fail("zero-side-not-regular-open")
+        if s1 != s0.exterior():
+            fail("exterior-identity")
+        for w in a_words + b_words:
+            cl_g = g[w].closure()
+            if g[w].is_empty or not g[w].is_regular_open or not cl_g.subset_of(cells[w]) \
+                    or cells[w].difference(cl_g).is_empty:
+                fail("g-inside-cell", word=w)
+        children = _o_split(cells, s0, s1)
+        cl_children = _o_split(cl_cells, s0.closure(), s1.closure())
+        for w, child in children.items():
+            if child.is_empty:
+                fail("cells-nonempty", word=w[:-1])
+            if child.closure() != cl_children[w]:
+                fail("closure-product-identity", word=w[:-1])
+        used = used | set(s0.boundary().as_finite_points() or ())
+        pairs.append((s0, s1))
+        for x in _o_window_probes(entry.core, used):
+            word = "".join("0" if a.membership(x) else "1" if b.membership(x) else "_"
+                           for a, b in pairs)
+            if word in children and not children[word].subset_of(entry.hull):
+                fail("seed-window-containment", probe=format_rational(x))
+        traces.append(trace)
+        cells, cl_cells = children, cl_children
+    return pairs, traces

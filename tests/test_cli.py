@@ -201,7 +201,7 @@ def test_wrong_shape_fails(tmp_path, capsys):
 
 
 def test_levels_limit(space_file, capsys):
-    for levels in ("14", "40"):
+    for levels in ("15", "40"):
         assert main(["build", space_file, "--levels", levels]) == 1
         assert "levels-out-of-range" in capsys.readouterr().err
 
@@ -210,7 +210,7 @@ def test_failed_construction_prints_details(space_file, capsys):
     assert main(["build", space_file, "--levels", "40"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: construction failed at level -1: levels-out-of-range",
-        'details: {"levels":40,"max":13}',
+        'details: {"levels":40,"max":14}',
     ]
 
 
@@ -285,6 +285,18 @@ def test_malformed_json_is_refused(tmp_path, capsys, data):
     err = capsys.readouterr().err
     assert err.splitlines()[0].startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal,message", [
+    ("[1/2,1/4]", "bad span bounds [1/2,1/4]"),
+    ("[a,1/1]", "expected p/q form, got 'a'"),
+])
+def test_bad_interval_literal_names_its_pair_entry(tmp_path, capsys, literal, message):
+    # an end that is not p/q and ends in the wrong order are worded alike
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_one_pair(UNIT, {"intervals": [literal]})))
+    assert main(["check", str(path), "--depth", "1"]) == 1
+    assert capsys.readouterr().err == f"error: bad pair entry: {message}\n"
 
 
 def test_tail_index_above_bound_is_refused_at_once(tmp_path, capsys):

@@ -17,6 +17,8 @@ from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_space, two_intervals_point_space)
 from dyadictop.space import GeometricSequence, Interval, IsolatedPoint, Space
 
+from oracle import o_kernel_stage
+
 
 # -- seeds ----------------------------------------------------------------
 
@@ -214,6 +216,11 @@ def test_window_containment_names_its_probe(name, n, narrow_probe, wide_probe):
         assert (err.value.condition, err.value.level) == ("seed-window-containment", n)
         assert err.value.details["probe"] == probe
         assert err.value.details["trace"]["level"] == n
+        # the set-algebra kernel level refuses the same probe with the same trace
+        with pytest.raises(ConstructionError) as ref:
+            o_kernel_stage(kernel, 3, family)
+        assert (ref.value.condition, ref.value.level, ref.value.details) == \
+            (err.value.condition, err.value.level, err.value.details)
 
 
 @pytest.mark.parametrize("name,n,probe", [
