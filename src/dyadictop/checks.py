@@ -213,18 +213,18 @@ def degree_report(sb: DyadicSubbase, depth: int, probes=(),
                   expected_sup: int | None = None, seed: int | None = None) -> CheckReport:
     """Exact degree data from the finite boundary sets.
 
-    The residue of pair n is X minus both sides; its points are exactly the
-    points with bottom digit at n.  The degree sup is the largest number of
-    residues any single point falls in, computed exactly.
+    The residue of pair n is X minus both sides, the space's atoms that
+    neither side's mask holds; its points are exactly the points with
+    bottom digit at n.  The degree sup is the largest number of residues
+    any single point falls in, computed exactly.
     """
     eff = _effective_depth(sb, depth)
-    whole = SymbolicSet.whole(sb.space)
+    table = sb.word_table
     residues = []
     non_finite = []
     for idx in range(eff):
-        a, b = sb.pairs[idx]
-        res = whole.difference(a.union(b))
-        pts = res.as_finite_points()
+        held = table.mask(2 * idx) | table.mask(2 * idx + 1)
+        pts = table.cell(table.whole & ~held).as_finite_points()
         if pts is None:
             non_finite.append(idx)
             pts = ()

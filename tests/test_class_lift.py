@@ -12,7 +12,10 @@ build forms from the kernel pair and the scattered part of V*.  Both facts
 are checked here, the lemma being the reference for the first and the
 sequential form for the second, on every class-level of the corpus at
 levels 1-6 in both degree modes and of two seeded draws of random spaces
-at levels 1-3, each built with the seeds of its degree mode.
+at levels 1-3, each built with the seeds of its degree mode.  On the same
+levels each starred pair restricts to its kernel pair and keeps its
+boundary inside the kernel, which the starred stage holds by construction
+and does not check.
 """
 from functools import reduce
 
@@ -20,7 +23,8 @@ import pytest
 
 from dyadictop import (SymbolicSet, auto_seeds, build_independent_subbase,
                        build_proper_subbase, cb_kernel, construct, embed,
-                       extend_to_proper, half_clopen_extension)
+                       extend_to_proper, half_clopen_extension, kernel_set,
+                       restrict)
 from dyadictop.corpus import CORPUS
 from dyadictop.lemmas import check_half_clopen
 
@@ -88,9 +92,14 @@ def test_cases_cover_both_sources():
 
 @pytest.mark.parametrize("name,space,mode,levels", CASES, ids=[c[0] for c in CASES])
 def test_class_lift_and_one_pass_sides(name, space, mode, levels):
-    kernel_whole = SymbolicSet.whole(cb_kernel(space).kernel)
+    kernel = cb_kernel(space).kernel
+    kernel_whole, on_kernel = SymbolicSet.whole(kernel), kernel_set(space)
     whole = SymbolicSet.whole(space)
     for tr, cells in _starred_levels(space, levels, mode):
+        assert restrict(tr.s0_star, kernel) == tr.s0
+        assert restrict(tr.s1_star, kernel) == tr.s1
+        assert tr.s0_star.boundary().subset_of(on_kernel)
+        assert tr.s1_star.boundary().subset_of(on_kernel)
         g = {w: embed(s, space) for w, s in tr.g}
         cl_v_star = tr.v_star.closure()
         for words, window in (

@@ -7,7 +7,10 @@ hull_star.  The build's verdict must match it: a pass, or the condition,
 level and probe of its first failure.  The inputs are the corpus at levels
 1-8 and three ``spacegen`` seeds at levels 1-4, each built with the seeds
 of its degree mode, and forged seeds: one level's hull_star replaced by the
-embedded hull plus a subset of the scattered clusters.
+embedded hull plus a subset of the scattered clusters.  At every level the
+reference also asserts the two facts the starred stage holds by
+construction and does not check: the starred pair restricts to the kernel
+pair, and its boundaries lie in the kernel.
 """
 import functools
 from dataclasses import replace
@@ -18,7 +21,7 @@ import pytest
 from dyadictop import (ConstructionError, SeedFamily, SymbolicSet, auto_seeds,
                        build_independent_subbase, cb_kernel, embed,
                        extend_to_proper, half_clopen_extension, kernel_set,
-                       scatter_clusters)
+                       restrict, scatter_clusters)
 from dyadictop.corpus import CORPUS
 from dyadictop.lemmas import cluster_set
 from dyadictop.rational import format_rational
@@ -79,15 +82,22 @@ def _probes(core, marks):
 
 
 def _reference(space, traces, entries):
-    """The first probe whose whole starred cell leaves its hull_star."""
-    whole = SymbolicSet.whole(space)
-    scattered = whole.difference(kernel_set(space))
+    """The first probe whose whole starred cell leaves its hull_star.
+
+    Each level's pair is asserted to restrict to the kernel pair and to
+    keep its boundary inside the kernel, whatever the seed."""
+    whole, on_kernel = SymbolicSet.whole(space), kernel_set(space)
+    scattered = whole.difference(on_kernel)
     cells = {"": whole}
     pairs, marks = [], set()
     for tr, entry in zip(traces, entries):
         v_star = half_clopen_extension(space, tr.v, entry.hull_star)
         s0s = embed(tr.s0, space).union(v_star.intersection(scattered))
         s1s = embed(tr.s1, space).union(scattered.difference(v_star.closure()))
+        assert restrict(s0s, tr.s0.space) == tr.s0
+        assert restrict(s1s, tr.s1.space) == tr.s1
+        assert s0s.boundary().subset_of(on_kernel)
+        assert s1s.boundary().subset_of(on_kernel)
         pairs.append((s0s, s1s))
         cells = {w + d: c.intersection(side) for w, c in cells.items()
                  for d, side in (("0", s0s), ("1", s1s))}

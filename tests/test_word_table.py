@@ -1,7 +1,9 @@
 """Point words and cells of a subbase, against its sides one by one.
 
 ``forced_word`` must give, pair by pair, the side whose ``membership``
-holds the point, ``decode_word`` the cell ``oracle.o_cell`` intersects
+holds the point, ``degree_report``, which reads each pair's residue off the
+side masks, the residue sizes, degree sup and disjointness of the set
+algebra's residues, ``decode_word`` the cell ``oracle.o_cell`` intersects
 from the whole space, and ``check_independent``, which walks the sides'
 atom masks, the report of ``oracle.o_independent``.  The subbases are the
 corpus builds at levels 1-8 and the builds at levels 1-4 of the valid
@@ -23,13 +25,14 @@ import json
 import math
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from dyadictop import (DyadicSubbase, SubbaseError, SymbolicSet, TernaryWord,
-                       build_proper_subbase, check_independent, decode_word, encode_point,
-                       load_subbase)
+                       build_proper_subbase, check_independent, decode_word,
+                       degree_report, encode_point, load_subbase)
 from dyadictop.checks import MAX_COUNTEREXAMPLES
 from dyadictop.corpus import CORPUS, gray_pairs, interval_space
 
@@ -137,6 +140,18 @@ def test_forced_word_matches_membership(case):
                 if inside:
                     assert encode_point(sb, x).word == full, x
                     assert encode_point(sb, x, n // 2).word.entries == _prefix(want, n // 2), x
+        # the residues, the points with a bottom digit, by set algebra
+        whole = SymbolicSet.whole(subbases[0].space)
+        residues = [whole.difference(a.union(b)).as_finite_points()
+                    for a, b in subbases[0].pairs]
+        sup = max(Counter(x for r in residues for x in r or ()).values(), default=0)
+        for sb in subbases:
+            rep = degree_report(sb, n)
+            assert rep.stats["boundary_sizes"] == [len(r or ()) for r in residues]
+            assert rep.stats["degree_sup"] == sup
+            assert rep.stats["boundaries_pairwise_disjoint"] == (sup <= 1)
+            assert [c["index"] for c in rep.counterexamples] == \
+                [i for i, r in enumerate(residues) if r is None]
 
 
 @pytest.mark.parametrize("case", list(_cases()))
