@@ -193,17 +193,19 @@ def check_dyadic(sb: DyadicSubbase) -> CheckReport:
     """Each zero side regular open, each one side its exterior."""
     counterexamples = []
     for idx, (a, b) in enumerate(sb.pairs):
-        reg = a.regularization()
+        cl = a.closure()
+        reg = cl.interior()
         if reg != a:
             counterexamples.append({
                 "index": idx, "reason": "zero side not regular open",
                 "regularization": reg.to_dict(),
             })
             continue
-        if b != a.exterior():
+        ext = cl.complement()
+        if b != ext:
             counterexamples.append({
                 "index": idx, "reason": "one side is not the exterior of the zero side",
-                "exterior": a.exterior().to_dict(),
+                "exterior": ext.to_dict(),
             })
     return CheckReport("dyadic", len(sb.pairs), not counterexamples,
                        tuple(counterexamples), {"pairs_checked": len(sb.pairs)})

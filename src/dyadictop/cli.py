@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 
 from .checks import check_dyadic, check_proper, degree_report
@@ -43,15 +45,27 @@ def _load_input(path: str):
 
 
 def _emit(args, text: str, payload) -> None:
+    """Write the report as text or JSON to stdout, or to ``--out FILE``.
+
+    The file is created when missing and otherwise rewritten in place,
+    then cut to the new length; a target that is not a regular file
+    (``/dev/null``, a pipe) is written without the cut.  Rewriting in
+    place keeps the inode, so a symlink still points at the rewritten
+    target and the file's mode, owner and hard links stay.
+    """
     if args.format == "json":
         body = json.dumps(payload, indent=2) + "\n"
     else:
         body = text if text.endswith("\n") else text + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
+    if not args.out:
         sys.stdout.write(body)
+        return
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        # a buffered write loops until every byte is out
+        fh.write(body.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _check_depth(depth: int) -> None:

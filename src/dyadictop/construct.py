@@ -32,6 +32,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .checks import (CheckReport, check_dyadic, check_independent, check_proper,
@@ -88,13 +89,18 @@ class SeedFamily:
                 out.append(f"seed {n}: hull_star does not trace back to hull")
         return out
 
+    @cached_property
+    def hull_bounds(self) -> tuple:
+        """Each entry's hull_star closure bounds, in entry order, computed
+        once per family."""
+        return tuple(e.hull_star.closure_bounds() for e in self.entries)
+
     def cover_radius(self, x: Fraction) -> Fraction | None:
         """Radius of the tightest hull_star among windows whose core holds x."""
         best = None
-        for e in self.entries:
+        for e, bounds in zip(self.entries, self.hull_bounds):
             if not e.core.membership(x):
                 continue
-            bounds = e.hull_star.closure_bounds()
             r = max(x - bounds[0], bounds[1] - x)
             if best is None or r < best:
                 best = r

@@ -116,6 +116,43 @@ def test_two_builds_of_one_file_write_the_same_bytes(tmp_path, capsys):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_out_over_a_longer_file_leaves_the_new_bytes(space_file, tmp_path, capsys):
+    argv = ["build", space_file, "--levels", "2", "--depth", "3", "--format", "json"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode("utf-8")
+    target = tmp_path / "build.json"
+    target.write_bytes(b"x" * (3 * len(want)))
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_bytes() == want
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_out_to_the_null_device(space_file, capsys):
+    # not a regular file: written, but never cut to length
+    assert main(["kernel", space_file, "--format", "json", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_out_into_a_missing_directory_fails(space_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    assert main(["kernel", space_file, "--out", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.parent.exists()
+
+
+def test_out_through_a_symlink_writes_its_target(space_file, tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text("old contents, longer than the new ones\n" * 10)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(["kernel", space_file, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == "kernel: [0,1]; scattered: 2@1, 3@1; rank 1\n"
+
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 

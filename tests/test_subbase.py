@@ -267,6 +267,44 @@ def test_check_dyadic_catches_non_regular_zero_side():
     assert not check_dyadic(sb).passed
 
 
+def test_check_dyadic_counterexamples_pinned():
+    # a good pair, then one of each failure; the report names the regular
+    # open set or the exterior the side should have been
+    good = SymbolicSet.region(X1, [(F(0), True, F(1, 4), False)])
+    split = SymbolicSet.region(X1, [(F(0), True, F(1, 2), False),
+                                    (F(1, 2), False, F(1), True)])
+    half = SymbolicSet.region(X1, [(F(0), True, F(1, 2), False)])
+    not_ext = SymbolicSet.region(X1, [(F(3, 4), False, F(1), True)])
+    sb = DyadicSubbase.from_pairs(
+        X1, [(good, good.exterior()), (split, split.exterior()), (half, not_ext)])
+    assert check_dyadic(sb).to_dict() == {
+        "property": "dyadic", "depth": 3, "passed": False,
+        "counterexamples": [
+            {"index": 1, "reason": "zero side not regular open",
+             "regularization": {"intervals": ["[0/1,1/1]"]}},
+            {"index": 2, "reason": "one side is not the exterior of the zero side",
+             "exterior": {"intervals": ["(1/2,1/1]"]}}],
+        "stats": {"pairs_checked": 3}}
+    # on a space with a sequence: the closure takes in the limit 1, and the
+    # exterior holds every member
+    xs = interval_sequence_space()
+    tail = SymbolicSet.from_dict(xs, {"intervals": ["(1/2,1/1)"],
+                                      "tails": [{"sequence": 0, "start": 3}]})
+    upper = SymbolicSet.from_dict(xs, {"intervals": ["(1/2,1/1)"]})
+    low = SymbolicSet.from_dict(xs, {"intervals": ["[0/1,1/4)"]})
+    sb = DyadicSubbase.from_pairs(xs, [(tail, tail.exterior()), (upper, low)])
+    assert check_dyadic(sb).to_dict() == {
+        "property": "dyadic", "depth": 2, "passed": False,
+        "counterexamples": [
+            {"index": 0, "reason": "zero side not regular open",
+             "regularization": {"intervals": ["(1/2,1/1]"],
+                                "tails": [{"sequence": 0, "start": 3}]}},
+            {"index": 1, "reason": "one side is not the exterior of the zero side",
+             "exterior": {"intervals": ["[0/1,1/2)"],
+                          "tails": [{"sequence": 0, "start": 1}]}}],
+        "stats": {"pairs_checked": 2}}
+
+
 # -- degree ---------------------------------------------------------------
 
 def test_gray_degree_sup_one():
