@@ -44,8 +44,10 @@ def _load_input(path: str):
     raise SpaceError(f'{path}: expected a "primitives" or "pairs" JSON object')
 
 
-def _emit(args, text: str, payload) -> None:
+def _emit(args, text, payload) -> None:
     """Write the report as text or JSON to stdout, or to ``--out FILE``.
+
+    ``text`` and ``payload`` are callables; only the chosen format's runs.
 
     The file is created when missing and otherwise rewritten in place,
     then cut to the new length; a target that is not a regular file
@@ -53,10 +55,8 @@ def _emit(args, text: str, payload) -> None:
     place keeps the inode, so a symlink still points at the rewritten
     target and the file's mode, owner and hard links stay.
     """
-    if args.format == "json":
-        body = json.dumps(payload, indent=2) + "\n"
-    else:
-        body = text if text.endswith("\n") else text + "\n"
+    body = json.dumps(payload(), indent=2) if args.format == "json" else text()
+    body = body if body.endswith("\n") else body + "\n"
     if not args.out:
         sys.stdout.write(body)
         return
@@ -118,7 +118,7 @@ def _cmd_kernel(args) -> int:
     if kind != "space":
         raise SpaceError("the kernel command needs a space description")
     report = cb_kernel(obj)
-    _emit(args, report.render(), report.to_dict())
+    _emit(args, report.render, report.to_dict)
     return 0
 
 
@@ -127,8 +127,8 @@ def _cmd_build(args) -> int:
     if kind != "space":
         raise SpaceError("the build command needs a space description")
     result = _build_from(args, obj)
-    _emit(args, _build_summary(obj, cb_kernel(obj), result),
-          result.to_dict(include_traces=args.emit_trace))
+    _emit(args, lambda: _build_summary(obj, cb_kernel(obj), result),
+          lambda: result.to_dict(include_traces=args.emit_trace))
     return 0 if result.passed else 2
 
 
@@ -142,8 +142,8 @@ def _cmd_check(args) -> int:
         reports = (check_dyadic(obj), check_proper(obj, args.depth),
                    degree_report(obj, len(obj.pairs), ()))
     ok = all(r.passed for r in reports)
-    text = _report_lines(reports) + ("\nPASS" if ok else "\nFAIL")
-    _emit(args, text, {"checks": [r.to_dict() for r in reports], "passed": ok})
+    _emit(args, lambda: _report_lines(reports) + ("\nPASS" if ok else "\nFAIL"),
+          lambda: {"checks": [r.to_dict() for r in reports], "passed": ok})
     return 0 if ok else 2
 
 
@@ -153,11 +153,10 @@ def _cmd_encode(args) -> int:
     for chunk in args.points.split(","):
         x = parse_rational(chunk.strip())
         coded.append(encode_point(sb, x))
-    text = "\n".join(f"{c.point} {c.render()}" for c in coded)
-    payload = {"width": len(sb),
-               "points": [{"point": str(c.point),
-                           "word": c.render(ascii_bottom=True)} for c in coded]}
-    _emit(args, text, payload)
+    _emit(args, lambda: "\n".join(f"{c.point} {c.render()}" for c in coded),
+          lambda: {"width": len(sb),
+                   "points": [{"point": str(c.point),
+                               "word": c.render(ascii_bottom=True)} for c in coded]})
     return 0
 
 
@@ -165,9 +164,9 @@ def _cmd_decode(args) -> int:
     sb, _ = _subbase_from(args)
     word = TernaryWord.from_string(args.word)
     cell = decode_word(sb, word)
-    payload = {"word": word.to_string(len(sb), ascii_bottom=True),
-               "cell": cell.to_dict(), "empty": cell.is_empty}
-    _emit(args, cell.render(), payload)
+    _emit(args, cell.render,
+          lambda: {"word": word.to_string(len(sb), ascii_bottom=True),
+                   "cell": cell.to_dict(), "empty": cell.is_empty})
     return 0
 
 
@@ -177,9 +176,9 @@ def _cmd_report(args) -> int:
         raise SpaceError("the report command needs a space description")
     kern = cb_kernel(obj)
     result = _build_from(args, obj)
-    payload = {"space": obj.to_dict(), "kernel_report": kern.to_dict(),
-               "build": result.to_dict(include_traces=args.emit_trace)}
-    _emit(args, _build_summary(obj, kern, result, settings=True), payload)
+    _emit(args, lambda: _build_summary(obj, kern, result, settings=True),
+          lambda: {"space": obj.to_dict(), "kernel_report": kern.to_dict(),
+                   "build": result.to_dict(include_traces=args.emit_trace)})
     return 0 if result.passed else 2
 
 

@@ -2,11 +2,10 @@
 
 A point's word records, index by index, which side of each pair holds it;
 indices where the point sits on the shared boundary stay unfilled.  Encoding
-finds the point's atom in the subbase's ``WordTable``, with one bisect over
-the cuts of every side for an interval point or over the tail switches for
-a sequence member, and reads the atom's word off the sides' atom masks once
-per atom.  Decoding a word recovers the cell of all points matching its
-filled digits from the same table: the AND of the atom masks of the sides
+finds the point's atom in the subbase's ``WordTable`` with one integer
+lookup (``WordTable.atom``), with no ``Fraction`` arithmetic, and reads the
+atom's word off the sides' atom masks once per atom.  Decoding a word
+recovers the cell of all points matching its filled digits from the same table: the AND of the atom masks of the sides
 the word names, read back as a set.
 """
 from __future__ import annotations
@@ -36,16 +35,18 @@ class CodedPoint:
 def encode_point(sb: DyadicSubbase, x: Fraction,
                  width: int | None = None) -> CodedPoint:
     """The word of x through the first ``width`` pairs (all pairs by default)."""
-    loc = sb.space.locate(x)
-    if loc[0] == "outside":
+    table = sb.word_table
+    b = table.atom(x)
+    if b is None:
         raise SubbaseError(f"point {x} is not in the space")
+    n = len(sb)
     if width is None:
-        width = len(sb)
-    if width > len(sb):
-        raise SubbaseError(f"width {width} exceeds the {len(sb)} pairs")
+        width = n
+    if width > n:
+        raise SubbaseError(f"width {width} exceeds the {n} pairs")
     if width < 0:
         raise SubbaseError(f"width {width} is negative")
-    return CodedPoint(x, sb.word_table.word(loc, x, width), width)
+    return CodedPoint(x, table.word(b, width), width)
 
 
 def decode_word(sb: DyadicSubbase, word: TernaryWord) -> SymbolicSet:

@@ -65,13 +65,16 @@ class GeometricSequence:
         return self.limit + self.offset * Fraction(1, 2 ** k)
 
     def member_index(self, x: Fraction) -> int | None:
-        """Return k >= 1 with x == member(k), or None."""
-        r = x - self.limit
-        if r == 0:
+        """Return k >= 1 with x == member(k), or None.  In integers: with
+        x = a/b, the limit c/d and the offset e/f, exactly when N =
+        (a·d − c·b)·f is not 0 and b·d·e / N is the power of two 2**k."""
+        a, b = x.numerator, x.denominator
+        c, d = self.limit.numerator, self.limit.denominator
+        n = (a * d - c * b) * self.offset.denominator
+        if not n:
             return None
-        q = self.offset / r
-        k = exact_log2(q)
-        return k if k is not None and k >= 1 else None
+        q, r = divmod(b * d * self.offset.numerator, n)
+        return None if r or q < 2 or q & (q - 1) else q.bit_length() - 1
 
     def render(self) -> str:
         sign = "+" if self.offset > 0 else "-"
@@ -94,7 +97,7 @@ class Space:
             object.__setattr__(self, name,
                                tuple(p for p in self.primitives if isinstance(p, kind)))
         # locate's tables: the intervals' cuts over one denominator, in
-        # order of position, and each isolated point's index by value
+        # order of position, and each point's index by (numerator, denominator)
         ivs = self._intervals
         den = math.lcm(*(v.denominator for iv in ivs for v in (iv.lo, iv.hi)))
         order = sorted(range(len(ivs)), key=lambda i: ivs[i].lo)
@@ -102,7 +105,8 @@ class Space:
                 for p in (position(ivs[i].lo, den), position(ivs[i].hi, den) + 1)]
         object.__setattr__(self, "_grid", (den, ends, tuple(order)))
         object.__setattr__(self, "_point_index",
-                           {p.value: i for i, p in enumerate(self._points)})
+                           {(p.value.numerator, p.value.denominator): i
+                            for i, p in enumerate(self._points)})
         # every set hashes its space, so hash it once
         object.__setattr__(self, "_hash", hash(self.primitives))
         # not a field, so equality, hash, repr and to_dict ignore it
@@ -131,17 +135,22 @@ class Space:
         Returns ("interval", i) / ("point", i) / ("member", j, k) with i an
         index into intervals()/isolated_points() and j into sequences(),
         or ("outside",) when x is not in the space.  One bisect of x's
-        position among the intervals' cuts finds its interval, a dict its
-        isolated point.
+        position among the intervals' cuts finds its interval; ``scattered``
+        places the rest.
         """
         den, ends, order = self._grid
         i = bisect_right(ends, place(x, den)[0])
         if i & 1:
             return ("interval", order[i >> 1])
-        i = self._point_index.get(x)
+        return self.scattered(x)
+
+    def scattered(self, x: Fraction):
+        """``locate`` for an x no interval holds, in integers: its isolated
+        point by (numerator, denominator), else its index in each sequence."""
+        i = self._point_index.get((x.numerator, x.denominator))
         if i is not None:
             return ("point", i)
-        for j, s in enumerate(self.sequences()):
+        for j, s in enumerate(self._sequences):
             k = s.member_index(x)
             if k is not None:
                 return ("member", j, k)
@@ -300,21 +309,13 @@ def _sequences_collide(s: GeometricSequence, t: GeometricSequence) -> bool:
     d = t.limit - s.limit
     if d == 0:
         return exact_log2(s.offset / t.offset) is not None
-    hits = False
     # any collision needs |s.offset|/2**k >= |d|/2 or |t.offset|/2**j >= |d|/2
     for a, b in ((s, t), (t, s)):
         bound = 2 * abs(a.offset) / abs(d)
-        if bound < 2:
-            continue
-        kmax = floor_log2(bound)
-        for k in range(1, kmax + 1):
-            rem = a.member(k) - b.limit
-            if rem == 0:
-                continue
-            j = exact_log2(b.offset / rem)
-            if j is not None and j >= 1:
-                hits = True
-    return hits
+        if bound >= 2 and any(b.member_index(a.member(k)) is not None
+                              for k in range(1, floor_log2(bound) + 1)):
+            return True
+    return False
 
 
 # -- Cantor-Bendixson analysis -------------------------------------------

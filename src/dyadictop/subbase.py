@@ -10,11 +10,11 @@ or misses whole: the runs of interval positions between consecutive cuts of
 any side, the isolated points, and each sequence's runs of members between
 consecutive tail switches of any side.  Each side is one integer mask over
 the atoms, built on first use, and the masks are the only record of which
-atoms a side holds.  One bisect finds a point's atom, whose word is read off
-the masks the first time a point in it is asked for; a cell S(word) is the
-AND of its sides' masks, read back as a set in one pass; the properness
-check reads off the masks which sides meet the pieces around a point; and
-the resolution check fits cells into a ball by their masks.
+atoms a side holds.  One integer lookup finds a point's atom, whose word is
+read off the masks the first time a point in it is asked for; a cell S(word)
+is the AND of its sides' masks, read back as a set in one pass; the
+properness check reads off the masks which sides meet the pieces around a
+point; and the resolution check fits cells into a ball by their masks.
 """
 from __future__ import annotations
 
@@ -96,7 +96,8 @@ class DyadicSubbase:
 
     def forced_word(self, x, width: int | None = None) -> TernaryWord:
         """Digits forced by membership; boundary indices stay bottom."""
-        return self.word_table.word(self.space.locate(x), x, width)
+        table = self.word_table
+        return table.word(table.atom(x), width)
 
     @cached_property
     def word_table(self) -> "WordTable":
@@ -148,7 +149,8 @@ class WordTable:
     is bit r, isolated point i is bit ``len(bounds) + 1 + i``, and run r of
     sequence j, the run of switches an index falls in, is bit
     ``runs[j] + r``.  ``masks`` keeps the masks built so far, by side, and
-    ``words`` one word per atom bit.
+    ``words`` one word per atom bit.  ``atom`` finds a point's bit in one
+    integer lookup, the only path from a point to its atom.
     """
 
     def __init__(self, sb: DyadicSubbase):
@@ -170,23 +172,27 @@ class WordTable:
         self.nbits = n
         self.masks: dict[int, int] = {}
 
-    def atom(self, loc, x) -> int | None:
-        """The bit of x's atom, given its ``space.locate`` result; None for
-        a point outside the space."""
-        if loc[0] == "interval":
-            return bisect_right(self.bounds, place(x, self.den)[0])
+    def atom(self, x) -> int | None:
+        """The bit of x's atom, None for a point outside the space.  x's grid
+        position, found once in integers, is inside the space's intervals
+        when an odd number of ``edges`` lie at or before it, and one bisect
+        of ``bounds`` then finds its run; ``Space.scattered`` does the rest."""
+        q, r = divmod(x.numerator * self.den, x.denominator)
+        p = 2 * q + (r != 0)
+        if bisect_right(self.edges, p) & 1:
+            return bisect_right(self.bounds, p)
+        loc = self.space.scattered(x)
         if loc[0] == "point":
             return len(self.bounds) + 1 + loc[1]
         if loc[0] == "member":
             return self.runs[loc[1]] + bisect_right(self.switches[loc[1]], loc[2])
         return None
 
-    def word(self, loc, x, width: int | None = None) -> TernaryWord:
-        """The word of x through the first ``width`` pairs (all by default),
-        given its ``space.locate`` result: pair by pair, the side whose mask
-        holds x's atom, the zero side when both do.  A point outside the
-        space has the empty word."""
-        b = self.atom(loc, x)
+    def word(self, b: int | None, width: int | None = None) -> TernaryWord:
+        """The word of atom b through the first ``width`` pairs (all by
+        default): pair by pair, the side whose mask holds the atom, the zero
+        side when both do.  A point outside the space, whose ``atom`` is
+        None, has the empty word."""
         if b is None:
             return TernaryWord()
         word = self.words.get(b)
@@ -210,9 +216,9 @@ class WordTable:
         sequence converging to x.  A set holds all of a piece near enough
         to x or misses all of it, so a side's closure holds x exactly when
         its mask meets these bits."""
-        loc = self.space.locate(x)
+        b = self.atom(x)
         p, on_grid = place(x, self.den)
-        out = self.end_pieces(p) if loc[0] == "interval" and on_grid else 1 << self.atom(loc, x)
+        out = self.end_pieces(p) if on_grid and b <= len(self.bounds) else 1 << b
         for s, switches, n in zip(self.space.sequences(), self.switches, self.runs):
             if s.limit == x:
                 out |= 1 << (n + len(switches))

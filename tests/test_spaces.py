@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -15,6 +16,7 @@ from dyadictop import (GeometricSequence, Interval, IsolatedPoint, Space,
 from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
+from dyadictop.sets import MAX_TAIL_INDEX
 
 from spacegen import random_spaces, rank2_space
 
@@ -123,9 +125,20 @@ def test_locate_all_kinds():
     assert sp2.locate(F(3)) == ("point", 1)
 
 
+def _scan_member(s, x, top=MAX_TAIL_INDEX + 8):
+    """The k in 1..top with x == limit + offset·2^-k, by ``Fraction``
+    arithmetic, or None; only an x between the limit and member 1 is
+    tried."""
+    lo, hi = sorted((s.limit, s.member(1)))
+    if not lo <= x <= hi:
+        return None
+    return next((k for k in range(1, top + 1) if x == s.limit + s.offset * F(1, 2 ** k)), None)
+
+
 def _scan_locate(space, x):
     """``Space.locate`` as a linear scan: each interval's ends compared
-    with x, then each isolated point, then each sequence's member index."""
+    with x, then each isolated point, then each sequence by
+    ``_scan_member``."""
     for i, iv in enumerate(space.intervals()):
         if iv.lo <= x <= iv.hi:
             return ("interval", i)
@@ -133,10 +146,42 @@ def _scan_locate(space, x):
         if p.value == x:
             return ("point", i)
     for j, s in enumerate(space.sequences()):
-        k = s.member_index(x)
+        k = _scan_member(s, x)
         if k is not None:
             return ("member", j, k)
     return ("outside",)
+
+
+def test_member_index_matches_the_scan():
+    """Seeded sequences with positive and negative offsets and dyadic and
+    non-dyadic limits and offsets: members k = 1 to past
+    ``MAX_TAIL_INDEX``, each ± 2^-40, the limit, "member 0" (limit plus
+    offset), the mirror images of the members on the wrong side of the
+    limit, and random values near it,
+    each also as an ``int`` when whole."""
+    rng = random.Random(20131018)
+    tiny = F(1, 2 ** 40)
+    tried = hits = 0
+    for _ in range(60):
+        limit = F(rng.randint(-40, 40), rng.choice((1, 2, 3, 8, 12, 7, 1024)))
+        offset = F(rng.randint(1, 9), rng.choice((1, 2, 4, 5, 6, 96))) * rng.choice((1, -1))
+        s = GeometricSequence(limit, offset)
+        ks = [1, 2, 3, rng.randint(4, 40), MAX_TAIL_INDEX - 1, MAX_TAIL_INDEX,
+              MAX_TAIL_INDEX + 1, MAX_TAIL_INDEX + 7]
+        values = {limit, limit + offset, limit - offset, limit + 2 * offset}
+        for k in ks:
+            m = s.member(k)
+            values |= {m, m - tiny, m + tiny, 2 * limit - m}
+        values |= {limit + offset * F(rng.randint(-64, 64), rng.choice((3, 64, 100)))
+                   for _ in range(8)}
+        values |= {int(v) for v in values if v.denominator == 1}
+        for x in values:
+            k = s.member_index(x)
+            assert k == _scan_member(s, x), (s.render(), x)
+            tried += 1
+            hits += k is not None
+        assert all(s.member_index(s.member(k)) == k for k in ks)
+    assert 0 < hits < tried
 
 
 def test_locate_matches_the_scan_on_draws():

@@ -20,17 +20,20 @@ the side's closure, on the builds of each corpus space and of
 ``spacegen.rank2_space``.
 """
 import functools
+import hashlib
 import itertools
 import json
 import math
 import pathlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from dyadictop import (DyadicSubbase, SubbaseError, SymbolicSet, TernaryWord,
+from dyadictop import (DyadicSubbase, GeometricSequence, Interval, IsolatedPoint,
+                       Space, SubbaseError, SymbolicSet, TernaryWord,
                        build_proper_subbase, check_independent, decode_word,
                        degree_report, encode_point, load_subbase)
 from dyadictop.checks import MAX_COUNTEREXAMPLES
@@ -291,7 +294,7 @@ def test_masks_are_built_only_for_the_sides_words_name():
     for x in points:
         sb.forced_word(x)
     assert sorted(table.masks) == list(range(2 * len(sb)))
-    assert set(table.words) == {table.atom(sb.space.locate(x), x) for x in points}
+    assert set(table.words) == {table.atom(x) for x in points}
     assert all(0 <= b < table.nbits for b in table.words)
 
 
@@ -319,3 +322,85 @@ def test_pieces_meet_a_side_exactly_where_its_closure_holds_the_point(name):
                 assert (table.mask(i) & pieces != 0) == want, (x, i)
                 met += want and not side.membership(x)
     assert met
+
+
+# sha256 of ``_lookup_lines`` as the code gave it when ``encode_point``
+# still found a point's atom through ``Space.locate``
+LOOKUP_DIGEST = "1df1392105d25ac44821229b11125f4bd25e20d62d4b58a6c028e549604a99b2"
+
+
+def _odd_space():
+    """Isolated points in thirds, fifths and sevenths beside a dyadic
+    interval, a sequence in thirds onto a point, one in fifths onto an
+    interval end and one in sevenths onto an open limit."""
+    return Space((Interval(F(0), F(1)), IsolatedPoint(F(-7, 5)), IsolatedPoint(F(-1, 3)),
+                  IsolatedPoint(F(4, 3)), IsolatedPoint(F(2)), IsolatedPoint(F(22, 7)),
+                  GeometricSequence(F(2), F(1, 3)),
+                  GeometricSequence(F(1), F(1, 5)),
+                  GeometricSequence(F(5, 2), F(-1, 7), open_limit=True)))
+
+
+def _lookup_cases():
+    """(subbase, points, whether each point is in the space) for the
+    level-4 builds of each corpus space, of ``rank2_space`` and of
+    ``_odd_space``.  The points are those of ``_points``, every interval
+    end moved 2^-40 either way, and each whole number among them again as
+    an ``int``."""
+    spaces = [mk() for mk in CORPUS.values()] + [rank2_space(), _odd_space()]
+    cases = []
+    for space in spaces:
+        sb = build_proper_subbase(space, 4, depth=1).subbase
+        pts = _points(sb, 4)
+        tiny = F(1, 2 ** 40)
+        pts += [v + d for iv in space.intervals() for v in (iv.lo, iv.hi) for d in (-tiny, tiny)]
+        pts += sorted({int(x) for x in pts if x.denominator == 1})
+        cases.append((DyadicSubbase.from_dict(sb.to_dict()), pts, [space.contains(x) for x in pts]))
+    return cases
+
+
+def _lookup_lines(cases):
+    """One line per point: its full word, its word through half the
+    pairs, each as ``encode_point`` and ``forced_word`` give it, and the
+    mask of ``pieces`` for a point of the space."""
+    lines = []
+    for sb, points, inside in cases:
+        n = len(sb)
+        for x, held in zip(points, inside):
+            words = [sb.forced_word(x).to_string(n), sb.forced_word(x, n // 2).to_string(n)]
+            if held:
+                words += [encode_point(sb, x).render(), encode_point(sb, x, n // 2).render(),
+                          str(sb.word_table.pieces(x))]
+            lines.append(f"{type(x).__name__} {x} " + " ".join(words))
+    return lines
+
+
+def test_one_integer_lookup_finds_each_atom(monkeypatch):
+    """With ``Space.locate`` made to raise, ``encode_point``,
+    ``forced_word`` and ``WordTable.pieces`` still give every word and
+    piece mask they gave through ``locate``, pinned by ``LOOKUP_DIGEST``,
+    and the words match the sides' membership.  The points cover interval
+    ends on and off the grid, isolated points whose denominator the
+    table's ``den`` does not divide, members of every sequence, open
+    limits, gap points and ``int`` inputs.  A point outside the space
+    still raises ``SubbaseError``."""
+    cases = _lookup_cases()
+    want = [[_membership_word(sb, x) for x in points] for sb, points, _ in cases]
+    table = cases[-1][0].word_table
+    assert any(table.den % p.value.denominator for p in table.space.isolated_points())
+    assert any(s.open_limit for s in table.space.sequences())
+
+    def refuse(self, x):
+        raise AssertionError(f"Space.locate({x}) called")
+
+    monkeypatch.setattr(Space, "locate", refuse)
+    for (sb, points, inside), words in zip(cases, want):
+        for x, held, entries in zip(points, inside, words):
+            assert sb.forced_word(x).entries == entries, x
+            if not held:
+                with pytest.raises(SubbaseError, match=re.escape(f"point {x} is not in the space")):
+                    encode_point(sb, x)
+    held = [h for _, _, inside in cases for h in inside]
+    assert any(held) and not all(held)
+    assert any(type(x) is int for _, points, _ in cases for x in points)
+    text = "\n".join(_lookup_lines(cases))
+    assert hashlib.sha256(text.encode()).hexdigest() == LOOKUP_DIGEST
