@@ -5,8 +5,9 @@ indices where the point sits on the shared boundary stay unfilled.  Encoding
 finds the point's atom in the subbase's ``WordTable`` with one integer
 lookup (``WordTable.atom``), with no ``Fraction`` arithmetic, and reads the
 atom's word off the sides' atom masks once per atom.  Decoding a word
-recovers the cell of all points matching its filled digits from the same table: the AND of the atom masks of the sides
-the word names, read back as a set.
+recovers the cell of all points matching its filled digits from the
+same table: the AND of the atom masks of the sides the word names, read
+back as a set.
 """
 from __future__ import annotations
 

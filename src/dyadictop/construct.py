@@ -74,11 +74,12 @@ class SeedFamily:
             if e.core.is_empty:
                 out.append(f"seed {n}: core is empty")
                 continue
-            if not e.core.is_regular_open:
+            cl_core = e.core.closure()
+            if e.core != cl_core.interior():
                 out.append(f"seed {n}: core is not regular open in the kernel")
             if not e.hull.is_regular_open:
                 out.append(f"seed {n}: hull is not regular open in the kernel")
-            if not e.core.closure().subset_of(e.hull):
+            if not cl_core.subset_of(e.hull):
                 out.append(f"seed {n}: hull does not swallow the closed core")
             if e.hull_star.space != self.space:
                 out.append(f"seed {n}: hull_star lives in the wrong space")
@@ -137,8 +138,9 @@ def auto_seeds(space: Space, levels: int, match_dim: bool = False) -> SeedFamily
             hull = SymbolicSet.region(kernel, [(lo, lo == comp.lo, hi, hi == comp.hi)])
             hull_star = embed(hull, space)
             rest = kernel_set(space).difference(hull_star)
+            spans = (hull.spans, rest.spans)
             for cluster in clusters:
-                if _assign_cluster(cluster, hull, rest) == 0:
+                if _assign_cluster(cluster, hull, rest, spans) == 0:
                     hull_star = hull_star.union(cluster_set(space, cluster))
             entries.append(SeedEntry(core, hull, hull_star))
     family = SeedFamily(space, tuple(entries))
@@ -408,10 +410,11 @@ def _validate_pair(trace, g, runs) -> None:
     """The new pair is a dyadic pair, and each chunk's closure lies inside
     the run of its cell's atoms it was cut from."""
     n = trace.level
-    if not trace.s0.is_regular_open:
+    cl = trace.s0.closure()
+    if trace.s0 != cl.interior():
         raise ConstructionError("zero-side-not-regular-open", n,
                                 {"trace": trace.to_dict()})
-    if trace.s1 != trace.s0.exterior():
+    if trace.s1 != cl.complement():
         raise ConstructionError("exterior-identity", n, {"trace": trace.to_dict()})
     for w in trace.a_words + trace.b_words:
         (lo, hi), bounds = runs[w], g[w].closure_bounds()
@@ -512,7 +515,8 @@ def extend_to_proper(space: Space, traces):
         s0s, s1s = embed(tr.s0, space).union(inside), embed(tr.s1, space).union(outside)
 
         new_tr = replace(tr, v_star=v_star, s0_star=s0s, s1_star=s1s)
-        if not s0s.is_regular_open or s1s != s0s.exterior():
+        cl = s0s.closure()
+        if s0s != cl.interior() or s1s != cl.complement():
             raise ConstructionError("starred-exterior-identity", n,
                                     {"trace": new_tr.to_dict()})
         table.split(tr.s0, tr.s1)

@@ -3,8 +3,12 @@
 Both operations move material between a space and its perfect kernel.
 The scattered part is handled through clusters (a limit point together
 with every sequence converging to it): clusters move wholesale, which is
-what keeps the outputs open and their closures under control.  Outputs
-are always validated against the postconditions before being returned.
+what keeps the outputs open and their closures under control.  Both give
+each cluster its side by one rule (``_assign_cluster``, through
+``_cluster_sides``).  Outputs are always validated against the
+postconditions before being returned: the separation checks both sides,
+and the extension, which builds only the side it returns, checks that
+side once, by ``check_half_clopen``.
 """
 from __future__ import annotations
 
@@ -78,14 +82,12 @@ def separate_open_pair(space: Space, y: SymbolicSet, u0: SymbolicSet,
     if mode == "whole":
         v0, v1 = u0, u1
     else:
-        sides = [u0, u1]
         extras = [SymbolicSet.empty(space), SymbolicSet.empty(space)]
-        for cluster in scatter_clusters(space):
-            side = _assign_cluster(cluster, u0, u1)
+        for cluster, side in _cluster_sides(space, u0, u1):
             if side is not None:
                 extras[side] = extras[side].union(cluster_set(space, cluster))
-        v0 = sides[0].union(extras[0])
-        v1 = sides[1].union(extras[1])
+        v0 = u0.union(extras[0])
+        v1 = u1.union(extras[1])
 
     bad = check_separation(space, y, u0, u1, v0, v1)
     if bad:
@@ -93,7 +95,10 @@ def separate_open_pair(space: Space, y: SymbolicSet, u0: SymbolicSet,
     return (v0, v1)
 
 
-def _assign_cluster(cluster: Cluster, u0: SymbolicSet, u1: SymbolicSet) -> int | None:
+def _assign_cluster(cluster: Cluster, u0: SymbolicSet, u1: SymbolicSet,
+                    spans: tuple) -> int | None:
+    """The side a cluster joins, 0 or 1, or None; ``spans`` are U0's and
+    U1's spans, read once by the caller."""
     if cluster.kind == "kernel":
         # the limit drags its tails along; anywhere else stays unassigned,
         # anything more would thicken closures inside the kernel
@@ -102,16 +107,27 @@ def _assign_cluster(cluster: Cluster, u0: SymbolicSet, u1: SymbolicSet) -> int |
         if u1.membership(cluster.anchor):
             return 1
         return None
-    return nearer_spans(cluster.anchor, u0.spans, u1.spans)
+    return nearer_spans(cluster.anchor, *spans)
+
+
+def _cluster_sides(space: Space, u0: SymbolicSet, u1: SymbolicSet):
+    """Each scattered cluster of the space with the side that
+    ``_assign_cluster`` gives it against U0 and U1."""
+    spans = (u0.spans, u1.spans)
+    return [(cluster, _assign_cluster(cluster, u0, u1, spans))
+            for cluster in scatter_clusters(space)]
 
 
 def check_half_clopen(space: Space, u: SymbolicSet, w: SymbolicSet,
                       v: SymbolicSet) -> list[str]:
     kernel = kernel_set(space)
+    cl = v.closure()
+    regular = v == cl.interior()
     out = []
-    if not v.is_regular_open:
+    if not regular:
         out.append("V is not regular open")
-    if not v.boundary().subset_of(kernel):
+    # a regular open V is open, so it is its own interior
+    if not cl.difference(v if regular else v.interior()).subset_of(kernel):
         out.append("boundary of V leaves the kernel")
     if v.intersection(kernel) != u:
         out.append("V does not trace back to U on the kernel")
@@ -127,41 +143,51 @@ def half_clopen_extension(space: Space, u: SymbolicSet, w: SymbolicSet) -> Symbo
     kernel); ``w`` is an open window in X containing the relative closure
     of ``u``.  The result V is regular open in X with boundary inside the
     kernel, V ∩ X♯ == U and V ⊆ W.
+
+    V is the zero side of the open separation of U from U1 = K − cl_K U
+    over the kernel K, trimmed by W, built in one pass: U together with
+    the clusters that ``_assign_cluster`` gives U's side, less each such
+    cluster that leaves W, or for a cluster on a kernel limit, less its
+    members outside W.  The four preconditions are checked, and V once by
+    ``check_half_clopen``, which checks ∂V ⊆ K on V itself.  None of the
+    separation's own checks is run:
+
+    - Y admissible: Y is K;
+    - U0 inside Y and open there: U is regular open in K, checked above;
+    - U1 inside Y and open there: it is K less a set closed in K;
+    - U0 and U1 disjoint: U lies in cl_K U, which U1 misses;
+    - V0 open and tracing back to U0: checked of V, regular open with
+      V ∩ K == U;
+    - V1 open and tracing back to U1, cl V0 ∩ cl V1 ⊆ Y: V1 is not built.
     """
     kernelS = kernel_set(space)
     if u.space != space:
         u = embed(u, space)
     if not u.subset_of(kernelS):
         raise SubspaceError("U must be supported on the kernel")
-    cl_u = u.closure_in(kernelS)
-    if cl_u.interior_in(kernelS) != u:
+    cl_u = u.closure()  # inside K, which is closed
+    u1 = kernelS.difference(cl_u)
+    if kernelS.difference(u1.closure()) != u:
         raise SubspaceError("U is not regular open in the kernel")
     if not w.is_open:
         raise SubspaceError("W is not open")
     if not cl_u.subset_of(w):
         raise SubspaceError("W does not contain the relative closure of U")
 
-    v0, _ = separate_open_pair(space, kernelS, u, kernelS.difference(cl_u))
-    dirty = v0.difference(kernelS).difference(w)
-    if not dirty.is_empty:
-        drop = SymbolicSet.empty(space)
-        for cluster in scatter_clusters(space):
-            cs = cluster_set(space, cluster)
-            hit = cs.intersection(dirty)
-            if hit.is_empty:
-                continue
-            if cluster.kind == "kernel":
-                # the limit sits in U ⊆ W, so only finitely many members
-                # stick out; removing just those keeps V open at the limit
-                if hit.as_finite_points() is None:
-                    raise LemmaError("half_clopen_extension",
-                                     ["infinitely many members escape the window"])
-                drop = drop.union(hit)
-            else:
-                drop = drop.union(cs)
-        v = v0.difference(drop)
-    else:
-        v = v0
+    v = u
+    for cluster, side in _cluster_sides(space, u, u1):
+        if side != 0:
+            continue
+        cs = cluster_set(space, cluster)
+        if cs.subset_of(w):
+            v = v.union(cs)
+        elif cluster.kind == "kernel":
+            # the limit sits in U ⊆ W, so only finitely many members
+            # stick out; removing just those keeps V open at the limit
+            if cs.difference(w).as_finite_points() is None:
+                raise LemmaError("half_clopen_extension",
+                                 ["infinitely many members escape the window"])
+            v = v.union(cs.intersection(w))
 
     bad = check_half_clopen(space, u, w, v)
     if bad:

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from dyadictop import (LemmaError, SubspaceError, SymbolicSet, TailRule,
-                       cb_kernel, check_half_clopen, check_separation,
-                       cluster_set, half_clopen_extension, kernel_set,
+                       auto_seeds, build_independent_subbase, cb_kernel,
+                       check_half_clopen, check_separation, cluster_set, embed,
+                       extend_to_proper, half_clopen_extension, kernel_set, lemmas,
                        scatter_clusters, separate_open_pair)
 from dyadictop.corpus import (CORPUS, interval_points_space,
                               interval_sequence_space, interval_space,
@@ -13,6 +14,7 @@ from dyadictop.corpus import (CORPUS, interval_points_space,
 from dyadictop.space import GeometricSequence, Interval, IsolatedPoint, Space
 
 from instances import extension_instance, separation_instance
+from spacegen import random_spaces
 
 X2 = interval_points_space()
 X3 = interval_sequence_space()
@@ -170,3 +172,99 @@ def test_extension_instances_sweep():
             u, w = extension_instance(sp, rng)
             v = half_clopen_extension(sp, u, w)
             assert check_half_clopen(sp, u, w, v) == []
+
+
+# -- the one-pass lift against the two-step composition --------------------
+
+def _two_step_lift(space, u, w):
+    """The zero side of the open separation of U from K − cl U, then the
+    window trim: each cluster that leaves W dropped, or for a cluster on a
+    kernel limit only its members outside W."""
+    kernelS = kernel_set(space)
+    if u.space != space:
+        u = embed(u, space)
+    v0, _ = separate_open_pair(space, kernelS, u,
+                               kernelS.difference(u.closure_in(kernelS)))
+    dirty = v0.difference(kernelS).difference(w)
+    drop = SymbolicSet.empty(space)
+    for cluster in scatter_clusters(space):
+        cs = cluster_set(space, cluster)
+        hit = cs.intersection(dirty)
+        if not hit.is_empty:
+            drop = drop.union(hit if cluster.kind == "kernel" else cs)
+    return v0.difference(drop)
+
+
+def test_lift_matches_the_two_step_composition_on_the_lemma_instances():
+    rng = random.Random(711)  # the extension instances of criterion 5
+    ran = 0
+    for name, mk in CORPUS.items():
+        sp = mk()
+        for i in range(40):
+            u, w = extension_instance(sp, rng)
+            assert half_clopen_extension(sp, u, w) == _two_step_lift(sp, u, w), (name, i)
+            ran += 1
+    assert ran == 200
+
+
+def test_lift_trims_kernel_tails_like_the_two_step_composition():
+    # W holds each kernel tail from member j on only: the lift keeps the
+    # tail from j, as the separation followed by the trim does
+    cut = 0
+    for sp in [mk() for mk in CORPUS.values()] + random_spaces(20131018, 50):
+        kernelS = kernel_set(sp)
+        for cluster in scatter_clusters(sp):
+            if cluster.kind != "kernel":
+                continue
+            for delta in (F(1, 4), F(1, 16)):
+                u = SymbolicSet.ball(sp, cluster.anchor, delta).intersection(kernelS)
+                u = u.closure_in(kernelS).interior_in(kernelS)
+                hull = SymbolicSet.ball(sp, cluster.anchor, 2 * delta).intersection(kernelS)
+                for j in (1, 2, 3, 5):
+                    w = hull.union(cluster_set(sp, cluster, j))
+                    v = half_clopen_extension(sp, u, w)
+                    assert v == _two_step_lift(sp, u, w)
+                    assert v.intersection(cluster_set(sp, cluster)) == cluster_set(sp, cluster, j)
+                    cut += j > 1
+    assert cut >= 90
+
+
+def _build_sources():
+    for name, make in CORPUS.items():
+        yield name, make(), range(1, 7)
+    for i, space in enumerate(random_spaces(20131018, 50)):
+        yield f"20131018.{i}", space, range(1, 4)
+
+
+BUILD_SOURCES = [s for s in _build_sources() if cb_kernel(s[1]).kernel.intervals()]
+
+
+@pytest.mark.parametrize("mode", ("unconstrained", "match_dim"))
+@pytest.mark.parametrize("name,space,levels", BUILD_SOURCES,
+                         ids=[s[0] for s in BUILD_SOURCES])
+def test_lift_matches_the_two_step_composition_on_starred_levels(name, space, levels, mode):
+    match_dim = mode == "match_dim"
+    kernel = cb_kernel(space).kernel
+    for n in levels:
+        _, traces = build_independent_subbase(kernel, n,
+                                              seeds=auto_seeds(space, n, match_dim),
+                                              match_dim=match_dim)
+        _, star = extend_to_proper(space, traces)
+        for tr in star:
+            assert tr.v_star == _two_step_lift(space, tr.v, tr.seed.hull_star), (n, tr.level)
+
+
+def test_lift_catches_a_cluster_on_the_wrong_side(monkeypatch):
+    # the tail onto 1 must join V, whose limit 1 lies in U; sent to the
+    # other side, it leaves V without a neighbourhood of 1
+    assign = lemmas._assign_cluster
+
+    def swapped(cluster, u0, u1, spans):
+        side = assign(cluster, u0, u1, spans)
+        return 1 - side if cluster.kind == "kernel" and side is not None else side
+    monkeypatch.setattr(lemmas, "_assign_cluster", swapped)
+    u = region(X3, (F(1, 2), False, F(1), True))
+    with pytest.raises(LemmaError) as err:
+        half_clopen_extension(X3, u, SymbolicSet.whole(X3))
+    assert err.value.op == "half_clopen_extension"
+    assert err.value.violations == ["V is not regular open"]

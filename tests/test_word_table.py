@@ -173,6 +173,22 @@ def test_decode_word_matches_the_chain_of_intersections(case):
                 assert decode_word(sb, word) == want, word
 
 
+def test_cell_reads_residues_and_sides_at_depth():
+    # the residues of a deep build are masks with thousands of flips: each
+    # must read back as X minus both sides, and each side's mask as the side
+    sb = build_proper_subbase(CORPUS["interval-sequence"](), 10, depth=1).subbase
+    table = sb.word_table
+    whole = SymbolicSet.whole(sb.space)
+    flips = []
+    for idx, (s0, s1) in enumerate(sb.pairs):
+        m = table.whole & ~(table.mask(2 * idx) | table.mask(2 * idx + 1))
+        flips.append(bin(m ^ (m << 1)).count("1"))
+        assert table.cell(m) == whole.difference(s0).difference(s1), idx
+        assert table.cell(table.mask(2 * idx)) == s0, idx
+        assert table.cell(table.mask(2 * idx + 1)) == s1, idx
+    assert max(flips) > 1000
+
+
 def test_the_memo_keeps_one_word_per_atom():
     levels, built = _subbases("interval-sequence-unconstrained")[-1]
     sb = DyadicSubbase.from_dict(built.to_dict())
