@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .checks import check_dyadic, check_proper, degree_report
 from .coding import decode_word, encode_point
@@ -55,7 +57,7 @@ def _emit(args, text, payload) -> None:
     place keeps the inode, so a symlink still points at the rewritten
     target and the file's mode, owner and hard links stay.
     """
-    body = json.dumps(payload(), indent=2) if args.format == "json" else text()
+    body = _json_text(payload()) if args.format == "json" else text()
     body = body if body.endswith("\n") else body + "\n"
     if not args.out:
         sys.stdout.write(body)
@@ -66,6 +68,79 @@ def _emit(args, text, payload) -> None:
         fh.write(body.encode("utf-8"))
         if stat.S_ISREG(os.fstat(fd).st_mode):
             fh.truncate()
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, joined once.
+
+    With an indent the standard library encodes in pure Python; this
+    writer walks the value once and quotes each string with the C
+    ``encode_basestring_ascii`` that ``json`` itself uses.  As in
+    ``json``, tuples are written as lists and any other value raises
+    ``TypeError``.  Unlike ``json``, which writes an int, float, bool or
+    None key as its JSON text, the quoting refuses any key but a string
+    with ``TypeError``; and a value that contains itself recurses until
+    Python's recursion limit, where ``json`` would report the cycle.
+    """
+    parts: list[str] = []
+    _json_value(value, "\n", parts)
+    return "".join(parts)
+
+
+def _json_value(o, nl: str, parts: list[str]) -> None:
+    """Append the JSON of o to parts; nl starts each line at o's depth."""
+    if isinstance(o, str):
+        parts.append(_quote(o))
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            parts += (sep, _quote(k), ": ")
+            if isinstance(v, str):
+                parts.append(_quote(v))
+            else:
+                _json_value(v, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            parts.append(sep)
+            if isinstance(v, str):
+                parts.append(_quote(v))
+            else:
+                _json_value(v, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif isinstance(o, int):
+        parts.append(int.__repr__(o))
+    elif isinstance(o, float):
+        parts.append(_json_float(o))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _check_depth(depth: int) -> None:

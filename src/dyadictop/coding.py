@@ -11,7 +11,6 @@ back as a set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .sets import SymbolicSet
@@ -19,11 +18,34 @@ from .subbase import DyadicSubbase, SubbaseError
 from .words import TernaryWord
 
 
-@dataclass(frozen=True)
 class CodedPoint:
-    point: Fraction
-    word: TernaryWord
-    width: int
+    """A point with its word through the first ``width`` pairs.
+
+    A plain class with slots, built on every ``encode_point``: a frozen
+    dataclass's checked constructor cost more than the rest of an
+    encode.  Equal when point, word and width are equal.
+    """
+
+    __slots__ = ("point", "word", "width")
+
+    def __init__(self, point: Fraction, word: TernaryWord, width: int):
+        self.point = point
+        self.word = word
+        self.width = width
+
+    def _key(self):
+        return (self.point, self.word, self.width)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"CodedPoint(point={self.point!r}, word={self.word!r}, width={self.width!r})"
 
     @property
     def unfilled(self) -> int:

@@ -37,7 +37,7 @@ from itertools import product
 
 from .checks import (CheckReport, check_dyadic, check_independent, check_proper,
                      degree_report, resolution_check)
-from .cuts import place, position, reduced, rescale
+from .cuts import inside, place, position, reduced, rescale
 from .lemmas import _assign_cluster, cluster_set, half_clopen_extension
 from .rational import format_rational
 from .sets import Span, SymbolicSet, embed, kernel_set
@@ -96,16 +96,32 @@ class SeedFamily:
         once per family."""
         return tuple(e.hull_star.closure_bounds() for e in self.entries)
 
+    @cached_property
+    def _cover_table(self) -> tuple:
+        """(den, rows): per entry with a nonempty core, its core's cuts
+        and the numerators of its ``hull_bounds``, all over one
+        denominator den.  A core lives on the kernel, which has intervals
+        only, so its cuts are the whole of it."""
+        live = [(e.core, b) for e, b in zip(self.entries, self.hull_bounds) if e.core.cuts]
+        den = math.lcm(*(c.den for c, _ in live), *(x.denominator for _, b in live for x in b))
+        return den, tuple((rescale(c.cuts, den // c.den), int(lo * den), int(hi * den))
+                          for c, (lo, hi) in live)
+
     def cover_radius(self, x: Fraction) -> Fraction | None:
-        """Radius of the tightest hull_star among windows whose core holds x."""
+        """Radius of the tightest hull_star among windows whose core holds
+        x, in integers over the table's denominator times x's; only the
+        radius returned is a Fraction."""
+        den, rows = self._cover_table
+        d = x.denominator
+        xs = x.numerator * den  # x over den·d
+        p = place(x, den)[0]
         best = None
-        for e, bounds in zip(self.entries, self.hull_bounds):
-            if not e.core.membership(x):
-                continue
-            r = max(x - bounds[0], bounds[1] - x)
-            if best is None or r < best:
-                best = r
-        return best
+        for cuts, lo, hi in rows:
+            if inside(cuts, p):
+                r = max(xs - lo * d, hi * d - xs)
+                if best is None or r < best:
+                    best = r
+        return None if best is None else Fraction(best, den * d)
 
 
 def auto_seeds(space: Space, levels: int, match_dim: bool = False) -> SeedFamily:

@@ -67,13 +67,14 @@ class Span:
         return (x == self.lo and self.lo_in) or (x == self.hi and self.hi_in)
 
     def render(self) -> str:
-        return _render(self.lo, self.lo_in, self.hi, self.hi_in)
+        lo, hi = self.lo, self.hi
+        return _literal(lo.numerator, lo.denominator, self.lo_in,
+                        hi.numerator, hi.denominator, self.hi_in)
 
 
-def _render(lo: Fraction, lo_in: bool, hi: Fraction, hi_in: bool) -> str:
-    l = "[" if lo_in else "("
-    r = "]" if hi_in else ")"
-    return f"{l}{format_rational(lo)},{format_rational(hi)}{r}"
+def _literal(p: int, q: int, lo_in, r: int, s: int, hi_in) -> str:
+    """The interval literal from p/q to r/s, the integers as given."""
+    return f"{'[' if lo_in else '('}{p}/{q},{r}/{s}{']' if hi_in else ')'}"
 
 
 _SPAN_RE = re.compile(r"^([\[\(])\s*([^,\s]+)\s*,\s*([^\]\)\s]+)\s*([\]\)])$")
@@ -89,7 +90,7 @@ def _parse_literal(text: str) -> tuple[int, int, bool, int, int, bool]:
     r, s = parse_ratio(m[3])
     lo_in, hi_in = m[1] == "[", m[4] == "]"
     if p * s > r * q or (p * s == r * q and not (lo_in and hi_in)):
-        raise SetError(f"bad span bounds {_render(Fraction(p, q), lo_in, Fraction(r, s), hi_in)}")
+        raise SetError(f"bad span bounds {_span(Fraction(p, q), lo_in, Fraction(r, s), hi_in).render()}")
     return p, q, lo_in, r, s, hi_in
 
 
@@ -139,16 +140,35 @@ def _span(lo: Fraction, lo_in: bool, hi: Fraction, hi_in: bool) -> Span:
     return sp
 
 
+def _cut_pairs(space: Space, den: int, cuts) -> list[tuple[int, int]]:
+    """The (start, end) cuts of each span, in ``intervals()`` order and
+    sorted within each interval."""
+    pairs = list(zip(cuts[::2], cuts[1::2]))
+    order = space._grid[2]
+    if any(i > j for i, j in zip(order, order[1:])):
+        # no span crosses a gap between intervals, so the ambient interval
+        # whose cuts hold its start holds it
+        _, amb, starts = common(*_ambient(space), den, cuts[::2])
+        index = {a: order[bisect_right(amb, p) >> 1] for a, p in zip(cuts[::2], starts)}
+        pairs.sort(key=lambda pair: index[pair[0]])
+    return pairs
+
+
 def _cut_spans(space: Space, den: int, cuts) -> tuple[Span, ...]:
-    """The spans of the cuts, in ``intervals()`` order and sorted within
-    each interval."""
-    spans = tuple(_span(Fraction(a >> 1, den), a % 2 == 0, Fraction(e >> 1, den), e % 2 == 1)
-                  for a, e in zip(cuts[::2], cuts[1::2]))
-    ivs = space.intervals()
-    if any(u.lo > v.lo for u, v in zip(ivs, ivs[1:])):
-        # no span crosses a gap between intervals, so its lo locates it
-        spans = tuple(sorted(spans, key=lambda sp: space.locate(sp.lo)[1]))
-    return spans
+    """The spans of the cuts, in ``_cut_pairs`` order."""
+    return tuple(_span(Fraction(a >> 1, den), a % 2 == 0, Fraction(e >> 1, den), e % 2 == 1)
+                 for a, e in _cut_pairs(space, den, cuts))
+
+
+def _cut_literals(space: Space, den: int, cuts) -> list[str]:
+    """The interval literals of the cuts, in ``_cut_pairs`` order, each
+    end written as the value c >> 1 over den reduced by one gcd."""
+    out = []
+    for a, e in _cut_pairs(space, den, cuts):
+        x, y = a >> 1, e >> 1
+        g, h = math.gcd(x, den), math.gcd(y, den)
+        out.append(_literal(x // g, den // g, not a & 1, y // h, den // h, e & 1))
+    return out
 
 
 def dist_to_spans(x: Fraction, spans) -> Fraction | None:
@@ -218,14 +238,19 @@ class TailRule:
 
     @property
     def exceptions(self) -> frozenset[int]:
-        sw = self.switches
-        return frozenset(k for a, b in zip(sw[::2], sw[1::2]) for k in range(a, b))
+        return frozenset(_exceptions(self.switches))
 
     def selected(self, k: int) -> bool:
         return inside(self.switches, k)
 
     def union(self, other: "TailRule") -> "TailRule":
         return _tail_binary(self, other, OR)
+
+
+def _exceptions(sw) -> list[int]:
+    """The selected indices below the last switch of an infinite rule, or
+    every selected index of a finite one, increasing."""
+    return [k for a, b in zip(sw[::2], sw[1::2]) for k in range(a, b)]
 
 
 def _tail_binary(a: TailRule, b: TailRule, table) -> TailRule:
@@ -621,18 +646,20 @@ class SymbolicSet:
     def to_dict(self) -> dict:
         d: dict = {}
         if self.cuts:
-            d["intervals"] = [sp.render() for sp in self.spans]
+            d["intervals"] = _cut_literals(self.space, self.den, self.cuts)
         if self.points:
             d["points"] = [format_rational(p) for p in sorted(self.points)]
         tails = []
         for j, rule in enumerate(self.tails):
-            if rule.is_empty:
+            sw = rule.switches
+            if not sw:
                 continue
             entry: dict = {"sequence": j}
-            if rule.start is not None:
-                entry["start"] = rule.start
-            if rule.exceptions:
-                entry["exceptions"] = sorted(rule.exceptions)
+            if len(sw) & 1:
+                entry["start"] = sw[-1]
+            exceptions = _exceptions(sw)
+            if exceptions:
+                entry["exceptions"] = exceptions
             tails.append(entry)
         if tails:
             d["tails"] = tails
@@ -702,18 +729,17 @@ class SymbolicSet:
                               tuple(map(_tail_rule, switches)))
 
     def render(self) -> str:
-        parts = [sp.render() for sp in self.spans]
+        parts = _cut_literals(self.space, self.den, self.cuts)
         parts += [f"{{{p}}}" for p in sorted(self.points)]
-        for j, rule in enumerate(self.tails):
-            if rule.is_empty:
+        for seq, rule in zip(self.space.sequences(), self.tails):
+            sw = rule.switches
+            if not sw:
                 continue
-            seq = self.space.sequences()[j]
-            if rule.infinite:
-                bits = f"k>={rule.start}"
-                if rule.exceptions:
-                    bits += "," + ",".join(str(e) for e in sorted(rule.exceptions))
+            listed = ",".join(map(str, _exceptions(sw)))
+            if len(sw) & 1:
+                bits = f"k>={sw[-1]}" + ("," + listed if listed else "")
             else:
-                bits = "k=" + ",".join(str(e) for e in sorted(rule.exceptions))
+                bits = "k=" + listed
             parts.append(f"tail({seq.render()};{bits})")
         return " u ".join(parts) if parts else "{}"
 

@@ -232,33 +232,33 @@ def _members_in_range(s: GeometricSequence, lo: Fraction, lo_in: bool,
 
     Returns (kmin, kmax); kmax == -1 encodes "all k >= kmin" (the interval
     swallows the tail).  Returns None when no member qualifies.
+
+    In integers, as ``member_index``: with the offset o > 0 (a negative
+    one mirrors x -> -x, which swaps the ends and their flags), member(k)
+    = limit + o/2**k falls towards the limit, so it is at most hi exactly
+    when 2**k >= n/d = o/(hi - limit), and at least lo exactly when 2**k
+    <= m/e = o/(lo - limit); an open end makes the comparison strict.
+    The smallest power of two at least (above) n/d is 2 to the bit length
+    of ceil(n/d) - 1 (of floor(n/d)), and the largest at most (below) m/e
+    is 2 to the bit length of floor(m/e) (of ceil(m/e) - 1), less one.
     """
-    o = s.offset
+    c, f = s.limit.numerator, s.limit.denominator
+    o, od = s.offset.numerator, s.offset.denominator
+    a, b = lo.numerator, lo.denominator
+    r, q = hi.numerator, hi.denominator
     if o < 0:
-        # mirror through x -> -x; flags swap sides
-        m = GeometricSequence(-s.limit, -o, s.open_limit)
-        return _members_in_range(m, -hi, hi_in, -lo, lo_in)
-    # o > 0: member(k) = limit + o/2**k strictly decreases towards the limit
-    t = hi - s.limit
+        c, o = -c, -o
+        (a, b, lo_in), (r, q, hi_in) = (-r, q, hi_in), (-a, b, lo_in)
+    t = r * f - c * q  # (hi - limit)·q·f
     if t <= 0:
         return None
-    # member(k) <= hi  <=>  2**k >= o/t  (strict when hi is excluded)
-    ratio = o / t
-    k = floor_log2(ratio)
-    while (Fraction(2) ** k < ratio) or (not hi_in and Fraction(2) ** k == ratio):
-        k += 1
-    kmin = max(1, k)
-    u = lo - s.limit
+    n, d = o * q * f, od * t
+    kmin = max(1, ((n - 1) // d if hi_in else n // d).bit_length())
+    u = a * f - c * b  # (lo - limit)·b·f
     if u <= 0:
         return (kmin, -1)
-    # member(k) >= lo  <=>  2**k <= o/u  (strict when lo is excluded)
-    ratio = o / u
-    if ratio <= 0:
-        return None
-    k = floor_log2(ratio) + 1
-    while (Fraction(2) ** k > ratio) or (not lo_in and Fraction(2) ** k == ratio):
-        k -= 1
-    kmax = k
+    m, e = o * b * f, od * u
+    kmax = (m // e if lo_in else (m - 1) // e).bit_length() - 1
     if kmax < kmin:
         return None
     return (kmin, kmax)

@@ -4,12 +4,16 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import golden
 from dyadictop import DyadicSubbase
-from dyadictop.cli import main
-from dyadictop.corpus import (converging_sequence_space, interval_points_space,
+from dyadictop.cli import _json_text, main
+from dyadictop.corpus import (CORPUS, converging_sequence_space, interval_points_space,
                               interval_sequence_space, interval_space)
 from dyadictop.sets import MAX_TAIL_INDEX
 
@@ -131,6 +135,58 @@ def test_out_over_a_longer_file_leaves_the_new_bytes(space_file, tmp_path, capsy
 def test_out_to_the_null_device(space_file, capsys):
     # not a regular file: written, but never cut to length
     assert main(["kernel", space_file, "--format", "json", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+# -- the JSON writer --------------------------------------------------------
+
+_json_strings = st.text() | st.sampled_from(
+    ("", "⊥", "⊥01_", 'say "so"', "back\\slash", "\x00\x1f\x7f", "tab\tnew\nline",
+     "\u2028\ud800", "ü日本\U0001f600"))
+_json_scalars = (_json_strings | st.integers() | st.integers(-2 ** 70, -2 ** 64)
+                 | st.integers(2 ** 64, 2 ** 70) | st.booleans() | st.none() | st.floats())
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_json_strings, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2 ** 64, -2 ** 70])
+@example({"⊥": [], "a": {}, "b": (), "": {"": ""}, "c": [[]], "d": [{}, ()]})
+def test_json_writer_writes_what_json_dumps_writes(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 3), [1, Fraction(1, 3)], {"a": {"b": (Fraction(1),)}}, {1, 2}, b"bytes",
+])
+def test_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as ours:
+        _json_text(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+def test_json_writer_takes_only_string_keys(key):
+    with pytest.raises(TypeError, match="must be a string"):
+        _json_text({"a": [{key: 0}]})
+
+
+@pytest.mark.parametrize("mode,levels,depth", golden.RUNS)
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_build_out_writes_the_golden_bytes(tmp_path, capsys, name, mode, levels, depth):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(CORPUS[name]().to_dict()))
+    out = tmp_path / "build.json"
+    assert main(["build", str(space), "--levels", str(levels), "--depth", str(depth),
+                 "--degree-mode", mode, "--emit-trace", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.path(name, mode, levels).read_bytes()
     assert capsys.readouterr() == ("", "")
 
 

@@ -25,6 +25,17 @@ def test_encode_respects_width():
     assert coded.render().replace("_", "").isdigit()
 
 
+def test_coded_points_compare_by_value():
+    sb = build_proper_subbase(interval_space(), 2, depth=2).subbase
+    a, b = encode_point(sb, F(1, 3)), encode_point(sb, F(1, 3))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != encode_point(sb, F(1, 3), width=1)
+    assert a != encode_point(sb, F(2, 3))
+    assert a != (a.point, a.word, a.width)
+    assert (a.point, a.width) == (F(1, 3), len(sb))
+    assert repr(a) == f"CodedPoint(point=Fraction(1, 3), word={a.word!r}, width={len(sb)})"
+
+
 def test_decode_contains_encoded_point():
     for mk in CORPUS.values():
         sp = mk()

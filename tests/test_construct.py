@@ -18,6 +18,7 @@ from dyadictop.corpus import (CORPUS, converging_sequence_space,
 from dyadictop.space import GeometricSequence, Interval, IsolatedPoint, Space
 
 from oracle import o_kernel_stage
+from spacegen import random_spaces
 
 
 # -- seeds ----------------------------------------------------------------
@@ -51,6 +52,45 @@ def test_auto_seeds_cover_radius():
     r = fam.cover_radius(F(1, 8))
     assert r is not None and r < F(1, 2)
     assert fam.cover_radius(F(7)) is None
+
+
+def _cover_radius_in_fractions(fam, x):
+    """The reference for ``cover_radius``: core membership, then the
+    radius in ``Fraction`` arithmetic."""
+    best = None
+    for e, (lo, hi) in zip(fam.entries, fam.hull_bounds):
+        if e.core.membership(x):
+            r = max(x - lo, hi - x)
+            best = r if best is None or r < best else best
+    return best
+
+
+def test_cover_radius_matches_the_fraction_version():
+    """The seed families of the corpus and of seeded draws, their
+    primitives also listed in reverse, in both modes: every core end and
+    kernel end, the values just beside them, and a grid in 24ths with an
+    off-grid value in each step."""
+    spaces = [mk() for mk in CORPUS.values()] + random_spaces(28, 16)
+    spaces += [Space(tuple(reversed(sp.primitives))) for sp in spaces]
+    tiny = F(1, 2 ** 30)
+    tried = covered = 0
+    for sp in spaces:
+        kernel = cb_kernel(sp).kernel
+        if not kernel.intervals():
+            continue
+        for match_dim in (False, True):
+            fam = auto_seeds(sp, 5, match_dim)
+            ends = {v for e in fam.entries for s in e.core.spans for v in (s.lo, s.hi)}
+            ends |= {v for iv in kernel.intervals() for v in (iv.lo, iv.hi)}
+            values = {v + d for v in ends for d in (-tiny, 0, tiny)}
+            lo, hi = min(ends), max(ends)
+            values |= {lo + (hi - lo) * F(k, 24) + d for k in range(-2, 27) for d in (0, F(1, 97))}
+            for x in values:
+                r = fam.cover_radius(x)
+                assert r == _cover_radius_in_fractions(fam, x), (sp.render(), x)
+                tried += 1
+                covered += r is not None
+    assert 0 < covered < tried
 
 
 # -- kernel stage ---------------------------------------------------------

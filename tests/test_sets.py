@@ -250,6 +250,41 @@ def test_set_dict_shape():
     assert d["tails"] == [{"sequence": 0, "start": 2}]
 
 
+def test_literals_follow_intervals_order_on_a_reversed_space():
+    # [3,4] u {2} u [0,1]: the literals come in intervals() order, not in
+    # the order of their cuts, and sorted within each interval
+    space = Space((Interval(F(3), F(4)), IsolatedPoint(F(2)), Interval(F(0), F(1))))
+    a = SymbolicSet.region(space, [(F(0), True, F(1, 4), False), (F(1, 2), False, F(1), True),
+                                   (F(3), True, F(7, 2), False), (F(15, 4), True, F(4), True)])
+    want = ["[3/1,7/2)", "[15/4,4/1]", "[0/1,1/4)", "(1/2,1/1]"]
+    assert a.to_dict() == {"intervals": want}
+    assert a.render() == " u ".join(want)
+    assert [sp.render() for sp in a.spans] == want
+    assert SymbolicSet.from_dict(space, a.to_dict()) == a
+    whole = SymbolicSet.whole(space)
+    assert whole.to_dict() == {"intervals": ["[3/1,4/1]", "[0/1,1/1]"], "points": ["2/1"]}
+    assert whole.render() == "[3/1,4/1] u [0/1,1/1] u {2}"
+
+
+def test_literals_are_the_spans_rendered():
+    """The literals written from the cuts read as the ``Span`` of each
+    interval, on random sets of seeded spaces listed both ways round, and
+    the tails as their ``start`` and ``exceptions``."""
+    rng = random.Random(28)
+    spaces = random_spaces(28, 12) + [X1, X2, X3, X4, X5]
+    spaces += [Space(tuple(reversed(sp.primitives))) for sp in spaces]
+    for sp in spaces:
+        for _ in range(8):
+            s = random_set(sp, rng)
+            d = s.to_dict()
+            assert d.get("intervals", []) == [span.render() for span in s.spans]
+            for entry in d.get("tails", []):
+                rule = s.tails[entry["sequence"]]
+                assert entry.get("start") == rule.start
+                assert entry.get("exceptions", []) == sorted(rule.exceptions)
+            assert SymbolicSet.from_dict(sp, d) == s
+
+
 def test_from_dict_region_semantics():
     d = {"intervals": ["[0/1,1/2)"]}
     s = SymbolicSet.from_dict(X1, d)

@@ -8,6 +8,8 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dyadictop
 from dyadictop import (GeometricSequence, Interval, IsolatedPoint, Space,
@@ -16,7 +18,9 @@ from dyadictop import (GeometricSequence, Interval, IsolatedPoint, Space,
 from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_points_space, interval_sequence_space,
                               interval_space, two_intervals_point_space)
+from dyadictop.rational import floor_log2
 from dyadictop.sets import MAX_TAIL_INDEX
+from dyadictop.space import _members_in_range
 
 from spacegen import random_spaces, rank2_space
 
@@ -182,6 +186,80 @@ def test_member_index_matches_the_scan():
             hits += k is not None
         assert all(s.member_index(s.member(k)) == k for k in ks)
     assert 0 < hits < tried
+
+
+def _members_in_range_in_fractions(s, lo, lo_in, hi, hi_in):
+    """The index range of the members in an interval, worked out in
+    ``Fraction`` powers of two: the reference for ``_members_in_range``."""
+    o = s.offset
+    if o < 0:
+        m = GeometricSequence(-s.limit, -o, s.open_limit)
+        return _members_in_range_in_fractions(m, -hi, hi_in, -lo, lo_in)
+    t = hi - s.limit
+    if t <= 0:
+        return None
+    ratio = o / t
+    k = floor_log2(ratio)
+    while (F(2) ** k < ratio) or (not hi_in and F(2) ** k == ratio):
+        k += 1
+    kmin = max(1, k)
+    u = lo - s.limit
+    if u <= 0:
+        return (kmin, -1)
+    ratio = o / u
+    k = floor_log2(ratio) + 1
+    while (F(2) ** k > ratio) or (not lo_in and F(2) ** k == ratio):
+        k -= 1
+    return None if k < kmin else (kmin, k)
+
+
+_sequences = st.builds(
+    GeometricSequence,
+    st.builds(F, st.integers(-40, 40), st.sampled_from((1, 2, 3, 7, 8, 12, 1024))),
+    st.builds(lambda n, d, sign: F(n, d) * sign, st.integers(1, 9),
+              st.sampled_from((1, 2, 4, 5, 6, 96)), st.sampled_from((1, -1))))
+
+
+@st.composite
+def _bound(draw, s):
+    """A member, the limit or its mirror member, each moved by nothing
+    or by ±2^-j, or a value near the limit off the members."""
+    kind = draw(st.sampled_from(("member", "limit", "mirror", "near")))
+    if kind == "near":
+        return s.limit + s.offset * F(draw(st.integers(-200, 200)), draw(st.sampled_from((3, 7, 64, 100))))
+    k = draw(st.integers(1, 70))
+    x = {"member": s.member(k), "limit": s.limit, "mirror": 2 * s.limit - s.member(k)}[kind]
+    return x + F(draw(st.sampled_from((-1, 0, 0, 1))), 2 ** draw(st.integers(1, 80)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_members_in_range_matches_the_fraction_version(data):
+    """Drawn sequences with either offset sign, bounds on and off members,
+    open and closed ends."""
+    s = data.draw(_sequences)
+    lo, hi = sorted((data.draw(_bound(s)), data.draw(_bound(s))))
+    lo_in, hi_in = data.draw(st.booleans()), data.draw(st.booleans())
+    got = _members_in_range(s, lo, lo_in, hi, hi_in)
+    assert got == _members_in_range_in_fractions(s, lo, lo_in, hi, hi_in)
+    if got is not None:
+        kmin, kmax = got
+        ks = range(kmin, kmax + 1) if kmax != -1 else range(kmin, kmin + 8)
+        for k in ks:
+            x = s.member(k)
+            assert (lo < x or (lo_in and lo == x)) and (x < hi or (hi_in and x == hi))
+
+
+def test_members_in_range_on_member_ends():
+    # [1/2, 1/8] and its open and mirrored forms, on 2^-k
+    s = GeometricSequence(F(0), F(1))
+    assert _members_in_range(s, F(1, 8), True, F(1, 2), True) == (1, 3)
+    assert _members_in_range(s, F(1, 8), False, F(1, 2), False) == (2, 2)
+    assert _members_in_range(s, F(0), False, F(1, 2), False) == (2, -1)
+    assert _members_in_range(s, F(1, 7), True, F(1, 5), True) is None
+    m = GeometricSequence(F(0), F(-1))
+    assert _members_in_range(m, F(-1, 2), True, F(-1, 8), False) == (1, 2)
+    assert _members_in_range(m, F(-1, 2), False, F(0), True) == (2, -1)
 
 
 def test_locate_matches_the_scan_on_draws():
