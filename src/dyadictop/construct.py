@@ -6,11 +6,11 @@ The pipeline runs in three stages:
    (core inside hull); the new zero side is the interpolated window V with
    small regular open chunks G(word) swapped between the cells that V
    swallows (class A) and the cells clear of cl V (class B);
-2. each kernel trace is extended to a half-clopen pair on the full space
-   by pushing V through the half-clopen extension lemma into the hull_star
-   of the seed the trace carries, once per level; off the kernel the zero
-   side is V* and the one side the exterior of V*, since every chunk G's
-   closure lies inside one kernel component, away from the scattered part;
+2. each kernel pair is extended, as soon as it is made, to a half-clopen
+   pair on the full space by pushing V through the half-clopen extension
+   lemma into its seed's hull_star; off the kernel the zero side is V* and
+   the one side the exterior of V*, since every chunk G's closure lies
+   inside one kernel component, away from the scattered part;
 3. the scattered part is finished off with clopen pairs.
 
 Every level is validated exactly before the construction moves on, window
@@ -19,7 +19,7 @@ restriction to the kernel pair and the half-clopen boundaries hold by
 construction; there is no backtracking, a violated condition aborts with
 the offending trace.
 
-Stages 1 and 2 each keep one table of kernel atoms (``_Atoms``) that every
+Stages 1 and 2 share one table of kernel atoms (``_Atoms``) that every
 level cuts at its new sets and splits by its pair.  Each atom carries the
 word of its cell, so the 2^n cells are labels, not sets: the classes, the
 chunks' runs, the cell checks and the word of each window probe are read
@@ -371,6 +371,37 @@ def _classify(table: _Atoms, v, cl_v) -> tuple[tuple[str, ...], tuple[str, ...]]
     return tuple(sorted(a_words)), tuple(sorted(b_words))
 
 
+def _entries(seeds: SeedFamily, levels: int) -> tuple[SeedEntry, ...]:
+    """The seed entries of the first ``levels`` levels."""
+    if len(seeds.entries) < levels:
+        raise ConstructionError("not-enough-seeds", -1,
+                                {"have": len(seeds.entries), "need": levels})
+    return seeds.entries[:levels]
+
+
+def _kernel_level(table: _Atoms, whole: SymbolicSet, n: int, entry: SeedEntry,
+                  match_dim: bool) -> StepTrace:
+    """Pair n on the table's kernel from the seed entry, validated, with the
+    table cut at V, cl V, the hull and the pair, and split by the pair."""
+    kernel = table.space
+    v = _interpolate_window(kernel, entry.core, entry.hull, table)
+    cl_v = v.closure()
+    table.add(v, cl_v, entry.hull)
+    a_words, b_words = _classify(table, v, cl_v)
+    runs = table.first_runs(a_words + b_words)
+    g = {w: _middle_third(kernel, *runs[w], table, match_dim) for w in runs}
+    s0, s1 = _assemble(whole, v, cl_v, _union(kernel, (g[w] for w in a_words)),
+                       _union(kernel, (g[w] for w in b_words)))
+    trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1, entry)
+    _validate_pair(trace, g, runs)
+    _validate_cells(table, table.split(s0, s1), trace)
+    ((i, j),) = table.runs(entry.hull)
+    _check_window(table, trace,
+                  table.words.intersection(table.labels[:i] + table.labels[j:]),
+                  "seed-window-containment")
+    return trace
+
+
 def build_independent_subbase(kernel: Space, levels: int,
                               seeds: SeedFamily | None = None,
                               match_dim: bool = False):
@@ -391,35 +422,10 @@ def build_independent_subbase(kernel: Space, levels: int,
         raise ConstructionError("kernel-empty", -1)
     if seeds is None:
         seeds = auto_seeds(kernel, levels, match_dim)
-    if len(seeds.entries) < levels:
-        raise ConstructionError("not-enough-seeds", -1,
-                                {"have": len(seeds.entries), "need": levels})
-
-    whole = SymbolicSet.whole(kernel)
-    table = _Atoms(kernel)
-    pairs: list[tuple[SymbolicSet, SymbolicSet]] = []
-    traces: list[StepTrace] = []
-
-    for n in range(levels):
-        entry = seeds.entries[n]
-        v = _interpolate_window(kernel, entry.core, entry.hull, table)
-        cl_v = v.closure()
-        table.add(v, cl_v, entry.hull)
-        a_words, b_words = _classify(table, v, cl_v)
-        runs = table.first_runs(a_words + b_words)
-        g = {w: _middle_third(kernel, *runs[w], table, match_dim) for w in runs}
-        s0, s1 = _assemble(whole, v, cl_v, _union(kernel, (g[w] for w in a_words)),
-                           _union(kernel, (g[w] for w in b_words)))
-        trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1, entry)
-        _validate_pair(trace, g, runs)
-        _validate_cells(table, table.split(s0, s1), trace)
-        pairs.append((s0, s1))
-        ((i, j),) = table.runs(entry.hull)
-        _check_window(table, trace,
-                      table.words.intersection(table.labels[:i] + table.labels[j:]),
-                      "seed-window-containment")
-        traces.append(trace)
-    return DyadicSubbase(kernel, tuple(pairs)), traces
+    whole, table = SymbolicSet.whole(kernel), _Atoms(kernel)
+    traces = [_kernel_level(table, whole, n, entry, match_dim)
+              for n, entry in enumerate(_entries(seeds, levels))]
+    return DyadicSubbase(kernel, tuple((t.s0, t.s1) for t in traces)), traces
 
 
 def _validate_pair(trace, g, runs) -> None:
@@ -472,35 +478,29 @@ def _validate_cells(table: _Atoms, residue, trace) -> None:
 
 # -- starred stage --------------------------------------------------------
 
-def extend_to_proper(space: Space, traces):
-    """Half-clopen pairs on the full space restricting to the traces' kernel pairs.
+def extend_to_proper(space: Space, levels: int, seeds: SeedFamily,
+                     match_dim: bool = False):
+    """Kernel pairs and the half-clopen pairs on the full space restricting to them.
 
-    Lifts each level's window V through the half-clopen extension lemma
-    into the hull_star of the seed its trace carries, once per level, and
-    forms the starred pair from the kernel pair and the scattered part S:
-    ``s0* = s0 ∪ (V* ∩ S)`` and ``s1* = s1 ∪ (S − cl V*)``.  This is the
-    class-by-class assembly over the full space: each chunk's closure lies
-    inside one kernel component, so no chunk reaches S, and on the kernel
-    V* is V (the lemma's postcondition) and cl V* is cl V (checked here as
-    closure tightness).  Validated at every level: the starred one side is
-    the exterior of the starred zero side, and window cores resolve into
-    starred hulls off the kernel (the kernel stage checked the kernel side
-    against the hull).  Not checked, as both hold for any trace on the
-    kernel K, forged or not: the sides restrict to s0 and s1, since S
-    misses K; and they are half-clopen, since the lemma raises unless V* is
-    open with ∂V* ⊆ K, so (K closed) each point of V* ∩ S or S − cl V* is
-    interior to its side, and cl s0* ∩ S ⊆ V* ∩ S, cl s1* ∩ S ⊆ S − cl V*.
-    A window probe lies on the kernel, where its starred word is its kernel
-    word, so it is read off a kernel atom table (``_Atoms``) split by the
-    traces' pairs; only the few nonempty scattered parts of the starred
-    cells are built as sets.
+    Each level makes pair n on one kernel atom table (``_Atoms``), as
+    ``build_independent_subbase`` does, then lifts its window V through the
+    half-clopen extension lemma into the seed's hull_star and forms
+    ``s0* = s0 ∪ (V* ∩ S)`` and ``s1* = s1 ∪ (S − cl V*)``, S the scattered
+    part.  No chunk reaches S, since each chunk's closure lies inside one
+    kernel component, and on the kernel V* is V (the lemma's postcondition)
+    and cl V* is cl V (checked as closure tightness).  After the kernel
+    pair's checks, each level checks that the seed's hull lies on the
+    kernel and inside its hull_star, which lies on the full space; that the
+    starred one side is the exterior of the starred zero side; and that
+    window cores resolve into hull_stars off the kernel.  Not checked, as
+    both hold by construction: the sides restrict to s0 and s1, since S
+    misses the kernel K; and they are half-clopen, since the lemma raises
+    unless V* is open with ∂V* ⊆ K, so (K closed) each point of V* ∩ S or
+    S − cl V* is interior to its side.  A window probe lies on K, where its
+    starred word is its label in the table; only the nonempty scattered
+    parts of the starred cells are built as sets.
 
-    A trace's pair and window core are trusted to be the kernel stage's
-    own: nothing here ties them to that stage's output, so a pair or core
-    changed after it goes unseen.  What is checked again of each trace is
-    its space (its sets live on the kernel), its level (trace n is level
-    n) and its seed (the hull lies on the kernel, the starred hull on the
-    full space, and the one inside the other).
+    Returns the kernel subbase, the starred subbase and the starred traces.
     """
     kernel = cb_kernel(space).kernel
     if not kernel.intervals():
@@ -508,18 +508,13 @@ def extend_to_proper(space: Space, traces):
 
     kernelS = kernel_set(space)
     scattered = SymbolicSet.whole(space).difference(kernelS)
-    star_pairs: list[tuple[SymbolicSet, SymbolicSet]] = []
-    out_traces: list[StepTrace] = []
+    whole, table = SymbolicSet.whole(kernel), _Atoms(kernel)
     cells: dict[str, SymbolicSet] = {"": scattered}  # the starred cells' scattered parts
-    table = _Atoms(kernel)
+    traces: list[StepTrace] = []
 
-    for n, tr in enumerate(traces):
-        if {tr.v.space, tr.s0.space, tr.s1.space} != {kernel}:
-            raise ConstructionError("kernel-mismatch", n)
-        if tr.level != n:
-            raise ConstructionError("trace-pair-mismatch", n)
-        entry = tr.seed
-        if entry is None or entry.hull.space != kernel or entry.hull_star.space != space \
+    for n, entry in enumerate(_entries(seeds, levels)):
+        tr = _kernel_level(table, whole, n, entry, match_dim)
+        if entry.hull.space != kernel or entry.hull_star.space != space \
                 or not embed(entry.hull, space).subset_of(entry.hull_star):
             raise ConstructionError("trace-seed-mismatch", n)
         v_star = half_clopen_extension(space, tr.v, entry.hull_star)
@@ -530,22 +525,20 @@ def extend_to_proper(space: Space, traces):
         inside, outside = v_star.intersection(scattered), scattered.difference(cl_v_star)
         s0s, s1s = embed(tr.s0, space).union(inside), embed(tr.s1, space).union(outside)
 
-        new_tr = replace(tr, v_star=v_star, s0_star=s0s, s1_star=s1s)
+        tr = replace(tr, v_star=v_star, s0_star=s0s, s1_star=s1s)
         cl = s0s.closure()
         if s0s != cl.interior() or s1s != cl.complement():
             raise ConstructionError("starred-exterior-identity", n,
-                                    {"trace": new_tr.to_dict()})
-        table.split(tr.s0, tr.s1)
+                                    {"trace": tr.to_dict()})
         cells = {w + d: c for w, cell in cells.items()
                  for d, side in (("0", inside), ("1", outside))
                  if not (c := cell.intersection(side)).is_empty}
-        star_pairs.append((s0s, s1s))
-        _check_window(table, new_tr,
+        _check_window(table, tr,
                       {w for w, c in cells.items() if not c.subset_of(entry.hull_star)},
                       "starred-window-containment")
-
-        out_traces.append(new_tr)
-    return DyadicSubbase(space, tuple(star_pairs)), out_traces
+        traces.append(tr)
+    return (DyadicSubbase(kernel, tuple((t.s0, t.s1) for t in traces)),
+            DyadicSubbase(space, tuple((t.s0_star, t.s1_star) for t in traces)), traces)
 
 
 # -- scattered stage ------------------------------------------------------
@@ -692,16 +685,12 @@ def build_proper_subbase(space: Space, levels: int,
 
     if kernel.intervals() and levels > 0:
         seeds = auto_seeds(space, levels, match)
-        kernel_sb, traces = build_independent_subbase(
-            kernel, levels, seeds=seeds, match_dim=match)
-        star_sb, traces = extend_to_proper(space, traces)
-        star_pairs = star_sb.pairs
+        kernel_sb, star_sb, traces = extend_to_proper(space, levels, seeds, match)
     else:
-        seeds = SeedFamily(space, ())
-        kernel_sb, traces = DyadicSubbase(kernel, ()), []
-        star_pairs = ()
+        seeds, traces = SeedFamily(space, ()), []
+        kernel_sb, star_sb = DyadicSubbase(kernel, ()), DyadicSubbase(space, ())
     clopen = scattered_clopen_base(space, tail_depth)
-    pairs = tuple(star_pairs) + tuple((h, h.exterior()) for h in clopen)
+    pairs = star_sb.pairs + tuple((h, h.exterior()) for h in clopen)
     sb = DyadicSubbase(space, pairs)
 
     rng = random.Random(probe_seed)

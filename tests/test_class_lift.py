@@ -21,10 +21,9 @@ from functools import reduce
 
 import pytest
 
-from dyadictop import (SymbolicSet, auto_seeds, build_independent_subbase,
-                       build_proper_subbase, cb_kernel, construct, embed,
-                       extend_to_proper, half_clopen_extension, kernel_set,
-                       restrict)
+from dyadictop import (SymbolicSet, auto_seeds, build_proper_subbase, cb_kernel,
+                       construct, embed, extend_to_proper, half_clopen_extension,
+                       kernel_set, restrict)
 from dyadictop.corpus import CORPUS
 from dyadictop.lemmas import check_half_clopen
 
@@ -53,10 +52,8 @@ def _union(sets, space):
 def _starred_levels(space, levels, mode):
     """Each starred trace of the build, with the starred cells it cut."""
     match_dim = mode == "match_dim"
-    _, traces = build_independent_subbase(cb_kernel(space).kernel, levels,
-                                          seeds=auto_seeds(space, levels, match_dim),
-                                          match_dim=match_dim)
-    _, star = extend_to_proper(space, traces)
+    _, _, star = extend_to_proper(space, levels, auto_seeds(space, levels, match_dim),
+                                  match_dim)
     cells = {"": SymbolicSet.whole(space)}
     for tr in star:
         yield tr, cells

@@ -148,24 +148,18 @@ def test_build_independent_empty_levels():
 
 def test_extend_interval_points_worked_example():
     sp = interval_points_space()
-    kernel = cb_kernel(sp).kernel
-    seeds = auto_seeds(sp, 2)
-    _, traces = build_independent_subbase(kernel, 2, seeds=seeds)
-    star, traces = extend_to_proper(sp, traces)
+    _, star, traces = extend_to_proper(sp, 2, auto_seeds(sp, 2))
     s0s, s1s = star.pairs[0]
     assert s0s.render() == "[0/1,1/3) u (2/3,1/1] u {2} u {3}"
     assert s1s.render() == "(1/3,2/3)"
     assert traces[0].v_star == SymbolicSet.whole(sp)
 
 
-def _kernel_run(space=None):
-    sp = space or interval_points_space()
-    _, traces = build_independent_subbase(cb_kernel(sp).kernel, 3, seeds=auto_seeds(sp, 3))
-    return sp, traces
-
-
-def _with_seed(tr, **fields):
-    return replace(tr, seed=replace(tr.seed, **fields))
+def _with_entry(seeds, n, **fields):
+    """The seed family with entry n's fields replaced."""
+    entries = list(seeds.entries)
+    entries[n] = replace(entries[n], **fields)
+    return construct.SeedFamily(seeds.space, tuple(entries))
 
 
 def test_extend_restricts_to_kernel_pairs():
@@ -173,8 +167,8 @@ def test_extend_restricts_to_kernel_pairs():
         sp = CORPUS[name]()
         kernel = cb_kernel(sp).kernel
         seeds = auto_seeds(sp, 3)
-        ksb, traces = build_independent_subbase(kernel, 3, seeds=seeds)
-        star, _ = extend_to_proper(sp, traces)
+        ksb, _ = build_independent_subbase(kernel, 3, seeds=seeds)
+        _, star, _ = extend_to_proper(sp, 3, seeds)
         assert [(restrict(a, kernel), restrict(b, kernel))
                 for a, b in star.pairs] == list(ksb.pairs)
         kernelS = kernel_set(sp)
@@ -184,51 +178,21 @@ def test_extend_restricts_to_kernel_pairs():
             assert s1s == s0s.exterior()
 
 
-def test_extend_rejects_kernel_mismatch():
-    # each trace is checked at its own level
-    sp, traces = _kernel_run()
-    _, other = _kernel_run(two_intervals_point_space())
-    for forged, level in ((other, 0), (traces[:1] + other[1:], 1)):
-        with pytest.raises(ConstructionError) as err:
-            extend_to_proper(sp, forged)
-        assert (err.value.condition, err.value.level) == ("kernel-mismatch", level)
-
-
 @pytest.mark.parametrize("forge,level", [
-    ("seedless", 1),
-    # a run on the kernel alone seeds its traces over the kernel
+    # a family made on the kernel alone seeds its hull_stars over the kernel
     ("unseeded-run", 0),
     ("hull-star-misses-hull", 1),
 ])
 def test_extend_names_a_seed_mismatch(forge, level):
-    sp, traces = _kernel_run()
-    tr = traces[1]
+    sp = interval_points_space()
     if forge == "unseeded-run":
-        _, forged = build_independent_subbase(cb_kernel(sp).kernel, 3)
+        seeds = auto_seeds(cb_kernel(sp).kernel, 3)
     else:
-        forged = list(traces)
-        forged[1] = (replace(tr, seed=None) if forge == "seedless"
-                     else _with_seed(tr, hull_star=embed(tr.seed.core, sp)))
+        seeds = auto_seeds(sp, 3)
+        seeds = _with_entry(seeds, 1, hull_star=embed(seeds.entries[1].core, sp))
     with pytest.raises(ConstructionError) as err:
-        extend_to_proper(sp, forged)
+        extend_to_proper(sp, 3, seeds)
     assert (err.value.condition, err.value.level) == ("trace-seed-mismatch", level)
-
-
-@pytest.mark.parametrize("forge,condition", [
-    # nothing marks a swapped pair as foreign; the starred pair built on it
-    # puts a scattered point into the starred cell of probe 1/6
-    ("swapped-pair", "starred-window-containment"),
-    ("other-level", "trace-pair-mismatch"),
-], ids=["swapped-pair", "other-level"])
-def test_extend_rejects_a_trace_of_another_pair(forge, condition):
-    sp, traces = _kernel_run()
-    tr = traces[1]
-    forged = list(traces)
-    forged[1] = (replace(tr, s0=tr.s1, s1=tr.s0) if forge == "swapped-pair"
-                 else replace(tr, level=2))
-    with pytest.raises(ConstructionError) as err:
-        extend_to_proper(sp, forged)
-    assert (err.value.condition, err.value.level) == (condition, 1)
 
 
 @pytest.mark.parametrize("name,n,narrow_probe,wide_probe", [
@@ -268,16 +232,40 @@ def test_window_containment_names_its_probe(name, n, narrow_probe, wide_probe):
     ("two-intervals-point", 1, "5/2"),
 ])
 def test_starred_window_containment_names_its_probe(name, n, probe):
-    # a trace seed whose hull_star is its embedded hull alone leaves the
+    # a seed whose hull_star is its embedded hull alone leaves the
     # scattered points of the probe's starred cell outside
-    sp, traces = _kernel_run(CORPUS[name]())
-    forged = list(traces)
-    forged[n] = _with_seed(traces[n], hull_star=embed(traces[n].seed.hull, sp))
+    sp = CORPUS[name]()
+    seeds = auto_seeds(sp, 3)
+    seeds = _with_entry(seeds, n, hull_star=embed(seeds.entries[n].hull, sp))
     with pytest.raises(ConstructionError) as err:
-        extend_to_proper(sp, forged)
+        extend_to_proper(sp, 3, seeds)
     assert (err.value.condition, err.value.level) == ("starred-window-containment", n)
     assert err.value.details["probe"] == probe
     assert "pair_star" in err.value.details["trace"]
+
+
+def test_first_failing_level_stops_the_build():
+    # level 1's hull_star is its embedded hull, which fails the starred
+    # window check; level 2's hull is the first half of its core, which its
+    # hull_star already holds, and fails the kernel one.  The build lifts
+    # each pair as it is made, so level 1's failure is the one reported,
+    # though it is a later stage's
+    sp = two_intervals_point_space()
+    kernel = cb_kernel(sp).kernel
+    seeds = auto_seeds(sp, 3)
+    seeds = _with_entry(seeds, 1, hull_star=embed(seeds.entries[1].hull, sp))
+    (c,) = seeds.entries[2].core.spans
+    narrow = SymbolicSet.region(kernel, [(c.lo, c.lo_in, (c.lo + c.hi) / 2, False)])
+    seeds = _with_entry(seeds, 2, hull=narrow)
+    with pytest.raises(ConstructionError) as err:
+        extend_to_proper(sp, 3, seeds)
+    assert (err.value.condition, err.value.level, err.value.details["probe"]) == \
+        ("starred-window-containment", 1, "5/2")
+    # the kernel stage alone reaches level 2 and fails there
+    with pytest.raises(ConstructionError) as err:
+        build_independent_subbase(kernel, 3, seeds=seeds)
+    assert (err.value.condition, err.value.level, err.value.details["probe"]) == \
+        ("seed-window-containment", 2, "1/6")
 
 
 def test_build_reaches_each_timed_stage(monkeypatch):
@@ -286,7 +274,6 @@ def test_build_reaches_each_timed_stage(monkeypatch):
     # lift builds its set in one pass, so the separation is never called
     calls = {}
     for mod, name in ((construct, "auto_seeds"),
-                      (construct, "build_independent_subbase"),
                       (construct, "extend_to_proper"),
                       (construct, "scattered_clopen_base"),
                       (construct, "half_clopen_extension"),

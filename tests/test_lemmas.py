@@ -4,10 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from dyadictop import (LemmaError, SubspaceError, SymbolicSet, TailRule,
-                       auto_seeds, build_independent_subbase, cb_kernel,
-                       check_half_clopen, check_separation, cluster_set, embed,
-                       extend_to_proper, half_clopen_extension, kernel_set, lemmas,
-                       scatter_clusters, separate_open_pair)
+                       auto_seeds, cb_kernel, check_half_clopen, check_separation,
+                       cluster_set, embed, extend_to_proper, half_clopen_extension,
+                       kernel_set, lemmas, scatter_clusters, separate_open_pair)
 from dyadictop.corpus import (CORPUS, interval_points_space,
                               interval_sequence_space, interval_space,
                               two_intervals_point_space)
@@ -244,12 +243,8 @@ BUILD_SOURCES = [s for s in _build_sources() if cb_kernel(s[1]).kernel.intervals
                          ids=[s[0] for s in BUILD_SOURCES])
 def test_lift_matches_the_two_step_composition_on_starred_levels(name, space, levels, mode):
     match_dim = mode == "match_dim"
-    kernel = cb_kernel(space).kernel
     for n in levels:
-        _, traces = build_independent_subbase(kernel, n,
-                                              seeds=auto_seeds(space, n, match_dim),
-                                              match_dim=match_dim)
-        _, star = extend_to_proper(space, traces)
+        _, _, star = extend_to_proper(space, n, auto_seeds(space, n, match_dim), match_dim)
         for tr in star:
             assert tr.v_star == _two_step_lift(space, tr.v, tr.seed.hull_star), (n, tr.level)
 

@@ -54,21 +54,23 @@ BUILDS = list(_builds())
 
 
 def _kernel_run(space, mode, levels):
+    """The kernel stage's subbase and traces, and the seed entries they used."""
     match_dim = mode == "match_dim"
     seeds = auto_seeds(space, levels, match_dim)
-    _, traces = build_independent_subbase(cb_kernel(space).kernel, levels,
-                                          seeds=seeds, match_dim=match_dim)
-    return traces, seeds.entries
+    ksb, traces = build_independent_subbase(cb_kernel(space).kernel, levels,
+                                            seeds=seeds, match_dim=match_dim)
+    return ksb, traces, seeds.entries
 
 
-def _lift(space, traces, entries):
-    """The starred stage on kernel traces lifted with the given seed entries."""
-    return extend_to_proper(space, [replace(tr, seed=e) for tr, e in zip(traces, entries)])
+def _lift(space, mode, entries):
+    """The build's two stages with the given seed entries."""
+    return extend_to_proper(space, len(entries), SeedFamily(space, tuple(entries)),
+                            mode == "match_dim")
 
 
-def _verdict(space, traces, entries):
+def _verdict(space, mode, entries):
     try:
-        _lift(space, traces, entries)
+        _lift(space, mode, entries)
     except ConstructionError as err:
         return err.condition, err.level, err.details.get("probe")
     return None
@@ -113,8 +115,13 @@ def _reference(space, traces, entries):
 @pytest.mark.parametrize("name,space,mode,levels", BUILDS,
                          ids=[f"{b[0]}-{b[2]}-L{b[3]}" for b in BUILDS])
 def test_window_verdict_matches_full_cells(name, space, mode, levels):
-    traces, entries = _kernel_run(space, mode, levels)
-    assert _verdict(space, traces, entries) is None
+    ksb, traces, entries = _kernel_run(space, mode, levels)
+    lifted_ksb, _, lifted = _lift(space, mode, entries)
+    # the build makes its kernel pairs with the kernel stage's own step
+    assert lifted_ksb == ksb
+    fields = ("v", "a_words", "b_words", "g", "s0", "s1")
+    assert [[getattr(tr, f) for f in fields] for tr in lifted] == \
+        [[getattr(tr, f) for f in fields] for tr in traces]
     assert _reference(space, traces, entries) is None
 
 
@@ -148,10 +155,10 @@ def _forged_verdicts(name):
     out = []
     for mode in MODES:
         for levels in (2, 3, 4):
-            traces, entries = _kernel_run(space, mode, levels)
+            _, traces, entries = _kernel_run(space, mode, levels)
             for n in range(levels):
                 for forged in _forgeries(space, entries, n):
-                    out.append((mode, levels, n, _verdict(space, traces, forged),
+                    out.append((mode, levels, n, _verdict(space, mode, forged),
                                 _reference(space, traces, forged)))
     return out
 
