@@ -24,6 +24,14 @@ level cuts at its new sets and splits by its pair.  Each atom carries the
 word of its cell, so the 2^n cells are labels, not sets: the classes, the
 chunks' runs, the cell checks and the word of each window probe are read
 off the labels, and the window marks are the table's boundary points.
+
+The window geometry works on integer positions.  Seed windows are cuts
+over the kernel's denominator times a power of two; V's fresh ends, the
+middle-third chunks, the chunk bounds and the window probes are values
+over the table's den, or over it times a power of two or three times
+one.  A ``Fraction`` is made only for a ``ConstructionError`` witness,
+for a value written to JSON and for the build's epsilon; the sample
+points of the checks are Fractions, each made once from integers.
 """
 from __future__ import annotations
 
@@ -40,7 +48,7 @@ from .checks import (CheckReport, check_dyadic, check_independent, check_proper,
 from .cuts import inside, place, position, reduced, rescale
 from .lemmas import _assign_cluster, cluster_set, half_clopen_extension
 from .rational import format_rational
-from .sets import Span, SymbolicSet, embed, kernel_set
+from .sets import SymbolicSet, embed, kernel_set
 from .space import GeometricSequence, Interval, Space, cb_kernel, scatter_clusters
 from .subbase import DyadicSubbase
 
@@ -104,13 +112,15 @@ class SeedFamily:
         only, so its cuts are the whole of it."""
         live = [(e.core, b) for e, b in zip(self.entries, self.hull_bounds) if e.core.cuts]
         den = math.lcm(*(c.den for c, _ in live), *(x.denominator for _, b in live for x in b))
-        return den, tuple((rescale(c.cuts, den // c.den), int(lo * den), int(hi * den))
+        return den, tuple((rescale(c.cuts, den // c.den),
+                           lo.numerator * (den // lo.denominator),
+                           hi.numerator * (den // hi.denominator))
                           for c, (lo, hi) in live)
 
-    def cover_radius(self, x: Fraction) -> Fraction | None:
-        """Radius of the tightest hull_star among windows whose core holds
-        x, in integers over the table's denominator times x's; only the
-        radius returned is a Fraction."""
+    def cover_radius(self, x: Fraction) -> tuple[int, int] | None:
+        """(r, d) for the radius r / d of the tightest hull_star among
+        windows whose core holds x, or None when no core does: integers
+        over the table's denominator times x's."""
         den, rows = self._cover_table
         d = x.denominator
         xs = x.numerator * den  # x over den·d
@@ -121,7 +131,7 @@ class SeedFamily:
                 r = max(xs - lo * d, hi * d - xs)
                 if best is None or r < best:
                     best = r
-        return None if best is None else Fraction(best, den * d)
+        return None if best is None else (best, den * d)
 
 
 def auto_seeds(space: Space, levels: int, match_dim: bool = False) -> SeedFamily:
@@ -133,31 +143,41 @@ def auto_seeds(space: Space, levels: int, match_dim: bool = False) -> SeedFamily
     no farther from the hull than from the rest of the kernel.  In
     ``match_dim`` mode a lone window on two or more components is half a
     component, since a whole component's pair has no boundary (degree 0).
+
+    Every window end and margin is an integer value over the kernel's den
+    times 2**(levels + 2), so core and hull are made straight from their
+    cuts, closed at a component's end and open elsewhere.
     """
     kernel = cb_kernel(space).kernel
     comps = kernel.intervals()
     entries: list[SeedEntry] = []
     if comps and levels > 0:
+        shift = levels + 2
+        den = kernel._grid[0] << shift
+        ends = [(position(c.lo, den) >> 1, position(c.hi, den) >> 1) for c in comps]
         windows = []
         j = 1 if match_dim and levels == 1 and len(comps) > 1 else 0
         while len(windows) < levels:
-            for comp in comps:
-                step = (comp.hi - comp.lo) / 2 ** j
-                for i in range(2 ** j):
-                    windows.append((comp, comp.lo + step * i, comp.lo + step * (i + 1)))
+            for lo, hi in ends:
+                step = (hi - lo) >> j
+                windows += [(lo, hi, lo + step * i, lo + step * (i + 1)) for i in range(2 ** j)]
             j += 1
+
+        def window(lo, hi, a, b):
+            cuts = (2 * a + (a != lo), 2 * b + (b == hi))
+            return SymbolicSet._canonical(kernel, *reduced(den, cuts), frozenset(), ())
+
         clusters = scatter_clusters(space)
-        for n, (comp, a, b) in enumerate(windows[:levels]):
-            core = SymbolicSet.region(kernel, [(a, a == comp.lo, b, b == comp.hi)])
-            margin = (comp.hi - comp.lo) / 2 ** (n + 3)
-            lo, hi = max(a - margin, comp.lo), min(b + margin, comp.hi)
-            hull = SymbolicSet.region(kernel, [(lo, lo == comp.lo, hi, hi == comp.hi)])
+        for n, (lo, hi, a, b) in enumerate(windows[:levels]):
+            margin = (hi - lo) >> (n + 3)
+            core = window(lo, hi, a, b)
+            hull = window(lo, hi, max(a - margin, lo), min(b + margin, hi))
             hull_star = embed(hull, space)
-            rest = kernel_set(space).difference(hull_star)
-            spans = (hull.spans, rest.spans)
-            for cluster in clusters:
-                if _assign_cluster(cluster, hull, rest, spans) == 0:
-                    hull_star = hull_star.union(cluster_set(space, cluster))
+            if clusters:
+                rest = kernel_set(space).difference(hull_star)
+                for cluster in clusters:
+                    if _assign_cluster(cluster, hull, rest) == 0:
+                        hull_star = hull_star.union(cluster_set(space, cluster))
             entries.append(SeedEntry(core, hull, hull_star))
     family = SeedFamily(space, tuple(entries))
     bad = family.validate()
@@ -222,11 +242,11 @@ class _Atoms:
         self.labels = [None if r % 2 == 0 else "" for r in range(len(ivs.cuts) + 1)]
         self.words = {""}
 
-    def __contains__(self, x: Fraction) -> bool:
-        """Whether x is a marked value."""
-        p, on_grid = place(x, self.den)
-        i = bisect_left(self.marks, p)
-        return on_grid and self.marks[i:i + 1] == [p]
+    def marked(self, t: int, d: int) -> bool:
+        """Whether the value t / (den·d) is a marked value."""
+        q, r = divmod(t, d)
+        i = bisect_left(self.marks, 2 * q)
+        return not r and self.marks[i:i + 1] == [2 * q]
 
     def runs(self, s: SymbolicSet) -> list[tuple[int, int]]:
         """The atoms of each span of s, whose cuts the table holds, as index ranges."""
@@ -234,14 +254,20 @@ class _Atoms:
         return [(bisect_right(bounds, a), bisect_right(bounds, e))
                 for a, e in zip(cuts[::2], cuts[1::2])]
 
+    def refine(self, *dens: int) -> None:
+        """Take the lcm of den and dens as the table's den, rescaling the
+        bounds and the marks."""
+        den = math.lcm(self.den, *dens)
+        if den != self.den:
+            m = den // self.den
+            self.bounds = rescale(self.bounds, m)
+            self.marks = [p * m for p in self.marks]
+            self.den = den
+
     def add(self, *sets: SymbolicSet) -> None:
         """Cut the atoms at the cuts of the sets; each piece keeps its label."""
-        den = math.lcm(self.den, *(s.den for s in sets))
-        if den != self.den:
-            self.bounds = rescale(self.bounds, den // self.den)
-            self.marks = [p * (den // self.den) for p in self.marks]
-            self.den = den
-        bounds, labels = self.bounds, self.labels
+        self.refine(*(s.den for s in sets))
+        den, bounds, labels = self.den, self.bounds, self.labels
         nb, nl, i = [], [], 0
         for c in sorted({c for s in sets for c in rescale(s.cuts, den // s.den)}):
             r = bisect_left(bounds, c, i)
@@ -269,8 +295,9 @@ class _Atoms:
         self.marks = sorted({*self.marks, *(self.bounds[r - 1] for r in residue)})
         return residue
 
-    def first_runs(self, words) -> dict[str, tuple[Fraction, Fraction]]:
-        """The ends of each word's first run of atoms, in ``intervals()`` order."""
+    def first_runs(self, words) -> dict[str, tuple[int, int]]:
+        """The ends of each word's first run of atoms, in ``intervals()``
+        order, as values over den."""
         first, bounds, labels, den = {}, self.bounds, self.labels, self.den
         for iv in reversed(self.space.intervals()):
             i = bisect_right(bounds, position(iv.lo, den))
@@ -281,66 +308,79 @@ class _Atoms:
             r = e = first[w]
             while labels[e + 1] == w:
                 e += 1
-            out[w] = Fraction(bounds[r - 1] >> 1, den), Fraction(bounds[e] >> 1, den)
+            out[w] = bounds[r - 1] >> 1, bounds[e] >> 1
         return out
 
 
 # -- windows and chunks --------------------------------------------------
 
-def _pick_between(anchor: Fraction, limit: Fraction, used) -> Fraction:
-    """A fresh value strictly between anchor and limit, halving towards anchor."""
-    t = (anchor + limit) / 2
-    while t in used:
-        t = (anchor + t) / 2
-    return t
+def _off_marks(table: _Atoms, anchor: int, t: int, d: int) -> tuple[int, int]:
+    """(t, d) for the value t / (den·d), den the table's, moved towards
+    the anchor, anchor / (den·d), halving the distance, until it is not a
+    marked value."""
+    while table.marked(t, d):
+        anchor, t, d = 2 * anchor, anchor + t, 2 * d
+    return t, d
+
+
+def _pick_between(anchor: int, limit: int, table: _Atoms) -> tuple[int, int]:
+    """(t, d) for a fresh value t / (den·d) strictly between anchor and
+    limit, values over the table's den: their midpoint, halving towards
+    anchor off the marks."""
+    return _off_marks(table, 2 * anchor, anchor + limit, 2)
+
+
+def _from_ends(kernel: Space, den: int, lo: tuple[int, int, int],
+               hi: tuple[int, int, int]) -> SymbolicSet:
+    """The one-span set whose ends are (t, d, bit): the value t / (den·d),
+    and with the bit the cut one step past it, so a closed lower end has
+    bit 0 and a closed upper end bit 1.  Each d is a power of two, or
+    three times one, so the larger is a multiple of the smaller."""
+    m = max(lo[1], hi[1])
+    cuts = tuple(2 * t * (m // d) + bit for t, d, bit in (lo, hi))
+    return SymbolicSet._canonical(kernel, *reduced(den * m, cuts), frozenset(), ())
 
 
 def _interpolate_window(kernel: Space, core: SymbolicSet, hull: SymbolicSet,
-                        used) -> SymbolicSet:
-    """Regular open V with cl core ⊆ V ⊆ cl V ⊆ hull, fresh boundary values."""
-    (c,) = core.spans
-    (h,) = hull.spans
-    lo, lo_in = c.lo, c.lo_in
-    hi, hi_in = c.hi, c.hi_in
-    if not lo_in:
-        lo = _pick_between(h.lo, c.lo, used)
-    if not hi_in:
-        hi = _pick_between(h.hi, c.hi, used)
-    return SymbolicSet(kernel, (Span(lo, lo_in, hi, hi_in),))
+                        table: _Atoms) -> SymbolicSet:
+    """Regular open V with cl core ⊆ V ⊆ cl V ⊆ hull, fresh boundary
+    values: each open end of the core moves to a value off the table's
+    marks between it and the hull's end.  Core and hull are one span each,
+    over denominators that divide the table's."""
+    den = table.den
+    c0, c1 = rescale(core.cuts, den // core.den)
+    h0, h1 = rescale(hull.cuts, den // hull.den)
+    lo = (c0 >> 1, 1, 0) if not c0 & 1 else (*_pick_between(h0 >> 1, c0 >> 1, table), 1)
+    hi = (c1 >> 1, 1, 1) if c1 & 1 else (*_pick_between(h1 >> 1, c1 >> 1, table), 0)
+    return _from_ends(kernel, den, lo, hi)
 
 
-def _middle_third(kernel: Space, lo: Fraction, hi: Fraction, used,
+def _middle_third(kernel: Space, lo: int, hi: int, table: _Atoms,
                   avoid: bool) -> SymbolicSet:
-    """The open middle third of (lo, hi), a range inside the kernel, each
-    end moved off the used values towards its own end of the range when
-    ``avoid`` is set."""
-    third = (hi - lo) / 3
-    g1, g2 = lo + third, hi - third
+    """The open middle third of (lo, hi), values over the table's den of a
+    range inside the kernel, each end moved off the marks towards its own
+    end of the range when ``avoid`` is set."""
+    g1, g2 = (2 * lo + hi, 3), (lo + 2 * hi, 3)  # over den·3
     if avoid:
-        while g1 in used:
-            g1 = (lo + g1) / 2
-        while g2 in used:
-            g2 = (hi + g2) / 2
-    den = math.lcm(g1.denominator, g2.denominator)
-    return SymbolicSet._canonical(kernel, den, (position(g1, den) + 1, position(g2, den)),
-                                  frozenset(), ())
+        g1, g2 = _off_marks(table, 3 * lo, *g1), _off_marks(table, 3 * hi, *g2)
+    return _from_ends(kernel, table.den, (*g1, 1), (*g2, 0))
 
 
 def _check_window(table: _Atoms, trace, escapes, condition) -> None:
     """Raise ``condition`` at the first probe of the trace's window core whose
     word, its atom's label, is one of ``escapes``: the words of the cells
     that leave the hull.  The probes are the midpoints between consecutive
-    marks inside the core, its ends counted as marks."""
-    (sp,) = trace.seed.core.spans
-    marks, den = table.marks, table.den
-    inner = marks[bisect_right(marks, place(sp.lo, den)[0]):
-                  bisect_left(marks, place(sp.hi, den)[0])]
-    d = math.lcm(den, sp.lo.denominator, sp.hi.denominator)
-    ends = [position(sp.lo, d), *(p * (d // den) for p in inner), position(sp.hi, d)]
-    for x in (Fraction(u + w, 4 * d) for u, w in zip(ends, ends[1:])):
-        if table.labels[bisect_right(table.bounds, place(x, den)[0])] in escapes:
+    marks inside the core, its ends counted as marks.  With its ends at
+    the even positions u and w over the table's den, which places the
+    core, a probe sits at position (u + w) / 2, and its value is made only
+    for the witness."""
+    core, marks, den = trace.seed.core, table.marks, table.den
+    lo, hi = ((c >> 1) * 2 * (den // core.den) for c in core.cuts)
+    ends = [lo, *marks[bisect_right(marks, lo):bisect_left(marks, hi)], hi]
+    for u, w in zip(ends, ends[1:]):
+        if table.labels[bisect_right(table.bounds, (u + w) >> 1)] in escapes:
             raise ConstructionError(condition, trace.level,
-                                    {"probe": format_rational(x),
+                                    {"probe": format_rational(Fraction(u + w, 4 * den)),
                                      "trace": trace.to_dict()})
 
 
@@ -384,6 +424,11 @@ def _kernel_level(table: _Atoms, whole: SymbolicSet, n: int, entry: SeedEntry,
     """Pair n on the table's kernel from the seed entry, validated, with the
     table cut at V, cl V, the hull and the pair, and split by the pair."""
     kernel = table.space
+    if len(entry.core.cuts) != 2 or len(entry.hull.cuts) != 2:
+        raise ConstructionError("seed-window-not-one-span", n,
+                                {"window": {"core": entry.core.to_dict(),
+                                            "hull": entry.hull.to_dict()}})
+    table.refine(entry.core.den, entry.hull.den)
     v = _interpolate_window(kernel, entry.core, entry.hull, table)
     cl_v = v.closure()
     table.add(v, cl_v, entry.hull)
@@ -393,7 +438,7 @@ def _kernel_level(table: _Atoms, whole: SymbolicSet, n: int, entry: SeedEntry,
     s0, s1 = _assemble(whole, v, cl_v, _union(kernel, (g[w] for w in a_words)),
                        _union(kernel, (g[w] for w in b_words)))
     trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1, entry)
-    _validate_pair(trace, g, runs)
+    _validate_pair(trace, g, runs, table.den)
     _validate_cells(table, table.split(s0, s1), trace)
     ((i, j),) = table.runs(entry.hull)
     _check_window(table, trace,
@@ -428,9 +473,11 @@ def build_independent_subbase(kernel: Space, levels: int,
     return DyadicSubbase(kernel, tuple((t.s0, t.s1) for t in traces)), traces
 
 
-def _validate_pair(trace, g, runs) -> None:
+def _validate_pair(trace, g, runs, den: int) -> None:
     """The new pair is a dyadic pair, and each chunk's closure lies inside
-    the run of its cell's atoms it was cut from."""
+    the run of its cell's atoms it was cut from, the run's ends values over
+    den: on the cuts, the chunk's first and last cut values lie strictly
+    between them, in order."""
     n = trace.level
     cl = trace.s0.closure()
     if trace.s0 != cl.interior():
@@ -439,8 +486,8 @@ def _validate_pair(trace, g, runs) -> None:
     if trace.s1 != cl.complement():
         raise ConstructionError("exterior-identity", n, {"trace": trace.to_dict()})
     for w in trace.a_words + trace.b_words:
-        (lo, hi), bounds = runs[w], g[w].closure_bounds()
-        if bounds is None or not lo < bounds[0] < bounds[1] < hi:
+        (lo, hi), cuts, d = runs[w], g[w].cuts, g[w].den
+        if not cuts or not lo * d < (cuts[0] >> 1) * den < (cuts[-1] >> 1) * den < hi * d:
             raise ConstructionError("g-inside-cell", n,
                                     {"word": w, "trace": trace.to_dict()})
 
@@ -621,10 +668,12 @@ class BuildResult:
 
 def sample_points(space: Space, count: int, rng: random.Random,
                   member_depth: int) -> list[Fraction]:
-    """Deterministic pseudo-random points of the space, duplicates dropped."""
+    """Deterministic pseudo-random points of the space, duplicates dropped.
+    An interval point lo + (hi - lo)·r/2**20 is one Fraction made from
+    integers, and duplicates are told apart by numerator and denominator."""
     prims = space.primitives
     out: list[Fraction] = []
-    seen: set[Fraction] = set()
+    seen: set[tuple[int, int]] = set()
     if not prims:
         return out
     for _ in range(4 * count):
@@ -632,35 +681,46 @@ def sample_points(space: Space, count: int, rng: random.Random,
             break
         p = prims[rng.randrange(len(prims))]
         if isinstance(p, Interval):
-            x = p.lo + (p.hi - p.lo) * Fraction(rng.randint(0, 2 ** 20), 2 ** 20)
+            a, b, c, d = p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator
+            r = rng.randint(0, 2 ** 20)
+            x = Fraction((a * d << 20) + (c * b - a * d) * r, b * d << 20)
         elif isinstance(p, GeometricSequence):
             x = p.member(rng.randint(1, member_depth))
         else:
             x = p.value
-        if x not in seen:
-            seen.add(x)
+        key = x.numerator, x.denominator
+        if key not in seen:
+            seen.add(key)
             out.append(x)
     return out
 
 
+def _larger(r: tuple[int, int], s: tuple[int, int]) -> tuple[int, int]:
+    """The larger of two ratios (numerator, positive denominator)."""
+    return s if s[0] * r[1] > r[0] * s[1] else r
+
+
 def _default_epsilon(space: Space, seeds: SeedFamily, kernel_probes,
                      tail_depth: int) -> Fraction:
-    """The resolution the build actually achieves, with a little headroom."""
-    radii = []
-    diam = Fraction(0)
-    bounds = SymbolicSet.whole(space).closure_bounds()
-    if bounds is not None:
-        diam = bounds[1] - bounds[0]
+    """The resolution the build actually achieves, with a little headroom:
+    the largest cover radius of the probes, the diameter of the space for a
+    probe no core holds, plus the largest sequence offset over
+    2**tail_depth, times 17/16.  Ratios are compared as integer pairs, and
+    the one Fraction made is the result."""
+    base = (0, 1)
     for x in kernel_probes:
         r = seeds.cover_radius(x)
-        radii.append(r if r is not None else diam)
-    base = max(radii, default=Fraction(0))
-    residue = max((abs(s.offset) / 2 ** tail_depth for s in space.sequences()),
-                  default=Fraction(0))
-    eps = (base + residue) * Fraction(17, 16)
-    if eps <= 0:
-        eps = Fraction(1)
-    return eps
+        if r is None:
+            bounds = SymbolicSet.whole(space).closure_bounds()
+            diam = bounds[1] - bounds[0]
+            r = diam.numerator, diam.denominator
+        base = _larger(base, r)
+    residue = (0, 1)
+    for s in space.sequences():
+        residue = _larger(residue, (abs(s.offset.numerator), s.offset.denominator << tail_depth))
+    (b, bd), (r, rd) = base, residue
+    num = b * rd + r * bd
+    return Fraction(17 * num, 16 * bd * rd) if num > 0 else Fraction(1)
 
 
 def build_proper_subbase(space: Space, levels: int,

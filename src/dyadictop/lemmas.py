@@ -12,7 +12,7 @@ side once, by ``check_half_clopen``.
 """
 from __future__ import annotations
 
-from .sets import SymbolicSet, TAIL_NONE, TailRule, embed, kernel_set, nearer_spans
+from .sets import SymbolicSet, TAIL_NONE, TailRule, embed, kernel_set, nearer
 from .space import Cluster, Space, scatter_clusters
 
 
@@ -95,10 +95,11 @@ def separate_open_pair(space: Space, y: SymbolicSet, u0: SymbolicSet,
     return (v0, v1)
 
 
-def _assign_cluster(cluster: Cluster, u0: SymbolicSet, u1: SymbolicSet,
-                    spans: tuple) -> int | None:
-    """The side a cluster joins, 0 or 1, or None; ``spans`` are U0's and
-    U1's spans, read once by the caller."""
+def _assign_cluster(cluster: Cluster, u0: SymbolicSet, u1: SymbolicSet) -> int | None:
+    """The side a cluster joins, 0 or 1, or None: a cluster on a kernel
+    limit joins the side that holds the limit, any other the side whose
+    interval part's closure is nearer its anchor, ties going to U0, with
+    the distances taken on the cuts (``sets.nearer``)."""
     if cluster.kind == "kernel":
         # the limit drags its tails along; anywhere else stays unassigned,
         # anything more would thicken closures inside the kernel
@@ -107,14 +108,13 @@ def _assign_cluster(cluster: Cluster, u0: SymbolicSet, u1: SymbolicSet,
         if u1.membership(cluster.anchor):
             return 1
         return None
-    return nearer_spans(cluster.anchor, *spans)
+    return nearer(cluster.anchor, u0, u1)
 
 
 def _cluster_sides(space: Space, u0: SymbolicSet, u1: SymbolicSet):
     """Each scattered cluster of the space with the side that
     ``_assign_cluster`` gives it against U0 and U1."""
-    spans = (u0.spans, u1.spans)
-    return [(cluster, _assign_cluster(cluster, u0, u1, spans))
+    return [(cluster, _assign_cluster(cluster, u0, u1))
             for cluster in scatter_clusters(space)]
 
 

@@ -171,26 +171,34 @@ def _cut_literals(space: Space, den: int, cuts) -> list[str]:
     return out
 
 
-def dist_to_spans(x: Fraction, spans) -> Fraction | None:
-    """Distance from x to the closure of a span union; None when empty."""
-    if not spans:
+def _gap(x: Fraction, s: "SymbolicSet") -> tuple[int, int] | None:
+    """(g, d) with g / d the distance from x to the closure of the set's
+    interval part, or None when it has none.  In integers over the set's
+    den times x's denominator: one bisect of x's position finds the spans
+    either side of it, and x inside a span is at distance 0."""
+    cuts = s.cuts
+    if not cuts:
         return None
-    best = None
-    for sp in spans:
-        if sp.lo <= x <= sp.hi:
-            return Fraction(0)
-        d = min(abs(x - sp.lo), abs(x - sp.hi))
-        best = d if best is None or d < best else best
-    return best
+    den, xd = s.den, x.denominator
+    xs = x.numerator * den  # x over den·xd
+    i = bisect_right(cuts, place(x, den)[0])
+    if i & 1:
+        return 0, 1
+    gaps = []
+    if i:
+        gaps.append(xs - (cuts[i - 1] >> 1) * xd)
+    if i < len(cuts):
+        gaps.append((cuts[i] >> 1) * xd - xs)
+    return min(gaps), den * xd
 
 
-def nearer_spans(x: Fraction, first, second) -> int | None:
-    """0 or 1 for the span union whose closure is nearer x, ties going to
-    the first; None when both are empty."""
-    d0, d1 = dist_to_spans(x, first), dist_to_spans(x, second)
+def nearer(x: Fraction, first: "SymbolicSet", second: "SymbolicSet") -> int | None:
+    """0 or 1 for the set whose interval part's closure is nearer x, ties
+    going to the first; None when neither has an interval part."""
+    d0, d1 = _gap(x, first), _gap(x, second)
     if d0 is None:
         return None if d1 is None else 1
-    return 0 if d1 is None or d0 <= d1 else 1
+    return 0 if d1 is None or d0[0] * d1[1] <= d1[0] * d0[1] else 1
 
 
 # -- tail rules -----------------------------------------------------------
@@ -500,7 +508,10 @@ class SymbolicSet:
         if self.space is not other.space and self.space != other.space:
             raise AmbientMismatchError("sets live in different spaces")
 
-    def _binary(self, other: "SymbolicSet", table) -> "SymbolicSet":
+    def _binary(self, other: "SymbolicSet", table, points_op) -> "SymbolicSet":
+        """The set by ``table`` on the cuts and the tails, and by the
+        frozenset operation ``points_op`` on the points, which keeps each
+        point's stored hash."""
         self._require_same_space(other)
         a_empty, b_empty = self.is_empty, other.is_empty
         if a_empty or b_empty:
@@ -511,19 +522,18 @@ class SymbolicSet:
                 return other
             return SymbolicSet.empty(self.space)
         den, cuts = combine(self.den, self.cuts, other.den, other.cuts, table)
-        a, b = self.points, other.points
-        points = frozenset(p for p in a | b if table[2 * (p in a) + (p in b)]) if a or b else a
+        points = points_op(self.points, other.points)
         tails = tuple([_tail_binary(s, t, table) for s, t in zip(self.tails, other.tails)])
         return SymbolicSet._canonical(self.space, den, cuts, points, tails)
 
     def union(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self._binary(other, OR)
+        return self._binary(other, OR, frozenset.__or__)
 
     def intersection(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self._binary(other, AND)
+        return self._binary(other, AND, frozenset.__and__)
 
     def difference(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self._binary(other, AND_NOT)
+        return self._binary(other, AND_NOT, frozenset.__sub__)
 
     def complement(self) -> "SymbolicSet":
         return SymbolicSet.whole(self.space).difference(self)
@@ -754,26 +764,36 @@ def kernel_set(space: Space) -> SymbolicSet:
 
 # -- moving sets between a space and its kernel ---------------------------
 
+def _sequence_places(sub: Space, full: Space) -> tuple[int, ...] | None:
+    """The index in ``full.sequences()`` of each of sub's sequences, or
+    None unless sub's primitives are all full's: worked out once per sub
+    and kept on full, so the primitives are hashed once."""
+    places = full._facts.setdefault(_sequence_places, {})
+    if sub not in places:
+        seqs = full.sequences()
+        places[sub] = (tuple(seqs.index(s) for s in sub.sequences())
+                       if set(sub.primitives) <= set(full.primitives) else None)
+    return places[sub]
+
+
 def embed(a: SymbolicSet, full: Space) -> SymbolicSet:
     """Reinterpret a set over a subspace description inside ``full``."""
-    sub = a.space
-    if not set(sub.primitives) <= set(full.primitives):
+    places = _sequence_places(a.space, full)
+    if places is None:
         raise AmbientMismatchError("subspace primitives are not part of the full space")
-    fullseqs = full.sequences()
-    tails = [TAIL_NONE] * len(fullseqs)
-    for j, s in enumerate(sub.sequences()):
-        tails[fullseqs.index(s)] = a.tails[j]
+    tails = [TAIL_NONE] * len(full.sequences())
+    for j, k in enumerate(places):
+        tails[k] = a.tails[j]
     # the subspace's intervals and isolated points are the full space's too
     return SymbolicSet._canonical(full, a.den, a.cuts, a.points, tuple(tails))
 
 
 def restrict(a: SymbolicSet, sub: Space) -> SymbolicSet:
     """Trace of a set on a subspace description."""
-    if not set(sub.primitives) <= set(a.space.primitives):
+    places = _sequence_places(sub, a.space)
+    if places is None:
         raise AmbientMismatchError("subspace primitives are not part of the ambient space")
-    subseqs = sub.sequences()
-    seqs = a.space.sequences()
-    tails = tuple(a.tails[seqs.index(s)] for s in subseqs)
+    tails = tuple(a.tails[k] for k in places)
     points = frozenset(p.value for p in sub.isolated_points() if p.value in a.points)
     return SymbolicSet._canonical(sub, *combine(a.den, a.cuts, *_ambient(sub), AND),
                                   points, tails)

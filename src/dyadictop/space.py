@@ -62,7 +62,10 @@ class GeometricSequence:
             raise SpaceError("sequence offset must be nonzero")
 
     def member(self, k: int) -> Fraction:
-        return self.limit + self.offset * Fraction(1, 2 ** k)
+        """limit + offset / 2**k, as one Fraction made from integers."""
+        l, o = self.limit, self.offset
+        return Fraction((l.numerator * o.denominator << k) + o.numerator * l.denominator,
+                        l.denominator * o.denominator << k)
 
     def member_index(self, x: Fraction) -> int | None:
         """Return k >= 1 with x == member(k), or None.  In integers: with

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cuts import inside, place, reduced, rescale
+from .cuts import inside, place, position, reduced, rescale
 from .rational import RationalFormatError
 from .sets import TAIL_NONE, SetError, SymbolicSet, TailRule, kernel_set
 from .space import Space
@@ -271,16 +271,18 @@ class WordTable:
         ``extremes``."""
         ends = [bisect_right(self.bounds, p) for p in self.edges]
         m = sum((1 << e) - (1 << a) for a, e in zip(ends[::2], ends[1::2]))
-        for bit, *_ in self.extremes:
+        for bit, *_ in self.extremes[1]:
             m |= 1 << bit
         return m
 
     @cached_property
-    def extremes(self) -> list[tuple[int, Fraction, Fraction, bool]]:
-        """(bit, first, last, limit) for each isolated point and each
-        nonempty sequence run: the atom's values run from first to last
-        and hold both, or, when limit is set, the last run's members
-        approach its limit ``last`` strictly, from first on."""
+    def extremes(self) -> tuple[int, list[tuple[int, int, int, bool]]]:
+        """(den, rows), a row (bit, first, last, limit) for each isolated
+        point and each nonempty sequence run, with first and last the
+        positions over den of the atom's outermost values: the atom's
+        values run from first to last and hold both, or, when limit is
+        set, the last run's members approach its limit at ``last``
+        strictly, from first on."""
         first = len(self.bounds) + 1
         out = [(b, p.value, p.value, False)
                for b, p in enumerate(self.space.isolated_points(), first)]
@@ -289,19 +291,25 @@ class WordTable:
             out += [(n + r, s.member(a), s.member(e - 1), False)
                     for r, (a, e) in enumerate(zip(starts, switches)) if a < e]
             out.append((n + len(switches), s.member(starts[-1]), s.limit, True))
-        return out
+        den = math.lcm(1, *(x.denominator for _, a, b, _ in out for x in (a, b)))
+        return den, [(bit, position(a, den), position(b, den), limit)
+                     for bit, a, b, limit in out]
 
     def inner(self, lo: Fraction, hi: Fraction) -> int:
         """The atoms that lie wholly inside the open range (lo, hi), as a
         mask: the interval runs from the first position past lo's up to
         hi's, found with two bisects, and each atom of ``extremes`` whose
-        first and last values lie inside, a limit in the closed range."""
+        first and last values lie inside, a limit in the closed range,
+        compared as positions over the extremes' den, where lo's and hi's
+        are found once."""
         bounds = self.bounds
         start = bisect_left(bounds, place(lo, self.den)[0] + 1) + 1
         stop = bisect_right(bounds, place(hi, self.den)[0])
         m = (1 << stop) - (1 << start) if start < stop else 0
-        for bit, a, b, limit in self.extremes:
-            if lo < a < hi and (lo <= b <= hi if limit else lo < b < hi):
+        den, rows = self.extremes
+        p, q = place(lo, den)[0], place(hi, den)[0]
+        for bit, a, b, limit in rows:
+            if p < a < q and (p <= b <= q if limit else p < b < q):
                 m |= 1 << bit
         return m
 

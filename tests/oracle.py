@@ -408,8 +408,8 @@ def o_kernel_stage(kernel, levels: int, seeds, match_dim: bool = False):
     in the hull.  Window marks are the boundary points of every zero side
     so far, as values.
     """
-    from dyadictop.construct import (ConstructionError, StepTrace, _assemble,
-                                     _interpolate_window)
+    import fraction_reference
+    from dyadictop.construct import ConstructionError, StepTrace, _assemble
 
     whole = SymbolicSet.whole(kernel)
     used: set[Fraction] = set()
@@ -418,7 +418,7 @@ def o_kernel_stage(kernel, levels: int, seeds, match_dim: bool = False):
     cl_cells = {"": whole}
     for n in range(levels):
         entry = seeds.entries[n]
-        v = _interpolate_window(kernel, entry.core, entry.hull, used)
+        v = fraction_reference._interpolate_window(kernel, entry.core, entry.hull, used)
         cl_v = v.closure()
         a_words, b_words = _o_classify(cells, v, cl_v)
         g = {w: _o_middle_third(cells[w], used, match_dim) for w in a_words + b_words}

@@ -50,7 +50,7 @@ def test_auto_seeds_hull_star_absorbs_near_clusters():
 def test_auto_seeds_cover_radius():
     fam = auto_seeds(interval_space(), 4)
     r = fam.cover_radius(F(1, 8))
-    assert r is not None and r < F(1, 2)
+    assert r is not None and F(*r) < F(1, 2)
     assert fam.cover_radius(F(7)) is None
 
 
@@ -87,6 +87,7 @@ def test_cover_radius_matches_the_fraction_version():
             values |= {lo + (hi - lo) * F(k, 24) + d for k in range(-2, 27) for d in (0, F(1, 97))}
             for x in values:
                 r = fam.cover_radius(x)
+                r = None if r is None else F(*r)
                 assert r == _cover_radius_in_fractions(fam, x), (sp.render(), x)
                 tried += 1
                 covered += r is not None

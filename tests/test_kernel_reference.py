@@ -27,6 +27,7 @@ from dyadictop.construct import SeedEntry, SeedFamily
 from dyadictop.corpus import CORPUS
 from dyadictop.space import Interval, IsolatedPoint, Space
 
+import fraction_reference
 from oracle import o_kernel_stage
 from spacegen import random_spaces
 
@@ -139,9 +140,13 @@ def _without_class_b(whole, v, cl_v, g_a, g_b):
     ("_assemble", _without_class_b, {"cells-nonempty"}),
 ], ids=["window-from-a-third", "without-class-b"])
 def test_failing_levels_match_reference(monkeypatch, helper, mutant, conditions):
-    # both stages call the helper through the construct module, so the
-    # mutant breaks both alike and the failures must agree
+    # the build calls the helper through the construct module and the
+    # reference through its own, or, for the window, through the Fraction
+    # version it keeps; the mutant replaces both, so it breaks both alike
+    # and the failures must agree
     monkeypatch.setattr(construct, helper, mutant)
+    if hasattr(fraction_reference, helper):
+        monkeypatch.setattr(fraction_reference, helper, mutant)
     seen = set()
     for name, make in CORPUS.items():
         space = make()

@@ -254,8 +254,8 @@ def test_lift_catches_a_cluster_on_the_wrong_side(monkeypatch):
     # other side, it leaves V without a neighbourhood of 1
     assign = lemmas._assign_cluster
 
-    def swapped(cluster, u0, u1, spans):
-        side = assign(cluster, u0, u1, spans)
+    def swapped(cluster, u0, u1):
+        side = assign(cluster, u0, u1)
         return 1 - side if cluster.kind == "kernel" and side is not None else side
     monkeypatch.setattr(lemmas, "_assign_cluster", swapped)
     u = region(X3, (F(1, 2), False, F(1), True))

@@ -15,10 +15,11 @@ from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_space, two_intervals_point_space)
 from dyadictop import rational as rational_mod, sets as sets_mod, space as space_mod
 from dyadictop.rational import RationalFormatError, parse_rational
-from dyadictop.sets import MAX_TAIL_INDEX, nearer_spans
+from dyadictop.sets import MAX_TAIL_INDEX, nearer
 from dyadictop.space import (GeometricSequence, Interval, IsolatedPoint, Space, SpaceError,
                              cb_kernel)
 
+from fraction_reference import nearer_spans
 from oracle import (critical_values, o_closure, o_interior, o_member, o_selected, o_spans,
                     o_tail, o_tail_binary, random_set, random_tail, raw_spans,
                     witnesses)
@@ -107,13 +108,15 @@ def test_subset_and_compare():
 
 
 def test_nearer_spans_ties_go_to_first():
-    left = SymbolicSet.region(X1, [(F(0), True, F(1, 4), True)]).spans
-    right = SymbolicSet.region(X1, [(F(3, 4), True, F(1), True)]).spans
-    assert nearer_spans(F(1, 2), left, right) == 0
-    assert nearer_spans(F(1, 2), right, left) == 0
-    assert nearer_spans(F(5, 8), left, right) == 1
-    assert nearer_spans(F(5, 8), (), right) == 1
-    assert nearer_spans(F(5, 8), (), ()) is None
+    # on the cuts, as the Fraction reference has it on the spans
+    left = SymbolicSet.region(X1, [(F(0), True, F(1, 4), True)])
+    right = SymbolicSet.region(X1, [(F(3, 4), True, F(1), True)])
+    empty = SymbolicSet.empty(X1)
+    for x, a, b, want in [(F(1, 2), left, right, 0), (F(1, 2), right, left, 0),
+                          (F(5, 8), left, right, 1), (F(5, 8), empty, right, 1),
+                          (F(5, 8), empty, empty, None)]:
+        assert nearer(x, a, b) == want
+        assert nearer_spans(x, a.spans, b.spans) == want
 
 
 # -- topology -------------------------------------------------------------
@@ -628,8 +631,8 @@ def test_build_results_are_canonical(monkeypatch):
     made = []
     binary = SymbolicSet._binary
 
-    def recording(self, other, fn):
-        made.append(binary(self, other, fn))
+    def recording(self, other, *ops):
+        made.append(binary(self, other, *ops))
         return made[-1]
 
     monkeypatch.setattr(SymbolicSet, "_binary", recording)
