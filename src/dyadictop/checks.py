@@ -2,22 +2,34 @@
 
 Counterexamples are words met in canonical order (⊥ < 0 < 1 per position,
 lower index more significant), the first ones a walk over the words finds,
-so runs are reproducible byte for byte.  ``check_independent`` walks every
-word over the atom masks of a word table, where a cell is empty exactly
-when the AND of its sides' masks is 0.  ``check_proper`` takes its verdict
-from the pieces around each point where a side can change, read off the
-same masks, and walks the words only to list the counterexamples of a
-failing subbase: the same walk, with one more bit per failing point.
-``resolution_check`` fits each probe's cells into its ball on the same
-masks: one mask of the atoms inside the ball per probe, and one AND per
+so runs are reproducible byte for byte.  All checks but ``check_dyadic``
+read the atom masks of a word table, where a cell is empty exactly when
+the AND of its sides' masks is 0, and the word checks walk the words only
+to list the counterexamples of a failing subbase.
+
+``check_independent`` decides at depth d from the 2^d words without ⊥,
+splitting the mask of all atoms by each pair's two side masks: one AND
+per child cell, and with disjoint sides never more cells per pair than
+atoms.
+``check_proper`` decides per candidate point, a span end of a side or a
+limit, from the rows of the few atoms around it: each row holds the sides
+that hold its atom, and one sweep over the sides' cuts makes the rows of
+all interval atoms; a failing subbase walks the words with one more bit
+per failing point.  ``degree_report`` reads each pair's residue as one
+mask and its size off popcounts and tail switches, and counts the points
+shared by several residues with bit-sliced counters, a few ANDs per
+residue mask.  ``resolution_check`` fits each probe's cells into its
+ball: one mask of the atoms inside the ball per probe, and one AND per
 cell.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
-from .cuts import place, rescale
+from .cuts import inside, place, rescale
 from .rational import format_rational
 from .sets import SymbolicSet
 from .subbase import DyadicSubbase
@@ -89,33 +101,69 @@ def _improper_points(sb: DyadicSubbase, eff: int) -> list[tuple[Fraction, int]]:
     So a word fails at x when each of its digits' sides meets the pieces
     but no piece is held by all of them.  The sides can differ around x
     only where one of them has a span end or a tail converges, so only
-    those points are tried.  At each, the masks of pieces still held by
-    every digit so far, shifted down to the lowest piece bit, are stepped
-    through the pairs; a word fails there exactly when the empty mask is
-    reachable.  A span end is tried as its position on the table's grid,
-    and only an improper one becomes a value.
+    those points are tried.
+
+    Each piece is an atom, and its row holds the bits of the first 2·eff
+    sides that hold it: one sweep over those sides' cuts, with a prefix
+    XOR, gives the row of every interval atom, and the few rows of point
+    and sequence atoms, which only the limits need, are read off the
+    masks.  Over x's pieces, ``every`` is the AND of their rows and
+    ``some`` the OR.  A side in ``every`` holds every piece and so cannot
+    make a word fail, and a side outside ``some`` cannot be chosen, so a
+    word fails exactly through its partial sides, ``some & ~every``.  When
+    those lie in one pair a word picks at most one of them and x is
+    proper; otherwise the sets of pieces still held by every digit so far
+    are stepped through the partial pairs, and a word fails there exactly
+    when the empty set is reachable.  A span end is tried as its position
+    on the table's grid, and only an improper one becomes a value.
     """
     space, table = sb.space, sb.word_table
-    den = table.den
+    den, bounds, edges = table.den, table.bounds, table.edges
     limits = {s.limit for s in space.sequences() if not s.open_limit}
-    ends = {c & ~1 for pair in sb.pairs[:eff] for side in pair
-            for c in rescale(side.cuts, den // side.den)}
+    rows, ends = [0] * (len(bounds) + 1), set()
+    for i, side in enumerate(table.sides[:2 * eff]):
+        for c in rescale(side.cuts, den // side.den):
+            rows[bisect_right(bounds, c)] ^= 1 << i  # side i flips at the atom c starts
+            ends.add(c & ~1)
+    for r in range(1, len(rows)):
+        rows[r] ^= rows[r - 1]  # the row of interval atom r
     ends -= {place(x, den)[0] for x in limits}  # tried below, with their tails
 
-    masks = [table.mask(i) for i in range(2 * eff)]
+    def row(b):
+        if b < len(rows):
+            return rows[b]
+        return sum((table.mask(i) >> b & 1) << i for i in range(2 * eff))
 
-    def improper(pieces):
-        low = (pieces & -pieces).bit_length() - 1
-        held = [(m & pieces) >> low for m in masks]
+    def improper(atom_rows):
+        every = some = atom_rows[0]
+        for r in atom_rows[1:]:
+            every &= r
+            some |= r
+        partial = some & ~every
+        if not partial >> ((partial & -partial).bit_length() + 1 & ~1):
+            return False  # no partial side past the lowest partial pair
         reach = {-1}  # every piece, before any digit
-        for idx in range(eff):
-            steps = [h for h in held[2 * idx:2 * idx + 2] if h]
+        while partial:
+            s = (partial & -partial).bit_length() - 1 & ~1
+            steps = [sum(1 << j for j, r in enumerate(atom_rows) if r >> i & 1)
+                     for i in (s, s + 1) if partial >> i & 1]
             reach |= {m & h for m in reach for h in steps}
+            partial &= ~(3 << s)
         return 0 in reach
 
-    out = [(Fraction(p >> 1, den), pieces) for p in ends
-           if improper(pieces := table.end_pieces(p))]
-    out += [(x, pieces) for x in limits if improper(pieces := table.pieces(x))]
+    out = []
+    for p in ends:  # the rows of the atoms of table.end_pieces(p)
+        near = [rows[bisect_right(bounds, q)] for q in (p - 1, p + 1) if inside(edges, q)]
+        if improper([rows[bisect_right(bounds, p)], *near]):
+            out.append((Fraction(p >> 1, den), table.end_pieces(p)))
+    for x in limits:
+        pieces = rest = table.pieces(x)
+        piece_rows = []
+        while rest:
+            piece_rows.append(row((rest & -rest).bit_length() - 1))
+            rest &= rest - 1
+        if improper(piece_rows):
+            out.append((x, pieces))
 
     def order(item):
         loc = space.locate(item[0])
@@ -164,17 +212,37 @@ def check_proper(sb: DyadicSubbase, depth: int) -> CheckReport:
     return CheckReport("proper", eff, False, tuple(counterexamples), stats)
 
 
+def _full_cells_meet(masks) -> bool:
+    """Whether every word without ⊥ over the pairs of ``masks`` has a
+    nonempty cell: the mask of all atoms is split by each pair's two side
+    masks in turn, stopping at the first empty child.  With disjoint sides
+    the children are disjoint, so there are never more of them than atoms."""
+    cells = [-1]
+    for pair in masks:
+        cells = [c & m for c in cells for m in pair]
+        if not all(cells):
+            return False
+    return True
+
+
 def check_independent(sb: DyadicSubbase, depth: int) -> CheckReport:
     """S(word) nonempty for every word up to the given depth.
 
-    The walk ANDs the sides' atom masks in the word table of the first
-    depth pairs: a word with a digit has a nonempty cell exactly when its
-    mask is not 0, and the all-⊥ word's cell is X, its mask -1.
+    A cell only grows as digits become ⊥, so at depth d ≥ 1 every cell is
+    nonempty exactly when the 2^d cells of the words without ⊥ are
+    (``_full_cells_meet``); a passing report counts all 3^d words as
+    checked.  Otherwise the walk ANDs the sides' atom masks in the word
+    table of the first depth pairs to list the counterexamples: a word with
+    a digit has a nonempty cell exactly when its mask is not 0, and the
+    all-⊥ word's cell is X, its mask -1.
     """
     eff = _effective_depth(sb, depth)
     head = sb if eff == len(sb.pairs) else DyadicSubbase(sb.space, sb.pairs[:eff])
     table = head.word_table
     masks = [(table.mask(2 * idx), table.mask(2 * idx + 1)) for idx in range(eff)]
+    if eff and _full_cells_meet(masks):
+        return CheckReport("independent", eff, True, (),
+                           {"words_checked": 3 ** eff, "depth_requested": depth})
     x_empty = SymbolicSet.whole(sb.space).is_empty
     counterexamples = []
     checked = 0
@@ -211,33 +279,73 @@ def check_dyadic(sb: DyadicSubbase) -> CheckReport:
                        tuple(counterexamples), {"pairs_checked": len(sb.pairs)})
 
 
+def _point_atoms(table) -> tuple[int, int, list[int | None]]:
+    """(finite, singles, sizes) over the atoms of a word table: ``finite``
+    masks the atoms that are finitely many points, the one-point interval
+    runs [2v, 2v + 1), the isolated points and each sequence run before
+    the last; ``singles`` masks those of them that are one point outside
+    the sequences; ``sizes[k]`` is the member count of sequence bit
+    ``table.runs[0] + k``, None for a sequence's last run."""
+    bounds, runs = table.bounds, table.runs
+    one = "".join("1" if a + 1 == e and not a & 1 else "0"
+                  for a, e in zip(reversed(bounds[:-1]), reversed(bounds[1:])))
+    first = len(bounds) + 1
+    singles = int(one + "0", 2) | ((1 << len(table.space.isolated_points())) - 1) << first
+    sizes: list[int | None] = []
+    for switches in table.switches:
+        sizes += [e - a for a, e in zip([1, *switches], switches)] + [None]
+    tail = sum(1 << k for k, n in enumerate(sizes) if n is not None)
+    return singles | tail << runs[0] if runs else singles, singles, sizes
+
+
 def degree_report(sb: DyadicSubbase, depth: int, probes=(),
                   expected_sup: int | None = None, seed: int | None = None) -> CheckReport:
     """Exact degree data from the finite boundary sets.
 
-    The residue of pair n is X minus both sides, the space's atoms that
-    neither side's mask holds; its points are exactly the points with
-    bottom digit at n.  The degree sup is the largest number of residues
-    any single point falls in, computed exactly.
+    The residue of pair n is X minus both sides, the atoms of the mask of
+    the space that neither side's mask holds; its points are exactly the
+    points with bottom digit at n.  A residue is finite when each of its
+    atoms is (``_point_atoms``), and its size is then a popcount of its
+    one-point atoms plus the member counts of its sequence runs.  Distinct
+    atoms hold distinct points, so a point falls in as many residues as
+    its atom: the finite residues are added into bit-sliced counters, one
+    mask per binary digit of the count, from which the degree sup and the
+    atoms shared by several residues are read.  Values are made only for
+    the shared points that are listed.
     """
     eff = _effective_depth(sb, depth)
     table = sb.word_table
-    residues = []
-    non_finite = []
+    finite, singles, sizes = _point_atoms(table)
+    tail_at = table.runs[0] if table.runs else table.nbits
+    residues, non_finite, boundary_sizes = [], [], []
     for idx in range(eff):
-        held = table.mask(2 * idx) | table.mask(2 * idx + 1)
-        pts = table.cell(table.whole & ~held).as_finite_points()
-        if pts is None:
+        res = table.whole & ~(table.mask(2 * idx) | table.mask(2 * idx + 1))
+        if res & ~finite:
             non_finite.append(idx)
-            pts = ()
-        residues.append((idx, pts))
+            res = 0
+        size, tail = (res & singles).bit_count(), res >> tail_at
+        while tail:
+            size += sizes[(tail & -tail).bit_length() - 1]
+            tail &= tail - 1
+        residues.append(res)
+        boundary_sizes.append(size)
 
-    multiplicity: dict[Fraction, list[int]] = {}
-    for idx, pts in residues:
-        for p in pts:
-            multiplicity.setdefault(p, []).append(idx)
-    sup = max((len(v) for v in multiplicity.values()), default=0)
-    clashes = sorted((p for p, v in multiplicity.items() if len(v) > 1))
+    counts: list[int] = []  # counts[k]: the atoms whose count has bit k set
+    for res in residues:
+        for k, c in enumerate(counts):
+            if not res:
+                break
+            counts[k], res = c ^ res, c & res
+        if res:
+            counts.append(res)
+    sup, top = 0, -1
+    for k in reversed(range(len(counts))):
+        if top & counts[k]:
+            top &= counts[k]
+            sup |= 1 << k
+    shared = 0
+    for c in counts[1:]:
+        shared |= c
 
     probe_degrees = [{"point": format_rational(x),
                       "degree": eff - len(sb.forced_word(x, eff).entries)}
@@ -251,21 +359,50 @@ def degree_report(sb: DyadicSubbase, depth: int, probes=(),
             "reason": "degree sup mismatch",
             "expected": expected_sup, "actual": sup,
         })
-        for p in clashes[:MAX_COUNTEREXAMPLES]:
+        for b, p in _shared_points(table, shared):
             counterexamples.append({
                 "point": format_rational(p),
-                "indices": multiplicity[p],
+                "indices": [idx for idx, res in enumerate(residues) if res >> b & 1],
                 "reason": "boundary point shared by several pairs",
             })
     stats = {
         "degree_sup": sup,
-        "boundaries_pairwise_disjoint": not clashes,
-        "boundary_sizes": [len(pts) for _, pts in residues],
+        "boundaries_pairwise_disjoint": not shared,
+        "boundary_sizes": boundary_sizes,
         "probe_degrees": probe_degrees,
         "depth_requested": depth,
     }
     return CheckReport("degree", eff, not counterexamples, tuple(counterexamples),
                        stats, seed)
+
+
+def _shared_points(table, shared: int) -> list[tuple[int, Fraction]]:
+    """(atom bit, point) for the first ``MAX_COUNTEREXAMPLES`` points, by
+    value, of the finite atoms of ``shared``.  Interval points come in the
+    order of their bits, and a sequence run's members in the order of
+    their indices, reversed when the offset is positive, so only the first
+    ``MAX_COUNTEREXAMPLES`` of each are made as values."""
+    bounds, first = table.bounds, len(table.bounds) + 1
+    out = []
+    low = shared & ((1 << first) - 1)
+    while low and len(out) < MAX_COUNTEREXAMPLES:
+        b = (low & -low).bit_length() - 1
+        out.append((b, Fraction(bounds[b - 1] >> 1, table.den)))
+        low &= low - 1
+    rest, points = shared >> first, table.space.isolated_points()
+    while rest:
+        b = (rest & -rest).bit_length() - 1 + first
+        rest &= rest - 1
+        if b - first < len(points):
+            out.append((b, points[b - first].value))
+            continue
+        j = bisect_right(table.runs, b) - 1
+        seq, starts = table.space.sequences()[j], [1, *table.switches[j]]
+        r = b - table.runs[j]
+        ks = range(starts[r], starts[r + 1])
+        out += [(b, seq.member(k))
+                for k in islice(reversed(ks) if seq.offset > 0 else ks, MAX_COUNTEREXAMPLES)]
+    return sorted(out, key=lambda item: item[1])[:MAX_COUNTEREXAMPLES]
 
 
 def resolution_check(sb: DyadicSubbase, epsilon: Fraction, probes,

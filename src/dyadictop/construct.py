@@ -355,15 +355,10 @@ def _interpolate_window(kernel: Space, core: SymbolicSet, hull: SymbolicSet,
     return _from_ends(kernel, den, lo, hi)
 
 
-def _middle_third(kernel: Space, lo: int, hi: int, table: _Atoms,
-                  avoid: bool) -> SymbolicSet:
-    """The open middle third of (lo, hi), values over the table's den of a
-    range inside the kernel, each end moved off the marks towards its own
-    end of the range when ``avoid`` is set."""
-    g1, g2 = (2 * lo + hi, 3), (lo + 2 * hi, 3)  # over den·3
-    if avoid:
-        g1, g2 = _off_marks(table, 3 * lo, *g1), _off_marks(table, 3 * hi, *g2)
-    return _from_ends(kernel, table.den, (*g1, 1), (*g2, 0))
+def _middle_third(kernel: Space, lo: int, hi: int, den: int) -> SymbolicSet:
+    """The open middle third of (lo, hi), values over den of a range inside
+    the kernel."""
+    return _from_ends(kernel, den, (2 * lo + hi, 3, 1), (lo + 2 * hi, 3, 0))  # over den·3
 
 
 def _check_window(table: _Atoms, trace, escapes, condition) -> None:
@@ -419,8 +414,7 @@ def _entries(seeds: SeedFamily, levels: int) -> tuple[SeedEntry, ...]:
     return seeds.entries[:levels]
 
 
-def _kernel_level(table: _Atoms, whole: SymbolicSet, n: int, entry: SeedEntry,
-                  match_dim: bool) -> StepTrace:
+def _kernel_level(table: _Atoms, whole: SymbolicSet, n: int, entry: SeedEntry) -> StepTrace:
     """Pair n on the table's kernel from the seed entry, validated, with the
     table cut at V, cl V, the hull and the pair, and split by the pair."""
     kernel = table.space
@@ -434,7 +428,7 @@ def _kernel_level(table: _Atoms, whole: SymbolicSet, n: int, entry: SeedEntry,
     table.add(v, cl_v, entry.hull)
     a_words, b_words = _classify(table, v, cl_v)
     runs = table.first_runs(a_words + b_words)
-    g = {w: _middle_third(kernel, *runs[w], table, match_dim) for w in runs}
+    g = {w: _middle_third(kernel, *runs[w], table.den) for w in runs}
     s0, s1 = _assemble(whole, v, cl_v, _union(kernel, (g[w] for w in a_words)),
                        _union(kernel, (g[w] for w in b_words)))
     trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1, entry)
@@ -468,7 +462,7 @@ def build_independent_subbase(kernel: Space, levels: int,
     if seeds is None:
         seeds = auto_seeds(kernel, levels, match_dim)
     whole, table = SymbolicSet.whole(kernel), _Atoms(kernel)
-    traces = [_kernel_level(table, whole, n, entry, match_dim)
+    traces = [_kernel_level(table, whole, n, entry)
               for n, entry in enumerate(_entries(seeds, levels))]
     return DyadicSubbase(kernel, tuple((t.s0, t.s1) for t in traces)), traces
 
@@ -525,8 +519,7 @@ def _validate_cells(table: _Atoms, residue, trace) -> None:
 
 # -- starred stage --------------------------------------------------------
 
-def extend_to_proper(space: Space, levels: int, seeds: SeedFamily,
-                     match_dim: bool = False):
+def extend_to_proper(space: Space, levels: int, seeds: SeedFamily):
     """Kernel pairs and the half-clopen pairs on the full space restricting to them.
 
     Each level makes pair n on one kernel atom table (``_Atoms``), as
@@ -560,7 +553,7 @@ def extend_to_proper(space: Space, levels: int, seeds: SeedFamily,
     traces: list[StepTrace] = []
 
     for n, entry in enumerate(_entries(seeds, levels)):
-        tr = _kernel_level(table, whole, n, entry, match_dim)
+        tr = _kernel_level(table, whole, n, entry)
         if entry.hull.space != kernel or entry.hull_star.space != space \
                 or not embed(entry.hull, space).subset_of(entry.hull_star):
             raise ConstructionError("trace-seed-mismatch", n)
@@ -734,8 +727,12 @@ def build_proper_subbase(space: Space, levels: int,
     assembled subbase, independence to depth ``INDEPENDENT_DEPTH`` on the
     kernel part, the degree survey on ``PROBE_COUNT`` sample points, and
     the resolution probe at ``epsilon`` (achieved resolution when not
-    given).  ``match_dim`` mode keeps chunk boundaries off each other so
-    the degree never exceeds one on a space with a nonempty kernel.
+    given).  ``match_dim`` mode differs only in its seeds: a lone window
+    on two or more components is half a component.  In either mode V's
+    fresh ends are moved off the marks, the points of earlier boundaries,
+    and no chunk end is one: each chunk is the middle third of the first
+    run of its cell's atoms, which holds no mark, since a mark's atom is
+    labelled with a ``_`` and so belongs to no cell.
     """
     if degree_mode not in ("unconstrained", "match_dim"):
         raise ConstructionError("unknown-degree-mode", -1, {"mode": degree_mode})
@@ -745,7 +742,7 @@ def build_proper_subbase(space: Space, levels: int,
 
     if kernel.intervals() and levels > 0:
         seeds = auto_seeds(space, levels, match)
-        kernel_sb, star_sb, traces = extend_to_proper(space, levels, seeds, match)
+        kernel_sb, star_sb, traces = extend_to_proper(space, levels, seeds)
     else:
         seeds, traces = SeedFamily(space, ()), []
         kernel_sb, star_sb = DyadicSubbase(kernel, ()), DyadicSubbase(space, ())

@@ -38,18 +38,10 @@ def _interpolate_window(kernel: Space, core: SymbolicSet, hull: SymbolicSet,
     return SymbolicSet(kernel, (Span(lo, lo_in, hi, hi_in),))
 
 
-def _middle_third(kernel: Space, lo: Fraction, hi: Fraction, used,
-                  avoid: bool) -> SymbolicSet:
-    """The open middle third of (lo, hi), each end moved off the used values
-    towards its own end of the range when ``avoid`` is set."""
+def _middle_third(kernel: Space, lo: Fraction, hi: Fraction) -> SymbolicSet:
+    """The open middle third of (lo, hi)."""
     third = (hi - lo) / 3
-    g1, g2 = lo + third, hi - third
-    if avoid:
-        while g1 in used:
-            g1 = (lo + g1) / 2
-        while g2 in used:
-            g2 = (hi + g2) / 2
-    return SymbolicSet(kernel, (Span(g1, False, g2, False),))
+    return SymbolicSet(kernel, (Span(lo + third, False, hi - third, False),))
 
 
 def dist_to_spans(x: Fraction, spans) -> Fraction | None:

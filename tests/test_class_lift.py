@@ -52,8 +52,7 @@ def _union(sets, space):
 def _starred_levels(space, levels, mode):
     """Each starred trace of the build, with the starred cells it cut."""
     match_dim = mode == "match_dim"
-    _, _, star = extend_to_proper(space, levels, auto_seeds(space, levels, match_dim),
-                                  match_dim)
+    _, _, star = extend_to_proper(space, levels, auto_seeds(space, levels, match_dim))
     cells = {"": SymbolicSet.whole(space)}
     for tr in star:
         yield tr, cells

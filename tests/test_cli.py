@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import golden
 from dyadictop import DyadicSubbase
-from dyadictop.cli import _json_text, main
+from dyadictop.cli import MAX_LEVELS, _json_text, main
 from dyadictop.corpus import (CORPUS, converging_sequence_space, interval_points_space,
                               interval_sequence_space, interval_space)
 from dyadictop.sets import MAX_TAIL_INDEX
@@ -294,7 +294,7 @@ def test_wrong_shape_fails(tmp_path, capsys):
 
 
 def test_levels_limit(space_file, capsys):
-    for levels in ("15", "40"):
+    for levels in (str(MAX_LEVELS + 1), "40"):
         assert main(["build", space_file, "--levels", levels]) == 1
         assert "levels-out-of-range" in capsys.readouterr().err
 
@@ -303,7 +303,7 @@ def test_failed_construction_prints_details(space_file, capsys):
     assert main(["build", space_file, "--levels", "40"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: construction failed at level -1: levels-out-of-range",
-        'details: {"levels":40,"max":14}',
+        f'details: {{"levels":40,"max":{MAX_LEVELS}}}',
     ]
 
 

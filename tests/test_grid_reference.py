@@ -6,14 +6,16 @@ Every call that a build makes to ``_pick_between``, ``_interpolate_window``,
 and ``WordTable.inner`` is compared with its reference on the same inputs
 as values: the corpus at levels 1-6 and ``spacegen`` draws at levels 1-4,
 each in both degree modes, and the equidistant point of fault F1 in both
-listings at levels 1-10, where the nearer-side rule breaks ties.  The
-avoid branch of ``_middle_third``, which no build reaches (a cell's run of
-atoms never holds a mark, whose atom is labelled with a ``_``), is compared
-on ranges whose middle-third ends are marks.  A two-span seed window is a
-named condition, and a build and the CLI never read ``SymbolicSet.spans``.
+listings at levels 1-10, where the nearer-side rule breaks ties.  On the
+same builds, no mark lies strictly inside the range a chunk is cut from
+(a cell's run of atoms never holds a mark, whose atom is labelled with a
+``_``), so ``_middle_third`` never has to move an end off the marks.  A
+two-span seed window is a named condition, and a build and the CLI never
+read ``SymbolicSet.spans``.
 """
 import json
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -58,17 +60,22 @@ class Spies:
     ties of the nearer-side rule among them."""
 
     def __init__(self, monkeypatch):
-        self.calls = dict.fromkeys(("pick", "window", "third", "nearer", "sample", "inner"), 0)
+        self.calls = dict.fromkeys(
+            ("pick", "window", "third", "runs", "nearer", "sample", "inner"), 0)
         self.ties = 0
         self.real = {}
-        inner = self.inner
+        inner, runs = self.inner, self.runs
 
         def table_inner(table, lo, hi):
             return inner(table, lo, hi)
+
+        def first_runs(table, words):
+            return runs(table, words)
         for owner, name, spy in [
                 (construct, "_pick_between", self.pick),
                 (construct, "_interpolate_window", self.window),
-                (construct, "_middle_third", self.third), (lemmas, "nearer", self.nearer),
+                (construct, "_middle_third", self.third),
+                (construct._Atoms, "first_runs", first_runs), (lemmas, "nearer", self.nearer),
                 (construct, "sample_points", self.sample), (WordTable, "inner", table_inner)]:
             self.real[name] = getattr(owner, name)
             monkeypatch.setattr(owner, name, spy)
@@ -86,11 +93,18 @@ class Spies:
         self.calls["window"] += 1
         return got
 
-    def third(self, kernel, lo, hi, table, avoid):
-        got = self.real["_middle_third"](kernel, lo, hi, table, avoid)
-        den = table.den
-        assert got == ref._middle_third(kernel, F(lo, den), F(hi, den), _used(table), avoid)
+    def third(self, kernel, lo, hi, den):
+        got = self.real["_middle_third"](kernel, lo, hi, den)
+        assert got == ref._middle_third(kernel, F(lo, den), F(hi, den))
         self.calls["third"] += 1
+        return got
+
+    def runs(self, table, words):
+        got = self.real["first_runs"](table, words)
+        marks = table.marks
+        for lo, hi in got.values():
+            assert bisect_right(marks, 2 * lo) == bisect_left(marks, 2 * hi), (lo, hi)
+        self.calls["runs"] += 1
         return got
 
     def nearer(self, x, first, second):
@@ -162,44 +176,6 @@ def test_nearer_on_cuts_matches_reference():
         for b in sets[1::3]:
             for x in (F(k, 16) for k in range(-8, 57)):
                 assert lemmas.nearer(x, a, b) == ref.nearer_spans(x, a.spans, b.spans)
-
-
-# -- the avoid branch ------------------------------------------------------
-
-def _table(levels):
-    """The atom table of the interval's first levels, made by the kernel
-    stage's own step."""
-    kernel = CORPUS["interval"]()
-    table = construct._Atoms(kernel)
-    whole = SymbolicSet.whole(kernel)
-    seeds = construct.auto_seeds(kernel, levels, True)
-    for n, entry in enumerate(seeds.entries):
-        construct._kernel_level(table, whole, n, entry, True)
-    return kernel, table
-
-
-@pytest.mark.parametrize("halvings", [1, 2, 3])
-def test_middle_third_avoid_moves_ends_off_marks(halvings):
-    # around each mark m of a real table, ranges whose middle-third end is
-    # m, with the marks set to m and the values the first halvings towards
-    # the end's side of the range reach, so that the end moves that often
-    kernel, table = _table(3)
-    den, step = table.den, 3 << halvings
-    centres = [p >> 1 for p in table.marks if 2 * step < p >> 1 < den - 2 * step]
-    assert centres
-    for m in centres:
-        for end, (lo, hi) in enumerate(((m - step, m + 2 * step), (m - 2 * step, m + step))):
-            anchor = (lo, hi)[end]
-            # halving k takes the end to anchor + (m - anchor) / 2**k
-            path = [anchor + (m - anchor) // 2 ** k for k in range(halvings + 1)]
-            table.marks = sorted(2 * v for v in path[:halvings])
-            plain = construct._middle_third(kernel, lo, hi, table, False)
-            assert plain == ref._middle_third(kernel, F(lo, den), F(hi, den), set(), False)
-            assert plain.closure_bounds()[end] == F(m, den)
-            got = construct._middle_third(kernel, lo, hi, table, True)
-            assert got == ref._middle_third(kernel, F(lo, den), F(hi, den), _used(table), True)
-            assert got.closure_bounds()[end] == F(path[halvings], den)
-            assert got.closure_bounds()[1 - end] == plain.closure_bounds()[1 - end]
 
 
 # -- seeds of more than one span -------------------------------------------

@@ -244,7 +244,7 @@ BUILD_SOURCES = [s for s in _build_sources() if cb_kernel(s[1]).kernel.intervals
 def test_lift_matches_the_two_step_composition_on_starred_levels(name, space, levels, mode):
     match_dim = mode == "match_dim"
     for n in levels:
-        _, _, star = extend_to_proper(space, n, auto_seeds(space, n, match_dim), match_dim)
+        _, _, star = extend_to_proper(space, n, auto_seeds(space, n, match_dim))
         for tr in star:
             assert tr.v_star == _two_step_lift(space, tr.v, tr.seed.hull_star), (n, tr.level)
 

@@ -62,15 +62,14 @@ def _kernel_run(space, mode, levels):
     return ksb, traces, seeds.entries
 
 
-def _lift(space, mode, entries):
+def _lift(space, entries):
     """The build's two stages with the given seed entries."""
-    return extend_to_proper(space, len(entries), SeedFamily(space, tuple(entries)),
-                            mode == "match_dim")
+    return extend_to_proper(space, len(entries), SeedFamily(space, tuple(entries)))
 
 
-def _verdict(space, mode, entries):
+def _verdict(space, entries):
     try:
-        _lift(space, mode, entries)
+        _lift(space, entries)
     except ConstructionError as err:
         return err.condition, err.level, err.details.get("probe")
     return None
@@ -116,7 +115,7 @@ def _reference(space, traces, entries):
                          ids=[f"{b[0]}-{b[2]}-L{b[3]}" for b in BUILDS])
 def test_window_verdict_matches_full_cells(name, space, mode, levels):
     ksb, traces, entries = _kernel_run(space, mode, levels)
-    lifted_ksb, _, lifted = _lift(space, mode, entries)
+    lifted_ksb, _, lifted = _lift(space, entries)
     # the build makes its kernel pairs with the kernel stage's own step
     assert lifted_ksb == ksb
     fields = ("v", "a_words", "b_words", "g", "s0", "s1")
@@ -158,7 +157,7 @@ def _forged_verdicts(name):
             _, traces, entries = _kernel_run(space, mode, levels)
             for n in range(levels):
                 for forged in _forgeries(space, entries, n):
-                    out.append((mode, levels, n, _verdict(space, mode, forged),
+                    out.append((mode, levels, n, _verdict(space, forged),
                                 _reference(space, traces, forged)))
     return out
 

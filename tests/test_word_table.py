@@ -4,7 +4,7 @@
 holds the point, ``degree_report``, which reads each pair's residue off the
 side masks, the residue sizes, degree sup and disjointness of the set
 algebra's residues, ``decode_word`` the cell ``oracle.o_cell`` intersects
-from the whole space, and ``check_independent``, which walks the sides'
+from the whole space, and ``check_independent``, which reads the sides'
 atom masks, the report of ``oracle.o_independent``.  The subbases are the
 corpus builds at levels 1-8 and the builds at levels 1-4 of the valid
 spaces among the first 25 draws of three ``spacegen`` seeds, in both
