@@ -310,8 +310,8 @@ def degree_report(sb: DyadicSubbase, depth: int, probes=(),
     atoms hold distinct points, so a point falls in as many residues as
     its atom: the finite residues are added into bit-sliced counters, one
     mask per binary digit of the count, from which the degree sup and the
-    atoms shared by several residues are read.  Values are made only for
-    the shared points that are listed.
+    atoms shared by several residues are read.  Values are made only when
+    shared points are listed (``_shared_points``).
     """
     eff = _effective_depth(sb, depth)
     table = sb.word_table
