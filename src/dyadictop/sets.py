@@ -77,18 +77,25 @@ def _literal(p: int, q: int, lo_in, r: int, s: int, hi_in) -> str:
     return f"{'[' if lo_in else '('}{p}/{q},{r}/{s}{']' if hi_in else ')'}"
 
 
-_SPAN_RE = re.compile(r"^([\[\(])\s*([^,\s]+)\s*,\s*([^\]\)\s]+)\s*([\]\)])$")
+# an interval literal, each end as p/q or p with a denominator that has a
+# nonzero digit, matched straight to its integers, or as the text that
+# ``parse_ratio`` refuses
+_LITERAL_RE = re.compile(r"\s*([\[(])\s*(([+-]?\d+)(?:/(\d*[1-9]\d*))?|[^,\s]+)\s*,"
+                         r"\s*(([+-]?\d+)(?:/(\d*[1-9]\d*))?|[^\])\s]+)\s*([\])])\s*")
 
 
 def _parse_literal(text: str) -> tuple[int, int, bool, int, int, bool]:
     """(p, q, lo_in, r, s, hi_in) of an interval literal from p/q to r/s, the
-    integers as written; refused as a ``Span`` would refuse its bounds."""
-    m = _SPAN_RE.match(text.strip()) if isinstance(text, str) else None
+    integers as written, in one match; refused as a ``Span`` would refuse
+    its bounds, and an end that is not p/q or has a zero denominator as
+    ``parse_ratio`` refuses it."""
+    m = _LITERAL_RE.fullmatch(text) if isinstance(text, str) else None
     if m is None:
         raise SetError(f"bad interval literal {text!r}")
-    p, q = parse_ratio(m[2])
-    r, s = parse_ratio(m[3])
-    lo_in, hi_in = m[1] == "[", m[4] == "]"
+    opening, lo, p, q, hi, r, s, closing = m.groups()
+    p, q = (int(p), int(q or 1)) if p else parse_ratio(lo)
+    r, s = (int(r), int(s or 1)) if r else parse_ratio(hi)
+    lo_in, hi_in = opening == "[", closing == "]"
     if p * s > r * q or (p * s == r * q and not (lo_in and hi_in)):
         raise SetError(f"bad span bounds {_span(Fraction(p, q), lo_in, Fraction(r, s), hi_in).render()}")
     return p, q, lo_in, r, s, hi_in
@@ -224,13 +231,7 @@ class TailRule:
     def of(cls, start: int | None, exceptions) -> "TailRule":
         """All k >= start (none when start is None), with each exception
         flipped, on either side of start."""
-        exceptions = set(exceptions)
-        if (start is not None and start < 1) or any(e < 1 for e in exceptions):
-            raise SetError("tail indices start at 1")
-        flips = {start} if start is not None else set()
-        for e in exceptions:
-            flips ^= {e, e + 1}
-        return cls(tuple(sorted(flips)))
+        return cls(tuple(_switches(start, exceptions)))
 
     @property
     def infinite(self) -> bool:
@@ -255,6 +256,18 @@ class TailRule:
         return _tail_binary(self, other, OR)
 
 
+def _switches(start: int | None, exceptions) -> list[int]:
+    """The sorted switch points of all k >= start (none when start is
+    None) with each exception flipped; every index must be at least 1."""
+    exceptions = set(exceptions)
+    if (start is not None and start < 1) or any(e < 1 for e in exceptions):
+        raise SetError("tail indices start at 1")
+    flips = {start} if start is not None else set()
+    for e in exceptions:
+        flips.symmetric_difference_update((e, e + 1))
+    return sorted(flips)
+
+
 def _exceptions(sw) -> list[int]:
     """The selected indices below the last switch of an infinite rule, or
     every selected index of a finite one, increasing."""
@@ -272,11 +285,16 @@ TAIL_NONE = TailRule()
 
 
 def _tail_rule(parts) -> TailRule:
-    """The union of tail rules given as switch lists."""
+    """The union of tail rules given as switch lists, each increasing from
+    1.  Their merge is too, so the rule is built unchecked."""
     sw: list[int] = []
     for part in parts:
-        sw = merge(sw, part, OR)
-    return TailRule(tuple(sw)) if sw else TAIL_NONE
+        sw = merge(sw, part, OR) if sw else part
+    if not sw:
+        return TAIL_NONE
+    rule = object.__new__(TailRule)
+    object.__setattr__(rule, "switches", tuple(sw))
+    return rule
 
 
 # Largest tail index a set file may name; the builder names indices up to
@@ -686,8 +704,9 @@ class SymbolicSet:
         also takes in the isolated points and members it covers, as
         ``region`` does; one inside them covers none, since the primitives
         are disjoint.  Each point is located once and joins the cuts, the
-        points or its sequence's tail, and the tail rules are merged per
-        sequence.  Errors come in file order: intervals, points, tails.
+        points or its sequence's tail.  Each tail entry becomes its switch
+        list, and one rule per sequence is built from the merged lists.
+        Errors come in file order: intervals, points, tails.
         """
         if not isinstance(data, dict):
             raise SetError("set JSON must be an object")
@@ -715,7 +734,7 @@ class SymbolicSet:
             if start is not None:
                 _tail_index(start, "start")
             exc = [_tail_index(e, "exception") for e in _json_list(entry, "exceptions")]
-            switches[j].append(TailRule.of(start, exc).switches)
+            switches[j].append(_switches(start, exc))
         den, cuts = 1, ()
         if literals or values:
             amb_den, amb = _ambient(space)

@@ -13,8 +13,10 @@ the atoms, built on first use, and the masks are the only record of which
 atoms a side holds.  One integer lookup finds a point's atom, whose word is
 read off the masks the first time a point in it is asked for; a cell S(word)
 is the AND of its sides' masks, read back as a set in one pass; the
-properness check reads off the masks which sides meet the pieces around a
-point; and the resolution check fits cells into a ball by their masks.
+dyadic check reads each pair's verdict off its two masks and the atoms
+their closures touch; the properness check reads off the masks which sides
+meet the pieces around a point; and the resolution check fits cells into
+a ball by their masks.
 """
 from __future__ import annotations
 
@@ -125,10 +127,13 @@ class DyadicSubbase:
         for entry in data["pairs"]:
             if not isinstance(entry, dict):
                 raise SubbaseError(f"pair entry {entry!r} is not an object")
+            for key in ("zero", "one"):
+                if key not in entry:
+                    raise SubbaseError(f"pair entry needs {key!r}")
             try:
                 a = SymbolicSet.from_dict(space, entry["zero"])
                 b = SymbolicSet.from_dict(space, entry["one"])
-            except (KeyError, SetError, RationalFormatError) as exc:
+            except (SetError, RationalFormatError) as exc:
                 raise SubbaseError(f"bad pair entry: {exc}") from None
             pairs.append((a, b))
         return cls.from_pairs(space, pairs)

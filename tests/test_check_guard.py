@@ -1,11 +1,13 @@
-"""The properness, independence and degree checks against references that
-share none of their shortcuts.
+"""The properness, independence, degree and dyadic checks against
+references that share none of their shortcuts.
 
 ``check_proper`` decides from per-atom side rows, ``check_independent``
-from the 2^d words without ⊥ and ``degree_report`` from bit-sliced counts
-over the residue masks; ``oracle.o_proper`` and ``oracle.o_independent``
-walk every word on sets, and ``_reference_degree`` takes each residue
-through ``WordTable.cell`` and ``as_finite_points``.
+from the 2^d words without ⊥, ``degree_report`` from bit-sliced counts
+over the residue masks and ``check_dyadic`` from the atoms each side's
+closure touches; ``oracle.o_proper`` and ``oracle.o_independent`` walk
+every word on sets, ``_reference_degree`` takes each residue through
+``WordTable.cell`` and ``as_finite_points``, and ``_reference_dyadic``
+takes each zero side's closure, interior and complement.
 """
 import random
 from fractions import Fraction as F
@@ -13,12 +15,13 @@ from fractions import Fraction as F
 import pytest
 
 from dyadictop import (DyadicSubbase, GeometricSequence, IsolatedPoint, Space, SymbolicSet,
-                       TailRule, TernaryWord, build_proper_subbase, check_independent,
-                       check_proper, degree_report)
+                       TailRule, TernaryWord, build_proper_subbase, check_dyadic,
+                       check_independent, check_proper, degree_report)
 from dyadictop.checks import MAX_COUNTEREXAMPLES
 from dyadictop.corpus import (CORPUS, converging_sequence_space, gray_pairs,
                               interval_sequence_space, interval_space)
 from dyadictop.rational import format_rational
+from dyadictop.sets import kernel_set
 
 from oracle import o_cell, o_independent, o_proper, random_set
 from spacegen import random_spaces, rank2_space
@@ -218,3 +221,139 @@ def test_residue_holding_the_first_members_of_a_sequence():
         {"reason": "degree sup mismatch", "expected": 1, "actual": 2},
         {"point": "21/4", "indices": [0, 1], "reason": "boundary point shared by several pairs"},
         {"point": "11/2", "indices": [0, 1], "reason": "boundary point shared by several pairs"})
+
+
+# -- the dyadic verdict ---------------------------------------------------
+
+def _reference_dyadic(sb):
+    """The ``to_dict`` of ``check_dyadic`` from sets alone: each zero side's
+    closure, its interior and its complement, pair by pair."""
+    counterexamples = []
+    for idx, (a, b) in enumerate(sb.pairs):
+        cl = a.closure()
+        reg = cl.interior()
+        if reg != a:
+            counterexamples.append({"index": idx, "reason": "zero side not regular open",
+                                    "regularization": reg.to_dict()})
+            continue
+        ext = cl.complement()
+        if b != ext:
+            counterexamples.append({"index": idx,
+                                    "reason": "one side is not the exterior of the zero side",
+                                    "exterior": ext.to_dict()})
+    return {"property": "dyadic", "depth": len(sb.pairs), "passed": not counterexamples,
+            "counterexamples": counterexamples, "stats": {"pairs_checked": len(sb.pairs)}}
+
+
+def _shared_run_space():
+    """The members 2**-k, their limit 0 missing, and two sequences onto each
+    of the first two members, one from either side."""
+    return Space((GeometricSequence(F(0), F(1), open_limit=True),
+                  GeometricSequence(F(1, 2), F(1, 64)), GeometricSequence(F(1, 2), F(-1, 64)),
+                  GeometricSequence(F(1, 4), F(1, 256)), GeometricSequence(F(1, 4), F(-1, 256))))
+
+
+def _near(space, a, rng):
+    """A small set near the zero side a: a point of cl a − a, or else any
+    point of the space, or a ball around it."""
+    rim = a.closure().difference(a)
+    x = rim.sample_point() if not rim.is_empty and rng.random() < 0.6 else None
+    if x is None:
+        x = SymbolicSet.whole(space).sample_point() if rng.random() < 0.2 else None
+    if x is None:
+        points = [p.value for p in space.isolated_points()]
+        points += [s.member(rng.randint(1, 9)) for s in space.sequences()]
+        points += [iv.lo + (iv.hi - iv.lo) * F(rng.randint(0, 8), 8) for iv in space.intervals()]
+        points += [s.limit for s in space.sequences() if not s.open_limit]
+        x = rng.choice(points)
+    if rng.random() < 0.3 and space.intervals():
+        return SymbolicSet.ball(space, x, F(1, rng.choice((8, 64))))
+    return SymbolicSet.singleton(space, x)
+
+
+def _dyadic_draws(seed: int, count: int):
+    """``count`` subbases of 1 to 3 pairs over ``spacegen`` spaces, the rank-2
+    space, an interval-free one and ``_shared_run_space``: each zero side a
+    random set, mostly regularized, each one side its exterior, mostly
+    changed by a small set near the zero side, or another random set."""
+    rng = random.Random(seed)
+    spaces = [*random_spaces(seed, 40), rank2_space(), converging_sequence_space(),
+              _shared_run_space()]
+    for _ in range(count):
+        space = rng.choice(spaces)
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            a = random_set(space, rng)
+            if rng.random() < 0.8:
+                a = a.regularization()
+            b = a.exterior()
+            roll = rng.random()
+            if roll < 0.25:
+                b = b.union(_near(space, a, rng))
+            elif roll < 0.5:
+                b = b.difference(_near(space, a, rng))
+            elif roll < 0.6:
+                a = a.union(_near(space, a, rng))
+            elif roll < 0.7:
+                b = random_set(space, rng)
+            pairs.append((a, b) if rng.random() < 0.9 else (b, a))
+        yield DyadicSubbase.from_pairs(space, pairs)
+
+
+def test_dyadic_matches_the_set_reference():
+    """600 seeded draws: 1,215 pairs, 609 of them failing."""
+    pairs = failing = 0
+    for sb in _dyadic_draws(32, 600):
+        want = _reference_dyadic(sb)
+        assert check_dyadic(sb).to_dict() == want, sb.to_dict()
+        pairs += len(sb.pairs)
+        failing += len(want["counterexamples"])
+    assert (pairs, failing) == (1215, 609)
+
+
+def _tails(space, *rules):
+    return SymbolicSet(space, (), frozenset(), tuple(TailRule(r) for r in rules))
+
+
+def _dyadic_cases():
+    """(name, subbase, reason of its one pair or None when it passes)."""
+    zero, one = "zero side not regular open", "one side is not the exterior of the zero side"
+    half = SymbolicSet.region(X1, [(F(0), True, F(1, 2), False)])
+    split = half.union(SymbolicSet.region(X1, [(F(1, 2), False, F(1), True)]))
+    xs = interval_sequence_space()
+    tail = _tails(xs, (1,))  # every member; the limit 1 sits in the atom [0,1]
+    rank2 = rank2_space()  # the sequence onto 3/2, the first member of the sequence onto 1
+    onto = _tails(rank2, (), (), (1,))
+    top = SymbolicSet.singleton(rank2, F(3, 2))
+    shared = _shared_run_space()
+    a = _tails(shared, (), (1,), (), (1,))
+    b = _tails(shared, (3,), (), (1,), (), (1,))
+    cases = [
+        ("not regular open", X1, split, split.exterior(), zero),
+        ("overlapping sides", X1, half, split, one),
+        ("one side holds the boundary point", X1, half,
+         SymbolicSet.region(X1, [(F(1, 2), True, F(1), True)]), one),
+        ("a gap wider than one point", X1, half,
+         SymbolicSet.region(X1, [(F(3, 4), False, F(1), True)]), one),
+        ("the boundary point in neither side", X1, half, half.exterior(), None),
+        ("limit held by the other side, in a wide atom", xs, tail, kernel_set(xs), one),
+        ("limit held by neither side", xs, tail, tail.exterior(), None),
+        ("limit a member, held by neither side", rank2, onto, onto.exterior(), zero),
+        ("limit a member, held by the zero side", rank2, onto.union(top),
+         onto.union(top).exterior(), None),
+        ("limit a member, held by both sides", rank2, onto.union(top),
+         onto.union(top).exterior().union(top), one),
+        ("a run of two members, each a limit of both sides", shared, a, b, None),
+        ("a run of two members, one a limit of one side", shared, a,
+         _tails(shared, (3,), (), (1,)), one),
+        ("the sides swapped", shared, b, a, None),
+    ]
+    return [pytest.param(DyadicSubbase.from_pairs(space, [(s0, s1)]), reason, id=name)
+            for name, space, s0, s1, reason in cases]
+
+
+@pytest.mark.parametrize("sb, reason", _dyadic_cases())
+def test_dyadic_failure_shapes(sb, reason):
+    got = check_dyadic(sb).to_dict()
+    assert got == _reference_dyadic(sb)
+    assert [c["reason"] for c in got["counterexamples"]] == ([reason] if reason else [])

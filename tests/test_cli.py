@@ -392,6 +392,16 @@ def test_bad_interval_literal_names_its_pair_entry(tmp_path, capsys, literal, me
     assert capsys.readouterr().err == f"error: bad pair entry: {message}\n"
 
 
+@pytest.mark.parametrize("key", ["zero", "one"])
+def test_pair_entry_without_a_side_names_the_key(tmp_path, capsys, key):
+    data = _one_pair(UNIT, {"intervals": ["[0/1,1/2)"]})
+    del data["pairs"][0][key]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--depth", "1"]) == 1
+    assert capsys.readouterr().err == f"error: pair entry needs '{key}'\n"
+
+
 def test_tail_index_above_bound_is_refused_at_once(tmp_path, capsys):
     path = tmp_path / "far.json"
     path.write_text(json.dumps(_one_pair(SEQ, {"tails": [{"sequence": 0,

@@ -422,6 +422,44 @@ def test_loader_agrees_with_the_chain_and_the_json():
                 assert s.membership(x) == _json_member(space, data, x), (data, x)
 
 
+# Literal forms on the rank-2 space ([0,1], the point 2 and sequences onto
+# 1, 2 and 3/2), each read as the chain reads it: spaces inside the
+# brackets, signs, bare integers, unreduced fractions, a point literal, a
+# denominator in other digits, and literals that leave the interval and
+# pick up isolated points and members.
+LITERAL_FORMS = ["[ 1/2 , 3/4 ]", "\t( 0 , 1 ]\n", "[+1/2,+3/4)", "[-1,1)", "[2/4,6/8]",
+                 "[0/3,9/9)", "[1/2,1/2]", "[0/\u0661,1/\u0662)", "[-1/1,5/2]", "(1,2]",
+                 "[3/2,2)", "(5/4,7/4)"]
+
+
+@pytest.mark.parametrize("text", LITERAL_FORMS)
+def test_literal_forms_load_as_the_chain(text):
+    space = rank2_space()
+    data = {"intervals": [text]}
+    assert SymbolicSet.from_dict(space, data) == _chain_load(space, data)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("[0/1;1/2]", SetError, "bad interval literal '[0/1;1/2]'"),
+    ("0/1,1/2", SetError, "bad interval literal '0/1,1/2'"),
+    ("[0/1,1/2", SetError, "bad interval literal '[0/1,1/2'"),
+    ("[ ,1/2]", SetError, "bad interval literal '[ ,1/2]'"),
+    ("[a,1/1]", RationalFormatError, "expected p/q form, got 'a'"),
+    ("[0/1,1/2/3]", RationalFormatError, "expected p/q form, got '1/2/3'"),
+    ("[1/0,1/1]", RationalFormatError, "zero denominator in '1/0'"),
+    ("[0/1, 1/00 ]", RationalFormatError, "zero denominator in '1/00'"),
+    ("[3/4,1/2]", SetError, "bad span bounds [3/4,1/2]"),
+    ("(2/4,1/2]", SetError, "bad span bounds (1/2,1/2]"),
+    (5, SetError, "bad interval literal 5"),
+    (None, SetError, "bad interval literal None"),
+    (["[0,1]"], SetError, "bad interval literal ['[0,1]']"),
+])
+def test_refused_literals_keep_their_message(text, error, message):
+    with pytest.raises(error) as info:
+        SymbolicSet.from_dict(X3, {"intervals": [text]})
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_loading_reads_no_span_twice(monkeypatch):
     """Builder-made sides never leave the space's intervals, so loading
     them runs no member scan and parses no span end through a Fraction."""
