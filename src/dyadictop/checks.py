@@ -271,18 +271,18 @@ def _closure_rows(table):
     """The masks over a word table's atoms that ``check_dyadic`` reads
     closures from: (iv, odd, even, one, limits, shared).  ``iv`` masks the
     interval atoms, ``odd`` those that start at an odd cut and ``even``
-    those that end at an even one; ``one`` masks the one-point atoms,
-    ``_point_atoms``' singles and the one-member sequence runs; ``limits``
-    holds a (last run, limit atom) pair of bits for each sequence whose
-    limit is in the space; and ``shared`` maps each sequence run of several
-    members that holds a limit to its size and a (last run, member index)
-    pair per such limit."""
+    those that end at an even one; ``one`` masks the one-point atoms, the
+    singles of ``WordTable.point_atoms`` and the one-member sequence runs;
+    ``limits`` holds a (last run, limit atom) pair of bits for each
+    sequence whose limit is in the space; and ``shared`` maps each
+    sequence run of several members that holds a limit to its size and a
+    (last run, member index) pair per such limit."""
     bounds, runs = table.bounds, table.runs
     iv = (1 << len(bounds) + 1) - 1
     parity = int("0" + "".join("1" if b & 1 else "0" for b in reversed(bounds)), 2)
     # atom r starts at bounds[r - 1] and ends at bounds[r]
     odd, even = parity << 1, iv >> 1 & ~parity
-    _, singles, sizes = _point_atoms(table)
+    _, singles, sizes = table.point_atoms
     first = runs[0] if runs else table.nbits
     one = singles | sum(1 << first + k for k, n in enumerate(sizes) if n == 1)
     limits, shared = [], {}
@@ -367,25 +367,6 @@ def check_dyadic(sb: DyadicSubbase) -> CheckReport:
                        tuple(counterexamples), {"pairs_checked": len(sb.pairs)})
 
 
-def _point_atoms(table) -> tuple[int, int, list[int | None]]:
-    """(finite, singles, sizes) over the atoms of a word table: ``finite``
-    masks the atoms that are finitely many points, the one-point interval
-    runs [2v, 2v + 1), the isolated points and each sequence run before
-    the last; ``singles`` masks those of them that are one point outside
-    the sequences; ``sizes[k]`` is the member count of sequence bit
-    ``table.runs[0] + k``, None for a sequence's last run."""
-    bounds, runs = table.bounds, table.runs
-    one = "".join("1" if a + 1 == e and not a & 1 else "0"
-                  for a, e in zip(reversed(bounds[:-1]), reversed(bounds[1:])))
-    first = len(bounds) + 1
-    singles = int(one + "0", 2) | ((1 << len(table.space.isolated_points())) - 1) << first
-    sizes: list[int | None] = []
-    for switches in table.switches:
-        sizes += [e - a for a, e in zip([1, *switches], switches)] + [None]
-    tail = sum(1 << k for k, n in enumerate(sizes) if n is not None)
-    return singles | tail << runs[0] if runs else singles, singles, sizes
-
-
 def degree_report(sb: DyadicSubbase, depth: int, probes=(),
                   expected_sup: int | None = None, seed: int | None = None) -> CheckReport:
     """Exact degree data from the finite boundary sets.
@@ -393,8 +374,8 @@ def degree_report(sb: DyadicSubbase, depth: int, probes=(),
     The residue of pair n is X minus both sides, the atoms of the mask of
     the space that neither side's mask holds; its points are exactly the
     points with bottom digit at n.  A residue is finite when each of its
-    atoms is (``_point_atoms``), and its size is then a popcount of its
-    one-point atoms plus the member counts of its sequence runs.  Distinct
+    atoms is (``WordTable.point_atoms``), and its size is then a popcount
+    of its one-point atoms plus the member counts of its sequence runs.  Distinct
     atoms hold distinct points, so a point falls in as many residues as
     its atom: the finite residues are added into bit-sliced counters, one
     mask per binary digit of the count, from which the degree sup and the
@@ -403,7 +384,7 @@ def degree_report(sb: DyadicSubbase, depth: int, probes=(),
     """
     eff = _effective_depth(sb, depth)
     table = sb.word_table
-    finite, singles, sizes = _point_atoms(table)
+    finite, singles, sizes = table.point_atoms
     tail_at = table.runs[0] if table.runs else table.nbits
     residues, non_finite, boundary_sizes = [], [], []
     for idx in range(eff):

@@ -4,8 +4,8 @@ The pipeline runs in three stages:
 
 1. on the perfect kernel, one pair per level from a shrinking window seed
    (core inside hull); the new zero side is the interpolated window V with
-   small regular open chunks G(word) swapped between the cells that V
-   swallows (class A) and the cells clear of cl V (class B);
+   small open intervals, the chunks G(word), swapped between the cells
+   that V swallows (class A) and the cells clear of cl V (class B);
 2. each kernel pair is extended, as soon as it is made, to a half-clopen
    pair on the full space by pushing V through the half-clopen extension
    lemma into its seed's hull_star; off the kernel the zero side is V* and
@@ -26,12 +26,13 @@ chunks' runs, the cell checks and the word of each window probe are read
 off the labels, and the window marks are the table's boundary points.
 
 The window geometry works on integer positions.  Seed windows are cuts
-over the kernel's denominator times a power of two; V's fresh ends, the
-middle-third chunks, the chunk bounds and the window probes are values
-over the table's den, or over it times a power of two or three times
-one.  A ``Fraction`` is made only for a ``ConstructionError`` witness,
-for a value written to JSON and for the build's epsilon; the sample
-points of the checks are Fractions, each made once from integers.
+over the kernel's denominator times a power of two; V's fresh ends and
+the window probes are values over the table's den times a power of two.
+A chunk is no set but three integers (d, a, b), the open interval
+(a/d, b/d) in lowest terms.  A ``Fraction`` is made only for a
+``ConstructionError`` witness, for a value written to JSON and for the
+build's epsilon; the sample points of the checks are Fractions, each made
+once from integers.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from .checks import (CheckReport, check_dyadic, check_independent, check_proper,
 from .cuts import inside, place, position, reduced, rescale
 from .lemmas import _assign_cluster, cluster_set, half_clopen_extension
 from .rational import format_rational
-from .sets import SymbolicSet, embed, kernel_set
+from .sets import SymbolicSet, _literal, embed, kernel_set
 from .space import GeometricSequence, Interval, Space, cb_kernel, scatter_clusters
 from .subbase import DyadicSubbase
 
@@ -194,7 +195,7 @@ class StepTrace:
     v: SymbolicSet
     a_words: tuple[str, ...]
     b_words: tuple[str, ...]
-    g: tuple[tuple[str, SymbolicSet], ...]
+    g: tuple[tuple[str, tuple[int, int, int]], ...]  # (word, chunk (d, a, b))
     s0: SymbolicSet
     s1: SymbolicSet
     seed: SeedEntry  # the window the level was built from
@@ -203,18 +204,22 @@ class StepTrace:
     s1_star: SymbolicSet | None = None
 
     def to_dict(self) -> dict:
+        g = {}
+        for w, (den, a, b) in self.g:
+            x, y = math.gcd(a, den), math.gcd(b, den)
+            g[w] = {"intervals": [_literal(a // x, den // x, False, b // y, den // y, False)]}
         d = {
             "level": self.level,
             "v": self.v.to_dict(),
             "a": list(self.a_words),
             "b": list(self.b_words),
-            "g": {w: s.to_dict() for w, s in self.g},
+            "g": g,
             "pair": {"zero": self.s0.to_dict(), "one": self.s1.to_dict()},
         }
         if self.v_star is not None:
             d["v_star"] = self.v_star.to_dict()
             # each starred chunk is its kernel chunk, embedded as it stands
-            d["g_star"] = {w: s.to_dict() for w, s in self.g}
+            d["g_star"] = g
             d["pair_star"] = {"zero": self.s0_star.to_dict(),
                               "one": self.s1_star.to_dict()}
         return d
@@ -314,31 +319,14 @@ class _Atoms:
 
 # -- windows and chunks --------------------------------------------------
 
-def _off_marks(table: _Atoms, anchor: int, t: int, d: int) -> tuple[int, int]:
-    """(t, d) for the value t / (den·d), den the table's, moved towards
-    the anchor, anchor / (den·d), halving the distance, until it is not a
-    marked value."""
+def _pick_between(anchor: int, limit: int, table: _Atoms) -> tuple[int, int]:
+    """(t, d) for a fresh value t / (den·d) strictly between anchor and
+    limit, values over the table's den: their midpoint, moved towards
+    anchor, halving the distance, until it is not a marked value."""
+    anchor, t, d = 2 * anchor, anchor + limit, 2
     while table.marked(t, d):
         anchor, t, d = 2 * anchor, anchor + t, 2 * d
     return t, d
-
-
-def _pick_between(anchor: int, limit: int, table: _Atoms) -> tuple[int, int]:
-    """(t, d) for a fresh value t / (den·d) strictly between anchor and
-    limit, values over the table's den: their midpoint, halving towards
-    anchor off the marks."""
-    return _off_marks(table, 2 * anchor, anchor + limit, 2)
-
-
-def _from_ends(kernel: Space, den: int, lo: tuple[int, int, int],
-               hi: tuple[int, int, int]) -> SymbolicSet:
-    """The one-span set whose ends are (t, d, bit): the value t / (den·d),
-    and with the bit the cut one step past it, so a closed lower end has
-    bit 0 and a closed upper end bit 1.  Each d is a power of two, or
-    three times one, so the larger is a multiple of the smaller."""
-    m = max(lo[1], hi[1])
-    cuts = tuple(2 * t * (m // d) + bit for t, d, bit in (lo, hi))
-    return SymbolicSet._canonical(kernel, *reduced(den * m, cuts), frozenset(), ())
 
 
 def _interpolate_window(kernel: Space, core: SymbolicSet, hull: SymbolicSet,
@@ -346,19 +334,25 @@ def _interpolate_window(kernel: Space, core: SymbolicSet, hull: SymbolicSet,
     """Regular open V with cl core ⊆ V ⊆ cl V ⊆ hull, fresh boundary
     values: each open end of the core moves to a value off the table's
     marks between it and the hull's end.  Core and hull are one span each,
-    over denominators that divide the table's."""
+    over denominators that divide the table's.  An end (t, d, bit) is the
+    value t / (den·d), d a power of two, and the bit its cut's parity."""
     den = table.den
     c0, c1 = rescale(core.cuts, den // core.den)
     h0, h1 = rescale(hull.cuts, den // hull.den)
     lo = (c0 >> 1, 1, 0) if not c0 & 1 else (*_pick_between(h0 >> 1, c0 >> 1, table), 1)
     hi = (c1 >> 1, 1, 1) if c1 & 1 else (*_pick_between(h1 >> 1, c1 >> 1, table), 0)
-    return _from_ends(kernel, den, lo, hi)
+    m = max(lo[1], hi[1])
+    cuts = tuple(2 * t * (m // d) + bit for t, d, bit in (lo, hi))
+    return SymbolicSet._canonical(kernel, *reduced(den * m, cuts), frozenset(), ())
 
 
-def _middle_third(kernel: Space, lo: int, hi: int, den: int) -> SymbolicSet:
-    """The open middle third of (lo, hi), values over den of a range inside
-    the kernel."""
-    return _from_ends(kernel, den, (2 * lo + hi, 3, 1), (lo + 2 * hi, 3, 0))  # over den·3
+def _middle_third(lo: int, hi: int, den: int) -> tuple[int, int, int]:
+    """The chunk (d, a, b) of the open middle third of (lo, hi), values
+    over den of a range inside the kernel: the interval (a/d, b/d) in
+    lowest terms."""
+    d, a, b = 3 * den, 2 * lo + hi, lo + 2 * hi
+    g = math.gcd(d, a, b)
+    return d // g, a // g, b // g
 
 
 def _check_window(table: _Atoms, trace, escapes, condition) -> None:
@@ -382,11 +376,12 @@ def _check_window(table: _Atoms, trace, escapes, condition) -> None:
 # -- kernel stage ---------------------------------------------------------
 
 def _union(kernel: Space, chunks) -> SymbolicSet:
-    """The union of disjoint one-span sets inside the kernel, in one sort."""
+    """The union of disjoint chunks (d, a, b) inside the kernel: their cuts
+    2a + 1 and 2b over the lcm of the d, in one sort."""
     chunks = list(chunks)
-    den = math.lcm(1, *(g.den for g in chunks))
-    return SymbolicSet._canonical(kernel, *reduced(den, sorted(
-        c for g in chunks for c in rescale(g.cuts, den // g.den))), frozenset(), ())
+    den = math.lcm(1, *(d for d, _, _ in chunks))
+    cuts = sorted(c for d, a, b in chunks for c in (2 * den // d * a + 1, 2 * den // d * b))
+    return SymbolicSet._canonical(kernel, *reduced(den, cuts), frozenset(), ())
 
 
 def _assemble(whole, v, cl_v, g_a, g_b) -> tuple[SymbolicSet, SymbolicSet]:
@@ -428,11 +423,11 @@ def _kernel_level(table: _Atoms, whole: SymbolicSet, n: int, entry: SeedEntry) -
     table.add(v, cl_v, entry.hull)
     a_words, b_words = _classify(table, v, cl_v)
     runs = table.first_runs(a_words + b_words)
-    g = {w: _middle_third(kernel, *runs[w], table.den) for w in runs}
+    g = {w: _middle_third(*runs[w], table.den) for w in runs}
     s0, s1 = _assemble(whole, v, cl_v, _union(kernel, (g[w] for w in a_words)),
                        _union(kernel, (g[w] for w in b_words)))
     trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1, entry)
-    _validate_pair(trace, g, runs, table.den)
+    _validate_pair(trace, runs)
     _validate_cells(table, table.split(s0, s1), trace)
     ((i, j),) = table.runs(entry.hull)
     _check_window(table, trace,
@@ -467,11 +462,11 @@ def build_independent_subbase(kernel: Space, levels: int,
     return DyadicSubbase(kernel, tuple((t.s0, t.s1) for t in traces)), traces
 
 
-def _validate_pair(trace, g, runs, den: int) -> None:
+def _validate_pair(trace, runs) -> None:
     """The new pair is a dyadic pair, and each chunk's closure lies inside
-    the run of its cell's atoms it was cut from, the run's ends values over
-    den: on the cuts, the chunk's first and last cut values lie strictly
-    between them, in order."""
+    the run (lo, hi) of its cell's atoms it was cut from.  A chunk is the
+    middle third of its run, whose closure lies strictly inside the run
+    exactly when lo < hi."""
     n = trace.level
     cl = trace.s0.closure()
     if trace.s0 != cl.interior():
@@ -480,8 +475,8 @@ def _validate_pair(trace, g, runs, den: int) -> None:
     if trace.s1 != cl.complement():
         raise ConstructionError("exterior-identity", n, {"trace": trace.to_dict()})
     for w in trace.a_words + trace.b_words:
-        (lo, hi), cuts, d = runs[w], g[w].cuts, g[w].den
-        if not cuts or not lo * d < (cuts[0] >> 1) * den < (cuts[-1] >> 1) * den < hi * d:
+        lo, hi = runs[w]
+        if lo >= hi:
             raise ConstructionError("g-inside-cell", n,
                                     {"word": w, "trace": trace.to_dict()})
 
@@ -527,18 +522,23 @@ def extend_to_proper(space: Space, levels: int, seeds: SeedFamily):
     half-clopen extension lemma into the seed's hull_star and forms
     ``s0* = s0 ∪ (V* ∩ S)`` and ``s1* = s1 ∪ (S − cl V*)``, S the scattered
     part.  No chunk reaches S, since each chunk's closure lies inside one
-    kernel component, and on the kernel V* is V (the lemma's postcondition)
-    and cl V* is cl V (checked as closure tightness).  After the kernel
-    pair's checks, each level checks that the seed's hull lies on the
-    kernel and inside its hull_star, which lies on the full space; that the
-    starred one side is the exterior of the starred zero side; and that
-    window cores resolve into hull_stars off the kernel.  Not checked, as
-    both hold by construction: the sides restrict to s0 and s1, since S
-    misses the kernel K; and they are half-clopen, since the lemma raises
+    kernel component, and on the kernel K, V* is V (the lemma raises
+    otherwise).  After the kernel pair's checks, each level checks that the
+    seed's hull lies on K and inside its hull_star, which lies on the full
+    space; that the starred one side is the exterior of the starred zero
+    side; and that window cores resolve into hull_stars off K.  Not
+    checked, as both hold by construction: the sides restrict to s0 and
+    s1, since S misses K; and they are half-clopen, since the lemma raises
     unless V* is open with ∂V* ⊆ K, so (K closed) each point of V* ∩ S or
     S − cl V* is interior to its side.  A window probe lies on K, where its
     starred word is its label in the table; only the nonempty scattered
     parts of the starred cells are built as sets.
+
+    Nor is cl V* ∩ K = cl V checked: the exterior check covers it.  Take x
+    in K ∩ cl V* − cl V.  As V* ∩ K = V, x lies in cl(V* ∩ S) ⊆ cl s0*, so
+    x is a limit of points of S, not interior to a component of K.  Each
+    chunk's closure lies strictly inside its run, inside one component, so
+    x is not in cl G_B, and x lies in s1 ⊆ s1*: s1* is not X − cl s0*.
 
     Returns the kernel subbase, the starred subbase and the starred traces.
     """
@@ -546,8 +546,7 @@ def extend_to_proper(space: Space, levels: int, seeds: SeedFamily):
     if not kernel.intervals():
         raise ConstructionError("kernel-empty", -1)
 
-    kernelS = kernel_set(space)
-    scattered = SymbolicSet.whole(space).difference(kernelS)
+    scattered = SymbolicSet.whole(space).difference(kernel_set(space))
     whole, table = SymbolicSet.whole(kernel), _Atoms(kernel)
     cells: dict[str, SymbolicSet] = {"": scattered}  # the starred cells' scattered parts
     traces: list[StepTrace] = []
@@ -558,11 +557,7 @@ def extend_to_proper(space: Space, levels: int, seeds: SeedFamily):
                 or not embed(entry.hull, space).subset_of(entry.hull_star):
             raise ConstructionError("trace-seed-mismatch", n)
         v_star = half_clopen_extension(space, tr.v, entry.hull_star)
-        cl_v_star = v_star.closure()
-        if cl_v_star.intersection(kernelS) != embed(tr.v.closure(), space):
-            raise ConstructionError("starred-closure-tightness", n,
-                                    {"trace": tr.to_dict()})
-        inside, outside = v_star.intersection(scattered), scattered.difference(cl_v_star)
+        inside, outside = v_star.intersection(scattered), scattered.difference(v_star.closure())
         s0s, s1s = embed(tr.s0, space).union(inside), embed(tr.s1, space).union(outside)
 
         tr = replace(tr, v_star=v_star, s0_star=s0s, s1_star=s1s)
@@ -732,7 +727,8 @@ def build_proper_subbase(space: Space, levels: int,
     fresh ends are moved off the marks, the points of earlier boundaries,
     and no chunk end is one: each chunk is the middle third of the first
     run of its cell's atoms, which holds no mark, since a mark's atom is
-    labelled with a ``_`` and so belongs to no cell.
+    labelled with a ``_`` and so belongs to no cell.  The traces hold each
+    chunk as (word, (d, a, b)), the interval (a/d, b/d) in lowest terms.
     """
     if degree_mode not in ("unconstrained", "match_dim"):
         raise ConstructionError("unknown-degree-mode", -1, {"mode": degree_mode})

@@ -300,6 +300,25 @@ class WordTable:
         return den, [(bit, position(a, den), position(b, den), limit)
                      for bit, a, b, limit in out]
 
+    @cached_property
+    def point_atoms(self) -> tuple[int, int, list[int | None]]:
+        """(finite, singles, sizes): ``finite`` masks the atoms that are
+        finitely many points, the one-point interval runs [2v, 2v + 1), the
+        isolated points and each sequence run before the last; ``singles``
+        masks those of them that are one point outside the sequences;
+        ``sizes[k]`` is the member count of sequence bit ``runs[0] + k``,
+        None for a sequence's last run."""
+        bounds, runs = self.bounds, self.runs
+        one = "".join("1" if a + 1 == e and not a & 1 else "0"
+                      for a, e in zip(reversed(bounds[:-1]), reversed(bounds[1:])))
+        first = len(bounds) + 1
+        singles = int(one + "0", 2) | ((1 << len(self.space.isolated_points())) - 1) << first
+        sizes: list[int | None] = []
+        for switches in self.switches:
+            sizes += [e - a for a, e in zip([1, *switches], switches)] + [None]
+        tail = sum(1 << k for k, n in enumerate(sizes) if n is not None)
+        return singles | tail << runs[0] if runs else singles, singles, sizes
+
     def inner(self, lo: Fraction, hi: Fraction) -> int:
         """The atoms that lie wholly inside the open range (lo, hi), as a
         mask: the interval runs from the first position past lo's up to

@@ -38,10 +38,10 @@ def _interpolate_window(kernel: Space, core: SymbolicSet, hull: SymbolicSet,
     return SymbolicSet(kernel, (Span(lo, lo_in, hi, hi_in),))
 
 
-def _middle_third(kernel: Space, lo: Fraction, hi: Fraction) -> SymbolicSet:
-    """The open middle third of (lo, hi)."""
+def _middle_third(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """The ends of the open middle third of (lo, hi)."""
     third = (hi - lo) / 3
-    return SymbolicSet(kernel, (Span(lo + third, False, hi - third, False),))
+    return lo + third, hi - third
 
 
 def dist_to_spans(x: Fraction, spans) -> Fraction | None:

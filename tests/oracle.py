@@ -16,6 +16,7 @@ independence walk's atom masks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -358,6 +359,20 @@ def o_independent(sb, depth: int, limit: int) -> dict:
 
 # -- the kernel stage, with every cell a set -----------------------------------
 
+def chunk_set(space: Space, chunk) -> SymbolicSet:
+    """The open interval (a/d, b/d) of a trace's chunk (d, a, b), as a set."""
+    d, a, b = chunk
+    return SymbolicSet(space, (Span(Fraction(a, d), False, Fraction(b, d), False),))
+
+
+def _o_chunk(g: SymbolicSet) -> tuple[int, int, int]:
+    """The chunk (d, a, b) of a one-span open set: d the lcm of its ends'
+    denominators, which puts (a/d, b/d) in lowest terms."""
+    (sp,) = g.spans
+    d = math.lcm(sp.lo.denominator, sp.hi.denominator)
+    return d, int(sp.lo * d), int(sp.hi * d)
+
+
 def _o_middle_third(cell: SymbolicSet, used, avoid: bool) -> SymbolicSet:
     """Open middle third of the cell's first span in ``spans`` order."""
     sp = cell.spans[0]
@@ -406,7 +421,8 @@ def o_kernel_stage(kernel, levels: int, seeds, match_dim: bool = False):
     and its closure the intersection of its sides' closures.  A window
     probe's word comes from membership in each side, and its cell must lie
     in the hull.  Window marks are the boundary points of every zero side
-    so far, as values.
+    so far, as values.  Each chunk is a set here, and goes into the trace
+    as the build keeps it, (d, a, b) for the interval (a/d, b/d).
     """
     import fraction_reference
     from dyadictop.construct import ConstructionError, StepTrace, _assemble
@@ -428,7 +444,8 @@ def o_kernel_stage(kernel, levels: int, seeds, match_dim: bool = False):
         for w in b_words:
             g_b = g_b.union(g[w])
         s0, s1 = _assemble(whole, v, cl_v, g_a, g_b)
-        trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1, entry)
+        trace = StepTrace(n, v, a_words, b_words,
+                          tuple(sorted((w, _o_chunk(c)) for w, c in g.items())), s0, s1, entry)
 
         def fail(condition, **details):
             raise ConstructionError(condition, n, {**details, "trace": trace.to_dict()})

@@ -25,7 +25,7 @@ from dyadictop.corpus import CORPUS
 
 import golden
 from instances import extension_instance, separation_instance
-from oracle import (critical_values, o_boundary, o_closure, o_interior,
+from oracle import (chunk_set, critical_values, o_boundary, o_closure, o_interior,
                     o_regularization, random_set, witnesses)
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -190,8 +190,8 @@ def _trace_violations(res):
         if a != set(tr.a_words) or b != set(tr.b_words):
             bad.append(f"level {n}: recomputed A/B classes differ from the trace")
             return bad
-        g = dict(tr.g)
-        gs = {w: embed(s, res.space) for w, s in tr.g}
+        g = {w: chunk_set(kernel, c) for w, c in tr.g}
+        gs = {w: embed(s, res.space) for w, s in g.items()}
         for w in sorted(a | b):
             gw = g.get(w)
             if gw is None or gw.is_empty or not gw.is_regular_open \

@@ -11,29 +11,32 @@ embedded chunks, that assembly is the reference for the starred pair the
 build forms from the kernel pair and the scattered part of V*.  Both facts
 are checked here, the lemma being the reference for the first and the
 sequential form for the second, on every class-level of the corpus at
-levels 1-6 in both degree modes and of two seeded draws of random spaces
-at levels 1-3, each built with the seeds of its degree mode.  On the same
-levels each starred pair restricts to its kernel pair and keeps its
-boundary inside the kernel, which the starred stage holds by construction
-and does not check.
+levels 1-6 in both degree modes, of ``rank2_space`` likewise, and of two
+seeded draws of random spaces at levels 1-3, each built with the seeds of
+its degree mode.  On the same levels each starred pair restricts to its
+kernel pair and keeps its boundary inside the kernel, and cl V* meets the
+kernel in cl V, which the starred stage holds by construction and does not
+check: a V* forged to break the last fails the starred exterior check.
 """
 from functools import reduce
 
 import pytest
 
-from dyadictop import (SymbolicSet, auto_seeds, build_proper_subbase, cb_kernel,
-                       construct, embed, extend_to_proper, half_clopen_extension,
-                       kernel_set, restrict)
+from dyadictop import (ConstructionError, SymbolicSet, auto_seeds, build_proper_subbase,
+                       cb_kernel, construct, embed, extend_to_proper,
+                       half_clopen_extension, kernel_set, restrict)
 from dyadictop.corpus import CORPUS
-from dyadictop.lemmas import check_half_clopen
+from dyadictop.lemmas import check_half_clopen, cluster_set
+from dyadictop.space import scatter_clusters
 
-from spacegen import random_spaces
+from oracle import chunk_set
+from spacegen import rank2_space, random_spaces
 
 MODES = ("unconstrained", "match_dim")
 
 
 def _cases():
-    for name, make in CORPUS.items():
+    for name, make in [*CORPUS.items(), ("rank2", rank2_space)]:
         yield from ((f"{name}-{mode}-L{n}", make(), mode, n)
                     for mode in MODES for n in range(1, 7))
     for seed in (20131018, 7):
@@ -83,7 +86,7 @@ def _one_pass(whole, v, g, a_words, b_words):
 
 def test_cases_cover_both_sources():
     assert sum(1 for c in CASES if c[0][0].isdigit()) >= 400
-    assert sum(1 for c in CASES if not c[0][0].isdigit()) == 48
+    assert sum(1 for c in CASES if not c[0][0].isdigit()) == 48 + 12
 
 
 @pytest.mark.parametrize("name,space,mode,levels", CASES, ids=[c[0] for c in CASES])
@@ -96,8 +99,10 @@ def test_class_lift_and_one_pass_sides(name, space, mode, levels):
         assert restrict(tr.s1_star, kernel) == tr.s1
         assert tr.s0_star.boundary().subset_of(on_kernel)
         assert tr.s1_star.boundary().subset_of(on_kernel)
-        g = {w: embed(s, space) for w, s in tr.g}
         cl_v_star = tr.v_star.closure()
+        assert cl_v_star.intersection(on_kernel) == embed(tr.v.closure(), space)
+        kernel_chunks = {w: chunk_set(kernel, c) for w, c in tr.g}
+        g = {w: embed(s, space) for w, s in kernel_chunks.items()}
         for words, window in (
                 (tr.a_words, lambda c: tr.v_star.intersection(c)),
                 (tr.b_words, lambda c: c.difference(cl_v_star))):
@@ -106,7 +111,7 @@ def test_class_lift_and_one_pass_sides(name, space, mode, levels):
                 assert lift == g[w], w
                 assert check_half_clopen(space, g[w], window(cells[w]), lift) == [], w
         for sides, ambient, v, chunks in (
-                ((tr.s0, tr.s1), kernel_whole, tr.v, dict(tr.g)),
+                ((tr.s0, tr.s1), kernel_whole, tr.v, kernel_chunks),
                 ((tr.s0_star, tr.s1_star), whole, tr.v_star, g)):
             assert _sequential(ambient, v, chunks, tr.a_words, tr.b_words) == sides
             assert _one_pass(ambient, v, chunks, tr.a_words, tr.b_words) == sides
@@ -125,3 +130,25 @@ def test_lemma_runs_once_per_level(name, monkeypatch):
     assert result.passed
     assert sum(len(dict(tr.g)) for tr in result.traces) > 6
     assert len(calls) == 6
+
+
+def _forged_extension(space, u, w):
+    # V* with every cluster on a kernel limit outside cl U added: still
+    # open, on the kernel still U, but its closure takes in those limits
+    v = half_clopen_extension(space, u, w)
+    cl_u = embed(u, space).closure()
+    for c in scatter_clusters(space):
+        if c.kind == "kernel" and not cl_u.membership(c.anchor):
+            v = v.union(cluster_set(space, c))
+    return v
+
+
+@pytest.mark.parametrize("name", ["interval-sequence", "rank2"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("levels", range(2, 7))
+def test_forged_closure_fails_the_exterior_check(name, mode, levels, monkeypatch):
+    space = CORPUS[name]() if name in CORPUS else rank2_space()
+    monkeypatch.setattr(construct, "half_clopen_extension", _forged_extension)
+    with pytest.raises(ConstructionError) as err:
+        build_proper_subbase(space, levels, mode)
+    assert (err.value.condition, err.value.level) == ("starred-exterior-identity", 1)

@@ -17,7 +17,7 @@ from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_space, two_intervals_point_space)
 from dyadictop.space import GeometricSequence, Interval, IsolatedPoint, Space
 
-from oracle import o_kernel_stage
+from oracle import chunk_set, o_kernel_stage
 from spacegen import random_spaces
 
 
@@ -102,7 +102,8 @@ def test_build_independent_interval_level_zero():
     (tr,) = traces
     assert tr.a_words == ("",)
     assert tr.b_words == ()
-    assert dict(tr.g)[""].render() == "(1/3,2/3)"
+    assert dict(tr.g)[""] == (3, 1, 2)
+    assert chunk_set(kernel, dict(tr.g)[""]).render() == "(1/3,2/3)"
     assert tr.s0.render() == "[0/1,1/3) u (2/3,1/1]"
     assert tr.s1.render() == "(1/3,2/3)"
 

@@ -14,6 +14,7 @@ two-span seed window is a named condition, and a build and the CLI never
 read ``SymbolicSet.spans``.
 """
 import json
+import math
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
@@ -93,9 +94,11 @@ class Spies:
         self.calls["window"] += 1
         return got
 
-    def third(self, kernel, lo, hi, den):
-        got = self.real["_middle_third"](kernel, lo, hi, den)
-        assert got == ref._middle_third(kernel, F(lo, den), F(hi, den))
+    def third(self, lo, hi, den):
+        got = self.real["_middle_third"](lo, hi, den)
+        d, a, b = got
+        assert math.gcd(d, a, b) == 1
+        assert (F(a, d), F(b, d)) == ref._middle_third(F(lo, den), F(hi, den))
         self.calls["third"] += 1
         return got
 

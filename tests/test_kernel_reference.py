@@ -28,7 +28,7 @@ from dyadictop.corpus import CORPUS
 from dyadictop.space import Interval, IsolatedPoint, Space
 
 import fraction_reference
-from oracle import o_kernel_stage
+from oracle import chunk_set, o_kernel_stage
 from spacegen import random_spaces
 
 MODES = ("unconstrained", "match_dim")
@@ -118,7 +118,8 @@ def test_first_run_in_intervals_order_matches_reference():
         _assert_same(kernel, 4, seeds, match_dim)
     _, traces = build_independent_subbase(kernel, 2, seeds=seeds)
     assert traces[1].b_words == ("1",)
-    assert dict(traces[1].g)["1"].render() == "(10/3,11/3)"
+    assert dict(traces[1].g)["1"] == (3, 10, 11)
+    assert chunk_set(kernel, dict(traces[1].g)["1"]).render() == "(10/3,11/3)"
 
 
 def _window_from_a_third(kernel, core, hull, used):

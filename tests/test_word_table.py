@@ -34,10 +34,11 @@ import pytest
 
 from dyadictop import (DyadicSubbase, GeometricSequence, Interval, IsolatedPoint,
                        Space, SubbaseError, SymbolicSet, TernaryWord,
-                       build_proper_subbase, check_independent, decode_word,
-                       degree_report, encode_point, load_subbase)
+                       build_proper_subbase, check_dyadic, check_independent,
+                       decode_word, degree_report, encode_point, load_subbase)
 from dyadictop.checks import MAX_COUNTEREXAMPLES
 from dyadictop.corpus import CORPUS, gray_pairs, interval_space
+from dyadictop.subbase import WordTable
 
 from oracle import critical_values, o_cell, o_closure, o_independent, random_set
 from spacegen import random_spaces, rank2_space
@@ -420,3 +421,22 @@ def test_one_integer_lookup_finds_each_atom(monkeypatch):
     assert any(type(x) is int for _, points, _ in cases for x in points)
     text = "\n".join(_lookup_lines(cases))
     assert hashlib.sha256(text.encode()).hexdigest() == LOOKUP_DIGEST
+
+
+def test_point_atoms_are_worked_out_once_per_table(monkeypatch):
+    # the dyadic check's closure rows and degree_report read one property
+    tables = []
+    real = WordTable.point_atoms.func
+
+    def counted(table):
+        tables.append(table)
+        return real(table)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(WordTable, "point_atoms")
+    monkeypatch.setattr(WordTable, "point_atoms", prop)
+    result = build_proper_subbase(CORPUS["interval-sequence"](), 4)
+    assert result.passed
+    sb = result.subbase
+    assert tables == [sb.word_table]
+    assert check_dyadic(sb).passed and degree_report(sb, len(sb.pairs)).passed
+    assert tables == [sb.word_table]
