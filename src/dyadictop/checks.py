@@ -23,14 +23,13 @@ per child cell, and with disjoint sides never more cells per pair than
 atoms.
 ``check_proper`` decides per candidate point, a span end of a side or a
 limit, from the rows of the few atoms around it: each row holds the sides
-that hold its atom, and one sweep over the sides' cuts makes the rows of
-all interval atoms; a failing subbase walks the words with one more bit
-per failing point.  ``degree_report`` reads each pair's residue as one
-mask and its size off popcounts and tail switches, and counts the points
-shared by several residues with bit-sliced counters, a few ANDs per
-residue mask.  ``resolution_check`` fits each probe's cells into its
-ball: one mask of the atoms inside the ball per probe, and one AND per
-cell.
+that hold its atom, read off the word table's ``rows``; a failing
+subbase walks the words with one more bit per failing point.
+``degree_report`` reads each pair's residue as one mask and its size off
+popcounts and tail switches, and counts the points shared by several
+residues with bit-sliced counters, a few ANDs per residue mask.
+``resolution_check`` fits each probe's cells into its ball: one mask of
+the atoms inside the ball per probe, and one AND per cell.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .cuts import inside, place, rescale
+from .cuts import inside, place
 from .rational import format_rational
 from .sets import SymbolicSet
 from .subbase import DyadicSubbase
@@ -114,10 +113,10 @@ def _improper_points(sb: DyadicSubbase, eff: int) -> list[tuple[Fraction, int]]:
     those points are tried.
 
     Each piece is an atom, and its row holds the bits of the first 2·eff
-    sides that hold it: one sweep over those sides' cuts, with a prefix
-    XOR, gives the row of every interval atom, and the few rows of point
-    and sequence atoms, which only the limits need, are read off the
-    masks.  Over x's pieces, ``every`` is the AND of their rows and
+    sides that hold it: an interval atom's is the table's ``rows`` entry
+    masked to those sides, and the few rows of point and sequence atoms,
+    which only the limits need, are read off the masks.  Over x's
+    pieces, ``every`` is the AND of their rows and
     ``some`` the OR.  A side in ``every`` holds every piece and so cannot
     make a word fail, and a side outside ``some`` cannot be chosen, so a
     word fails exactly through its partial sides, ``some & ~every``.  When
@@ -128,20 +127,15 @@ def _improper_points(sb: DyadicSubbase, eff: int) -> list[tuple[Fraction, int]]:
     on the table's grid, and only an improper one becomes a value.
     """
     space, table = sb.space, sb.word_table
-    den, bounds, edges = table.den, table.bounds, table.edges
+    den, bounds, edges, rows = table.den, table.bounds, table.edges, table.rows
     limits = {s.limit for s in space.sequences() if not s.open_limit}
-    rows, ends = [0] * (len(bounds) + 1), set()
-    for i, side in enumerate(table.sides[:2 * eff]):
-        for c in rescale(side.cuts, den // side.den):
-            rows[bisect_right(bounds, c)] ^= 1 << i  # side i flips at the atom c starts
-            ends.add(c & ~1)
-    for r in range(1, len(rows)):
-        rows[r] ^= rows[r - 1]  # the row of interval atom r
+    ends = {c & ~1 for cuts in table.cuts[:2 * eff] for c in cuts}
     ends -= {place(x, den)[0] for x in limits}  # tried below, with their tails
+    kept = (1 << 2 * eff) - 1  # the bits of the first 2·eff sides
 
     def row(b):
         if b < len(rows):
-            return rows[b]
+            return rows[b] & kept
         return sum((table.mask(i) >> b & 1) << i for i in range(2 * eff))
 
     def improper(atom_rows):
@@ -163,8 +157,8 @@ def _improper_points(sb: DyadicSubbase, eff: int) -> list[tuple[Fraction, int]]:
 
     out = []
     for p in ends:  # the rows of the atoms of table.end_pieces(p)
-        near = [rows[bisect_right(bounds, q)] for q in (p - 1, p + 1) if inside(edges, q)]
-        if improper([rows[bisect_right(bounds, p)], *near]):
+        near = [row(bisect_right(bounds, q)) for q in (p - 1, p + 1) if inside(edges, q)]
+        if improper([row(bisect_right(bounds, p)), *near]):
             out.append((Fraction(p >> 1, den), table.end_pieces(p)))
     for x in limits:
         pieces = rest = table.pieces(x)

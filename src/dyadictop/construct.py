@@ -19,15 +19,20 @@ restriction to the kernel pair and the half-clopen boundaries hold by
 construction; there is no backtracking, a violated condition aborts with
 the offending trace.
 
-Stages 1 and 2 share one table of kernel atoms (``_Atoms``) that every
-level cuts at its new sets and splits by its pair.  Each atom carries the
-word of its cell, so the 2^n cells are labels, not sets: the classes, the
-chunks' runs, the cell checks and the word of each window probe are read
-off the labels, and the window marks are the table's boundary points.
+Stages 1 and 2 read each level's cells off ``WordTable.rows`` of the
+kernel pairs made so far, a fresh table per level.  An atom's row has bit
+2i + d set when side d of pair i holds it, and neither bit at a point of
+pair i's boundary, so the 2^n cells are rows, not sets: a row with one
+bit of each pair is a nonempty cell, and a kernel atom whose row lacks a
+pair is a mark.  The classes, the chunks' runs, the cell checks and the
+word of each window probe are read off the rows, and V, cl V, the hull
+and the probes are placed among the table's bounds by binary search.  A
+row becomes a ``01`` word only for the trace and for an error's witness.
 
 The window geometry works on integer positions.  Seed windows are cuts
 over the kernel's denominator times a power of two; V's fresh ends and
-the window probes are values over the table's den times a power of two.
+the window probes are values over a den that places the table and the
+seed's core and hull, times a power of two.
 A chunk is no set but three integers (d, a, b), the open interval
 (a/d, b/d) in lowest terms.  A ``Fraction`` is made only for a
 ``ConstructionError`` witness, for a value written to JSON and for the
@@ -42,7 +47,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, compress, product
 
 from .checks import (CheckReport, check_dyadic, check_independent, check_proper,
                      degree_report, resolution_check)
@@ -51,7 +56,7 @@ from .lemmas import _assign_cluster, cluster_set, half_clopen_extension
 from .rational import format_rational
 from .sets import SymbolicSet, _literal, embed, kernel_set
 from .space import GeometricSequence, Interval, Space, cb_kernel, scatter_clusters
-from .subbase import DyadicSubbase
+from .subbase import DyadicSubbase, WordTable
 
 
 class ConstructionError(ValueError):
@@ -225,122 +230,81 @@ class StepTrace:
         return d
 
 
-# -- the kernel's atoms ---------------------------------------------------
+# -- the cells of a level ------------------------------------------------
 
-class _Atoms:
-    """The kernel cut into atoms, each labelled with the word of its cell.
+def _word(row: int, n: int) -> str:
+    """The word of a row with one of the two bits of each of n pairs:
+    digit i is 1 when bit 2i + 1 is set."""
+    return format(row, f"0{2 * n}b")[-2::-2]
 
-    ``bounds`` are the cuts, over ``den``, of the kernel's intervals and of
-    every set added so far, so each of those sets holds an atom whole or
-    misses it: atom r is the run of positions from ``bounds[r - 1]`` up to
-    ``bounds[r]``.  ``labels[r]`` is None off the kernel, else the atom's
-    word over the pairs split so far, with ``_`` for a pair that holds it
-    on neither side.  The cell S(w) of a word w without ``_`` is the union
-    of the atoms labelled w, and ``words`` are the words of the nonempty
-    cells.  ``marks`` are the sorted positions of the points on a pair's
-    boundary, the atoms labelled with a ``_``.
-    """
 
-    def __init__(self, kernel: Space):
-        ivs = kernel_set(kernel)
-        self.space, self.den, self.bounds, self.marks = kernel, ivs.den, list(ivs.cuts), []
-        self.labels = [None if r % 2 == 0 else "" for r in range(len(ivs.cuts) + 1)]
-        self.words = {""}
+def _cells(table: WordTable, n: int) -> tuple[dict[int, int], list[int]]:
+    """(full, marks) on the word table of the kernel's first n pairs.
+    ``full`` maps the row of each nonempty cell, one bit of each pair, to
+    its first atom in ``intervals()`` order; ``marks`` lists in order the
+    kernel's atoms whose rows lack both bits of a pair, each a point on
+    that pair's boundary.  Off the kernel a row is 0, as at a boundary
+    point or as every row before the first pair, so only the atoms of the
+    kernel's intervals are read."""
+    rows, bounds, den = table.rows, table.bounds, table.den
+    spans = [(bisect_right(bounds, position(iv.lo, den)),
+              bisect_right(bounds, position(iv.hi, den) + 1)) for iv in table.space.intervals()]
+    full = {}
+    for i, j in reversed(spans):
+        full.update(zip(reversed(rows[i:j]), range(j - 1, i - 1, -1)))
+    every = (4 ** n - 1) // 3  # the zero bit of each pair
+    lack = {w for w in full if every & ~(w | w >> 1)}
+    marks = sorted(chain.from_iterable(compress(range(i, j), map(lack.__contains__, rows[i:j]))
+                                       for i, j in spans))
+    for w in lack:
+        del full[w]
+    return full, marks
 
-    def marked(self, t: int, d: int) -> bool:
-        """Whether the value t / (den·d) is a marked value."""
-        q, r = divmod(t, d)
-        i = bisect_left(self.marks, 2 * q)
-        return not r and self.marks[i:i + 1] == [2 * q]
 
-    def runs(self, s: SymbolicSet) -> list[tuple[int, int]]:
-        """The atoms of each span of s, whose cuts the table holds, as index ranges."""
-        cuts, bounds = rescale(s.cuts, self.den // s.den), self.bounds
-        return [(bisect_right(bounds, a), bisect_right(bounds, e))
-                for a, e in zip(cuts[::2], cuts[1::2])]
+def _atom(table: WordTable, p: int, den: int) -> tuple[int, bool]:
+    """(r, starts): the table's atom r holds position p over den, and
+    starts tells whether its range starts at p.  p's value is placed on
+    the table's grid, in the gap that holds it when the grid misses it."""
+    q, rem = divmod((p >> 1) * table.den, den)
+    c = 2 * q + (rem != 0 or p & 1)
+    r = bisect_right(table.bounds, c)
+    return r, not rem and table.bounds[r - 1] == c
 
-    def refine(self, *dens: int) -> None:
-        """Take the lcm of den and dens as the table's den, rescaling the
-        bounds and the marks."""
-        den = math.lcm(self.den, *dens)
-        if den != self.den:
-            m = den // self.den
-            self.bounds = rescale(self.bounds, m)
-            self.marks = [p * m for p in self.marks]
-            self.den = den
 
-    def add(self, *sets: SymbolicSet) -> None:
-        """Cut the atoms at the cuts of the sets; each piece keeps its label."""
-        self.refine(*(s.den for s in sets))
-        den, bounds, labels = self.den, self.bounds, self.labels
-        nb, nl, i = [], [], 0
-        for c in sorted({c for s in sets for c in rescale(s.cuts, den // s.den)}):
-            r = bisect_left(bounds, c, i)
-            if bounds[r:r + 1] != [c]:
-                nb += bounds[i:r]
-                nb.append(c)
-                nl += labels[i:r + 1]  # atom r, cut at c, ends there and restarts
-                i = r
-        self.bounds, self.labels = nb + bounds[i:], nl + labels[i:]
-
-    def split(self, s0: SymbolicSet, s1: SymbolicSet) -> list[int]:
-        """Cut the atoms at the pair's cuts, and append to each label the
-        digit of the side that holds the atom, or ``_`` on the kernel where
-        neither does, at a point of the pair's boundary, which joins the
-        marks.  Returns the atoms of those points."""
-        self.add(s0, s1)
-        labels = self.labels
-        new = [None if w is None else w + "_" for w in labels]
-        for digit, side in (("0", s0), ("1", s1)):
-            for i, j in self.runs(side):
-                new[i:j] = [w + digit for w in labels[i:j]]
-        residue = [r for r, w in enumerate(new) if w is not None and w[-1] == "_"]
-        self.labels = new
-        self.words = {w for w in set(new) if w is not None and "_" not in w}
-        self.marks = sorted({*self.marks, *(self.bounds[r - 1] for r in residue)})
-        return residue
-
-    def first_runs(self, words) -> dict[str, tuple[int, int]]:
-        """The ends of each word's first run of atoms, in ``intervals()``
-        order, as values over den."""
-        first, bounds, labels, den = {}, self.bounds, self.labels, self.den
-        for iv in reversed(self.space.intervals()):
-            i = bisect_right(bounds, position(iv.lo, den))
-            j = bisect_right(bounds, position(iv.hi, den) + 1)
-            first.update(zip(reversed(labels[i:j]), range(j - 1, i - 1, -1)))
-        out = {}
-        for w in words:
-            r = e = first[w]
-            while labels[e + 1] == w:
-                e += 1
-            out[w] = bounds[r - 1] >> 1, bounds[e] >> 1
-        return out
+def _span(table: WordTable, s: SymbolicSet) -> tuple[int, int, int, int]:
+    """(i, j, k, l) for a set of one span: the table's atoms i to j - 1
+    lie inside it, and atoms k to l - 1 meet it."""
+    lo, hi = s.cuts
+    (a, at_a), (b, at_b) = _atom(table, lo, s.den), _atom(table, hi, s.den)
+    return a + (not at_a), b, a, b + (not at_b)
 
 
 # -- windows and chunks --------------------------------------------------
 
-def _pick_between(anchor: int, limit: int, table: _Atoms) -> tuple[int, int]:
+def _pick_between(anchor: int, limit: int, marks) -> tuple[int, int]:
     """(t, d) for a fresh value t / (den·d) strictly between anchor and
-    limit, values over the table's den: their midpoint, moved towards
-    anchor, halving the distance, until it is not a marked value."""
+    limit, values over a den that places them: their midpoint, moved
+    towards anchor, halving the distance, until its position over den is
+    none of ``marks``."""
     anchor, t, d = 2 * anchor, anchor + limit, 2
-    while table.marked(t, d):
+    while not t % d and t // d * 2 in marks:
         anchor, t, d = 2 * anchor, anchor + t, 2 * d
     return t, d
 
 
 def _interpolate_window(kernel: Space, core: SymbolicSet, hull: SymbolicSet,
-                        table: _Atoms) -> SymbolicSet:
+                        grid) -> SymbolicSet:
     """Regular open V with cl core ⊆ V ⊆ cl V ⊆ hull, fresh boundary
-    values: each open end of the core moves to a value off the table's
-    marks between it and the hull's end.  Core and hull are one span each,
-    over denominators that divide the table's.  An end (t, d, bit) is the
-    value t / (den·d), d a power of two, and the bit its cut's parity."""
-    den = table.den
+    values: each open end of the core moves to a value off the marks
+    between it and the hull's end.  ``grid`` is (den, marks): den places
+    core and hull, one span each, and marks holds the marks' positions
+    over den.  An end (t, d, bit) is the value t / (den·d), d a power of
+    two, and the bit its cut's parity."""
+    den, marks = grid
     c0, c1 = rescale(core.cuts, den // core.den)
     h0, h1 = rescale(hull.cuts, den // hull.den)
-    lo = (c0 >> 1, 1, 0) if not c0 & 1 else (*_pick_between(h0 >> 1, c0 >> 1, table), 1)
-    hi = (c1 >> 1, 1, 1) if c1 & 1 else (*_pick_between(h1 >> 1, c1 >> 1, table), 0)
+    lo = (c0 >> 1, 1, 0) if not c0 & 1 else (*_pick_between(h0 >> 1, c0 >> 1, marks), 1)
+    hi = (c1 >> 1, 1, 1) if c1 & 1 else (*_pick_between(h1 >> 1, c1 >> 1, marks), 0)
     m = max(lo[1], hi[1])
     cuts = tuple(2 * t * (m // d) + bit for t, d, bit in (lo, hi))
     return SymbolicSet._canonical(kernel, *reduced(den * m, cuts), frozenset(), ())
@@ -355,21 +319,30 @@ def _middle_third(lo: int, hi: int, den: int) -> tuple[int, int, int]:
     return d // g, a // g, b // g
 
 
-def _check_window(table: _Atoms, trace, escapes, condition) -> None:
-    """Raise ``condition`` at the first probe of the trace's window core whose
-    word, its atom's label, is one of ``escapes``: the words of the cells
-    that leave the hull.  The probes are the midpoints between consecutive
-    marks inside the core, its ends counted as marks.  With its ends at
-    the even positions u and w over the table's den, which places the
-    core, a probe sits at position (u + w) / 2, and its value is made only
-    for the witness."""
-    core, marks, den = trace.seed.core, table.marks, table.den
+def _probes(table: WordTable, marks, core: SymbolicSet) -> list[tuple[int, int, int]]:
+    """(t, d, row) for each probe of a window core: its value t / d and
+    its atom's row in the table.  The probes are the midpoints between
+    consecutive marks inside the core, its ends counted as marks.  With
+    its ends at the even positions u and w over a den that places the core
+    and the table, a probe sits at position (u + w) / 2."""
+    den = math.lcm(table.den, core.den)
     lo, hi = ((c >> 1) * 2 * (den // core.den) for c in core.cuts)
-    ends = [lo, *marks[bisect_right(marks, lo):bisect_left(marks, hi)], hi]
-    for u, w in zip(ends, ends[1:]):
-        if table.labels[bisect_right(table.bounds, (u + w) >> 1)] in escapes:
+    (a, _), (b, _) = _atom(table, lo, den), _atom(table, hi, den)
+    m = den // table.den
+    inner = marks[bisect_right(marks, a):bisect_left(marks, b)]
+    ends = [lo, *(table.bounds[r - 1] * m for r in inner), hi]
+    return [(u + w, 4 * den, table.rows[_atom(table, (u + w) >> 1, den)[0]])
+            for u, w in zip(ends, ends[1:])]
+
+
+def _check_window(probes, trace, escapes, condition) -> None:
+    """Raise ``condition`` at the first probe of the trace's window core
+    whose row is one of ``escapes``, the rows of the cells that leave the
+    hull; a probe's value is made only for the witness."""
+    for t, d, row in probes:
+        if row in escapes:
             raise ConstructionError(condition, trace.level,
-                                    {"probe": format_rational(Fraction(u + w, 4 * den)),
+                                    {"probe": format_rational(Fraction(t, d)),
                                      "trace": trace.to_dict()})
 
 
@@ -391,14 +364,20 @@ def _assemble(whole, v, cl_v, g_a, g_b) -> tuple[SymbolicSet, SymbolicSet]:
             whole.difference(cl_v).difference(g_b.closure()).union(g_a))
 
 
-def _classify(table: _Atoms, v, cl_v) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Words of the cells inside V (class A: no atom outside V's) and of
-    those clear of cl V (class B: no atom among cl V's)."""
-    labels = table.labels
-    ((i, j),), ((k, m),) = table.runs(v), table.runs(cl_v)
-    a_words = table.words.intersection(labels[i:j]).difference(labels[:i], labels[j:])
-    b_words = table.words.difference(labels[k:m])
-    return tuple(sorted(a_words)), tuple(sorted(b_words))
+def _classify(table: WordTable, full, v, cl_v) -> tuple[set[int], set[int]]:
+    """Rows of the cells inside V (class A: no atom of the kernel outside
+    V's) and of those clear of cl V (class B: no atom among cl V's).  An
+    atom off the kernel has row 0, the row of the one cell before the
+    first pair, so only the kernel's atoms, between its edges, count
+    against class A."""
+    rows, bounds = table.rows, table.bounds
+    i, j, _, _ = _span(table, v)
+    _, _, k, l = _span(table, cl_v)
+    edges = [bisect_right(bounds, e) for e in table.edges]
+    outside = set()
+    for a, e in zip(edges[::2], edges[1::2]):  # the kernel's atoms a to e - 1
+        outside.update(rows[a:min(e, i)], rows[max(a, j):e])
+    return full.keys() & set(rows[i:j]) - outside, full.keys() - set(rows[k:l])
 
 
 def _entries(seeds: SeedFamily, levels: int) -> tuple[SeedEntry, ...]:
@@ -409,31 +388,51 @@ def _entries(seeds: SeedFamily, levels: int) -> tuple[SeedEntry, ...]:
     return seeds.entries[:levels]
 
 
-def _kernel_level(table: _Atoms, whole: SymbolicSet, n: int, entry: SeedEntry) -> StepTrace:
-    """Pair n on the table's kernel from the seed entry, validated, with the
-    table cut at V, cl V, the hull and the pair, and split by the pair."""
+def _kernel_level(table: WordTable, full, marks, whole, n: int,
+                  entry: SeedEntry) -> StepTrace:
+    """Pair n on the kernel from the seed entry and the cells of the table
+    of the pairs before it, with each chunk checked against its run."""
     kernel = table.space
     if len(entry.core.cuts) != 2 or len(entry.hull.cuts) != 2:
         raise ConstructionError("seed-window-not-one-span", n,
                                 {"window": {"core": entry.core.to_dict(),
                                             "hull": entry.hull.to_dict()}})
-    table.refine(entry.core.den, entry.hull.den)
-    v = _interpolate_window(kernel, entry.core, entry.hull, table)
+    den, bounds = math.lcm(table.den, entry.core.den, entry.hull.den), table.bounds
+    m = den // table.den
+    v = _interpolate_window(kernel, entry.core, entry.hull,
+                            (den, {bounds[r - 1] * m for r in marks}))
     cl_v = v.closure()
-    table.add(v, cl_v, entry.hull)
-    a_words, b_words = _classify(table, v, cl_v)
-    runs = table.first_runs(a_words + b_words)
+    a_rows, b_rows = _classify(table, full, v, cl_v)
+    words = {w: _word(w, n) for w in a_rows | b_rows}
+    runs = {words[w]: (bounds[full[w] - 1] >> 1, bounds[full[w]] >> 1) for w in words}
+    a_words, b_words = (tuple(sorted(words[w] for w in c)) for c in (a_rows, b_rows))
     g = {w: _middle_third(*runs[w], table.den) for w in runs}
     s0, s1 = _assemble(whole, v, cl_v, _union(kernel, (g[w] for w in a_words)),
                        _union(kernel, (g[w] for w in b_words)))
     trace = StepTrace(n, v, a_words, b_words, tuple(sorted(g.items())), s0, s1, entry)
     _validate_pair(trace, runs)
-    _validate_cells(table, table.split(s0, s1), trace)
-    ((i, j),) = table.runs(entry.hull)
-    _check_window(table, trace,
-                  table.words.intersection(table.labels[:i] + table.labels[j:]),
-                  "seed-window-containment")
     return trace
+
+
+def _kernel_levels(kernel: Space, entries):
+    """Yield, level by level, the validated trace of each pair on the
+    kernel and the probes of its window core.  Each level reads its cells
+    off a fresh table of the pairs before it, and is checked on the table
+    with its own pair added, which places the probes."""
+    whole, pairs = SymbolicSet.whole(kernel), ()
+    table = DyadicSubbase(kernel, pairs).word_table
+    full, marks = _cells(table, 0)
+    for n, entry in enumerate(entries):
+        trace = _kernel_level(table, full, marks, whole, n, entry)
+        pairs += ((trace.s0, trace.s1),)
+        table = DyadicSubbase(kernel, pairs).word_table
+        full, marks = _cells(table, n + 1)
+        _validate_cells(table, full, marks, trace)
+        probes = _probes(table, marks, entry.core)
+        i, j, _, _ = _span(table, entry.hull)
+        _check_window(probes, trace, full.keys() & {*table.rows[:i], *table.rows[j:]},
+                      "seed-window-containment")
+        yield trace, probes
 
 
 def build_independent_subbase(kernel: Space, levels: int,
@@ -441,12 +440,12 @@ def build_independent_subbase(kernel: Space, levels: int,
                               match_dim: bool = False):
     """Pairs on a nonempty perfect space, one per level.
 
-    The cells are labels on one table of atoms (``_Atoms``) that each level
-    cuts at V, cl V, the hull and the new pair, and splits by the pair.
-    Validated at every level: the one side is the exterior of the zero
-    side, each chunk lies inside its cell, every full cell is nonempty,
-    closures distribute over every full cell, and window cores resolve into
-    their hulls.  Returns the subbase together with the per-level traces.
+    Each level reads its cells off the word table of the pairs made so far
+    (``_kernel_levels``).  Validated at every level: the one side is the
+    exterior of the zero side, each chunk lies inside its cell, every full
+    cell is nonempty, closures distribute over every full cell, and window
+    cores resolve into their hulls.  Returns the subbase together with the
+    per-level traces.
     """
     if any(not isinstance(p, Interval) for p in kernel.primitives):
         raise ConstructionError("kernel-not-perfect", -1)
@@ -456,9 +455,7 @@ def build_independent_subbase(kernel: Space, levels: int,
         raise ConstructionError("kernel-empty", -1)
     if seeds is None:
         seeds = auto_seeds(kernel, levels, match_dim)
-    whole, table = SymbolicSet.whole(kernel), _Atoms(kernel)
-    traces = [_kernel_level(table, whole, n, entry)
-              for n, entry in enumerate(_entries(seeds, levels))]
+    traces = [t for t, _ in _kernel_levels(kernel, _entries(seeds, levels))]
     return DyadicSubbase(kernel, tuple((t.s0, t.s1) for t in traces)), traces
 
 
@@ -481,35 +478,39 @@ def _validate_pair(trace, runs) -> None:
                                     {"word": w, "trace": trace.to_dict()})
 
 
-def _validate_cells(table: _Atoms, residue, trace) -> None:
+def _validate_cells(table: WordTable, full, marks, trace) -> None:
     """Every new cell is nonempty, and cl S(w) is the intersection of the
     closures of w's sides for every new word w, reported at the first word
     in canonical order that fails either.
 
     The previous level holds the identity for the shorter words, and the
     new sides are open, so it can fail only at a boundary point x of the
-    new pair, an atom of ``residue``.  The sides are regular open, so the
-    atoms either side of x, both on the kernel, hold every side that meets
-    x's pieces, and their labels are full words.  A word fails at x exactly
-    when each of its digits is one of theirs there and it is neither; one
-    exists when the two differ before the last digit.
+    new pair, a mark whose row lacks both of the pair's bits.  The sides
+    are regular open, so the atoms either side of x, both on the kernel,
+    hold every side that meets x's pieces, and their rows are full.  A
+    word fails at x exactly when each of its digits is one of theirs there
+    and it is neither; one exists when the two differ before the last
+    digit.  Words are made only for a failure.
     """
-    n, labels, words = trace.level, table.labels, table.words
+    n, rows = trace.level, table.rows
     bad = []
-    if len(words) < 2 ** (n + 1):
+    if len(full) < 2 ** (n + 1):
+        words = {_word(w, n + 1) for w in full}
         bad.append(next(w for w in map("".join, product("01", repeat=n + 1))
                         if w not in words))
-    for k in residue:
-        left, right = labels[k - 1], labels[k + 1]
-        if left in words and right in words and left[:-1] != right[:-1]:
+    before = (1 << 2 * n) - 1  # the bits of the earlier pairs
+    for r in marks:
+        left, right = rows[r - 1], rows[r + 1]
+        if not rows[r] >> 2 * n & 3 and left in full and right in full and (left ^ right) & before:
+            left, right = _word(left, n + 1), _word(right, n + 1)
             choices = [sorted({a, b}) for a, b in zip(left, right)]
             bad.append(next(w for w in map("".join, product(*choices))
                             if w not in (left, right)))
     if bad:
         w = min(bad)
         raise ConstructionError(
-            "closure-product-identity" if w in words else "cells-nonempty", n,
-            {"word": w[:-1], "trace": trace.to_dict()})
+            "closure-product-identity" if w in {_word(r, n + 1) for r in full}
+            else "cells-nonempty", n, {"word": w[:-1], "trace": trace.to_dict()})
 
 
 # -- starred stage --------------------------------------------------------
@@ -517,11 +518,11 @@ def _validate_cells(table: _Atoms, residue, trace) -> None:
 def extend_to_proper(space: Space, levels: int, seeds: SeedFamily):
     """Kernel pairs and the half-clopen pairs on the full space restricting to them.
 
-    Each level makes pair n on one kernel atom table (``_Atoms``), as
-    ``build_independent_subbase`` does, then lifts its window V through the
-    half-clopen extension lemma into the seed's hull_star and forms
-    ``s0* = s0 ∪ (V* ∩ S)`` and ``s1* = s1 ∪ (S − cl V*)``, S the scattered
-    part.  No chunk reaches S, since each chunk's closure lies inside one
+    Each level makes pair n off the word table of the kernel pairs before
+    it, as ``build_independent_subbase`` does, then lifts its window V
+    through the half-clopen extension lemma into the seed's hull_star and
+    forms ``s0* = s0 ∪ (V* ∩ S)`` and ``s1* = s1 ∪ (S − cl V*)``, S the
+    scattered part.  No chunk reaches S, since each chunk's closure lies inside one
     kernel component, and on the kernel K, V* is V (the lemma raises
     otherwise).  After the kernel pair's checks, each level checks that the
     seed's hull lies on K and inside its hull_star, which lies on the full
@@ -531,8 +532,9 @@ def extend_to_proper(space: Space, levels: int, seeds: SeedFamily):
     s1, since S misses K; and they are half-clopen, since the lemma raises
     unless V* is open with ∂V* ⊆ K, so (K closed) each point of V* ∩ S or
     S − cl V* is interior to its side.  A window probe lies on K, where its
-    starred word is its label in the table; only the nonempty scattered
-    parts of the starred cells are built as sets.
+    starred word is its row in the table of the pairs through n; only the
+    nonempty scattered parts of the starred cells are built as sets, keyed
+    by the same rows.
 
     Nor is cl V* ∩ K = cl V checked: the exterior check covers it.  Take x
     in K ∩ cl V* − cl V.  As V* ∩ K = V, x lies in cl(V* ∩ S) ⊆ cl s0*, so
@@ -547,12 +549,11 @@ def extend_to_proper(space: Space, levels: int, seeds: SeedFamily):
         raise ConstructionError("kernel-empty", -1)
 
     scattered = SymbolicSet.whole(space).difference(kernel_set(space))
-    whole, table = SymbolicSet.whole(kernel), _Atoms(kernel)
-    cells: dict[str, SymbolicSet] = {"": scattered}  # the starred cells' scattered parts
+    cells: dict[int, SymbolicSet] = {0: scattered}  # the starred cells' scattered parts, by row
     traces: list[StepTrace] = []
 
-    for n, entry in enumerate(_entries(seeds, levels)):
-        tr = _kernel_level(table, whole, n, entry)
+    for tr, probes in _kernel_levels(kernel, _entries(seeds, levels)):
+        n, entry = tr.level, tr.seed
         if entry.hull.space != kernel or entry.hull_star.space != space \
                 or not embed(entry.hull, space).subset_of(entry.hull_star):
             raise ConstructionError("trace-seed-mismatch", n)
@@ -565,10 +566,10 @@ def extend_to_proper(space: Space, levels: int, seeds: SeedFamily):
         if s0s != cl.interior() or s1s != cl.complement():
             raise ConstructionError("starred-exterior-identity", n,
                                     {"trace": tr.to_dict()})
-        cells = {w + d: c for w, cell in cells.items()
-                 for d, side in (("0", inside), ("1", outside))
+        cells = {w | 1 << 2 * n + d: c for w, cell in cells.items()
+                 for d, side in enumerate((inside, outside))
                  if not (c := cell.intersection(side)).is_empty}
-        _check_window(table, tr,
+        _check_window(probes, tr,
                       {w for w, c in cells.items() if not c.subset_of(entry.hull_star)},
                       "starred-window-containment")
         traces.append(tr)
@@ -723,11 +724,14 @@ def build_proper_subbase(space: Space, levels: int,
     kernel part, the degree survey on ``PROBE_COUNT`` sample points, and
     the resolution probe at ``epsilon`` (achieved resolution when not
     given).  ``match_dim`` mode differs only in its seeds: a lone window
-    on two or more components is half a component.  In either mode V's
+    on two or more components is half a component.  It expects degree sup
+    1 on a space with a kernel, which only a window pair's boundary gives,
+    so it refuses such a space at ``levels`` 0.  In either mode V's
     fresh ends are moved off the marks, the points of earlier boundaries,
-    and no chunk end is one: each chunk is the middle third of the first
-    run of its cell's atoms, which holds no mark, since a mark's atom is
-    labelled with a ``_`` and so belongs to no cell.  The traces hold each
+    and no chunk end is one: each chunk is the middle third of its cell's
+    first atom in the word table of the pairs before it, which holds no
+    mark, since a mark's row lacks both bits of a pair and so belongs to
+    no cell.  The traces hold each
     chunk as (word, (d, a, b)), the interval (a/d, b/d) in lowest terms.
     """
     if degree_mode not in ("unconstrained", "match_dim"):
@@ -735,6 +739,8 @@ def build_proper_subbase(space: Space, levels: int,
     kernel = cb_kernel(space).kernel
     tail_depth = levels + 2
     match = degree_mode == "match_dim"
+    if match and levels == 0 and kernel.intervals():
+        raise ConstructionError("match-dim-without-levels", -1)
 
     if kernel.intervals() and levels > 0:
         seeds = auto_seeds(space, levels, match)

@@ -8,15 +8,17 @@ Both directions of the coding read the subbase's ``WordTable``, built on
 first use.  The table cuts the space into atoms that every side holds whole
 or misses whole: the runs of interval positions between consecutive cuts of
 any side, the isolated points, and each sequence's runs of members between
-consecutive tail switches of any side.  Each side is one integer mask over
-the atoms, built on first use, and the masks are the only record of which
-atoms a side holds.  One integer lookup finds a point's atom, whose word is
-read off the masks the first time a point in it is asked for; a cell S(word)
-is the AND of its sides' masks, read back as a set in one pass; the
-dyadic check reads each pair's verdict off its two masks and the atoms
-their closures touch; the properness check reads off the masks which sides
-meet the pieces around a point; and the resolution check fits cells into
-a ball by their masks.
+consecutive tail switches of any side.  Which sides hold which atoms is
+one atoms × sides matrix, read two ways, each built on first use: each
+side's column is one integer mask over the atoms, and each interval
+atom's row one integer over the sides.  One integer lookup finds a point's
+atom, whose word is read off the masks the first time a point in it is
+asked for; a cell S(word) is the AND of its sides' masks, read back as a
+set in one pass; the dyadic check reads each pair's verdict off its two
+masks and the atoms their closures touch; the properness check reads off
+the rows which sides meet the pieces around a point; the resolution check
+fits cells into a ball by their masks; and the construction reads each
+level's cells off the rows of the pairs made so far.
 """
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, chain
+from operator import xor
 
 from .cuts import inside, place, position, reduced, rescale
 from .rational import RationalFormatError
@@ -145,17 +149,18 @@ class WordTable:
 
     ``sides`` lists the sides pair by pair, ``den`` is the lcm of their
     denominators and the space's, ``edges`` the cuts of the space's
-    intervals rescaled to it, and ``bounds`` the sorted union of the sides'
-    cuts, rescaled to it, and the edges, so each interval run lies in the
-    space or misses it.
+    intervals rescaled to it, ``cuts`` each side's cuts rescaled to it, and
+    ``bounds`` the sorted union of the sides' cuts and the edges, so each
+    interval run lies in the space or misses it.
     ``switches[j]`` is the sorted union of the sides' tail switches of
     sequence j.  Every side holds all of an atom or none of it, and each
     atom is one bit: interval run r, the run of bounds a position falls in,
     is bit r, isolated point i is bit ``len(bounds) + 1 + i``, and run r of
     sequence j, the run of switches an index falls in, is bit
-    ``runs[j] + r``.  ``masks`` keeps the masks built so far, by side, and
-    ``words`` one word per atom bit.  ``atom`` finds a point's bit in one
-    integer lookup, the only path from a point to its atom.
+    ``runs[j] + r``.  ``masks`` keeps the masks built so far, by side,
+    ``rows`` the row of each interval atom, and ``words`` one word per atom
+    bit.  ``atom`` finds a point's bit in one integer lookup, the only path
+    from a point to its atom.
     """
 
     def __init__(self, sb: DyadicSubbase):
@@ -164,8 +169,8 @@ class WordTable:
         ivs = kernel_set(sb.space)  # the union of the space's intervals
         self.den = math.lcm(ivs.den, *(side.den for side in self.sides))
         self.edges = rescale(ivs.cuts, self.den // ivs.den)
-        self.bounds = sorted({*self.edges, *(p for side in self.sides
-                                             for p in rescale(side.cuts, self.den // side.den))})
+        self.cuts = [rescale(side.cuts, self.den // side.den) for side in self.sides]
+        self.bounds = list(dict.fromkeys(sorted(chain(self.edges, *self.cuts))))
         self.switches = [sorted({k for side in self.sides for k in side.tails[j].switches})
                          for j in range(len(sb.space.sequences()))]
         self.words: dict[int, TernaryWord] = {}
@@ -247,7 +252,7 @@ class WordTable:
         if m is not None:
             return m
         side, bounds = self.sides[i], self.bounds
-        flips = [bisect_right(bounds, p) for p in rescale(side.cuts, self.den // side.den)]
+        flips = [bisect_right(bounds, p) for p in self.cuts[i]]
         if side.points:
             first = len(bounds) + 1
             for n, p in enumerate(self.space.isolated_points(), first):
@@ -268,6 +273,20 @@ class WordTable:
         m &= (1 << self.nbits) - 1
         self.masks[i] = m
         return m
+
+    @cached_property
+    def rows(self) -> list[int]:
+        """The row of each interval atom, bit i set when side i holds it:
+        each cut of side i flips bit i at its bound, the start of an atom,
+        and a prefix XOR over the bounds in order fills the runs between.
+        An atom off the space's intervals, or at a boundary point of pair
+        i, has neither bit 2i nor bit 2i + 1."""
+        flip = dict.fromkeys(self.bounds, 0)
+        for i, cuts in enumerate(self.cuts):
+            bit = 1 << i
+            for p in cuts:
+                flip[p] ^= bit
+        return list(accumulate(flip.values(), xor, initial=0))
 
     @cached_property
     def whole(self) -> int:

@@ -10,6 +10,10 @@ to alter the output:
 
 ``--draws`` writes nothing: it prints one sha256 over the draw set
 (``draws``), so that two trees are compared by running it in each.
+``test_acceptance.DRAWS_DIGEST`` pins that sha256 with its build and
+failure counts; like the files and ``hashes.json``, the pin moves only
+with a change that means to alter the output, and then to what
+``--draws`` prints.
 """
 import argparse
 import hashlib

@@ -123,6 +123,16 @@ def test_golden_hashes():
     assert got == want
 
 
+# sha256, builds and failed builds of ``golden.draws_digest``
+DRAWS_DIGEST = ("dfa24f5f39d3a280c6d21df9c4408ebe69845a3cc2583f3e6e65a2d40d491cf6", 1962, 14)
+
+
+def test_draws_digest():
+    """The draw set, corpus, ``spacegen`` and fault F1 builds with their
+    errors, hashes to its pinned sha256."""
+    assert golden.draws_digest() == DRAWS_DIGEST
+
+
 # -- criterion 2: degree matches dimension --------------------------------
 
 def test_criterion_2_degree():

@@ -307,6 +307,18 @@ def test_failed_construction_prints_details(space_file, capsys):
     ]
 
 
+def test_match_dim_at_level_zero_is_refused(space_file, tmp_path, capsys):
+    # a space with a kernel needs a window pair for degree 1; one without
+    # a kernel still builds at level 0
+    assert main(["build", space_file, "--levels", "0", "--degree-mode", "match_dim"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: construction failed at level -1: match-dim-without-levels"]
+    assert main(["build", space_file, "--levels", "0"]) == 0
+    path = tmp_path / "sequence.json"
+    path.write_text(json.dumps(converging_sequence_space().to_dict()))
+    assert main(["build", str(path), "--levels", "0", "--degree-mode", "match_dim"]) == 0
+
+
 @pytest.mark.parametrize("epsilon", ["0", "-1/2"])
 def test_epsilon_limit(space_file, capsys, epsilon):
     # an empty resolution ball is refused before the build runs

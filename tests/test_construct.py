@@ -374,6 +374,61 @@ def test_build_proper_member_anchored_cluster(levels, mode):
         ["dyadic", "proper", "independent", "degree", "resolution"]
 
 
+@pytest.mark.parametrize("name", [n for n in CORPUS if n != "converging-sequence"])
+def test_match_dim_at_level_zero_needs_a_window_pair(name):
+    # with a kernel, degree sup 1 needs a kernel pair's boundary
+    with pytest.raises(ConstructionError) as err:
+        build_proper_subbase(CORPUS[name](), 0, degree_mode="match_dim")
+    assert (err.value.condition, err.value.level, err.value.details) == \
+        ("match-dim-without-levels", -1, {})
+    assert build_proper_subbase(CORPUS[name](), 0).passed
+
+
+@pytest.mark.parametrize("mode", ["unconstrained", "match_dim"])
+def test_level_zero_without_a_kernel_builds(mode):
+    res = build_proper_subbase(converging_sequence_space(), 0, degree_mode=mode)
+    assert res.passed and len(res.kernel_subbase) == 0
+
+
+def test_checks_make_their_own_word_tables(monkeypatch):
+    # every table a level reads its cells off is the construction's own:
+    # none of them is the table of a subbase that a report's check reads
+    built, checked = [], []
+    real_cells = construct._cells
+
+    def cells(table, n):
+        built.append(table)
+        return real_cells(table, n)
+    monkeypatch.setattr(construct, "_cells", cells)
+    for name in ("check_dyadic", "check_proper", "check_independent",
+                 "degree_report", "resolution_check"):
+        def check(sb, *args, _real=getattr(construct, name), **kwargs):
+            report = _real(sb, *args, **kwargs)
+            checked.append(sb.__dict__.get("word_table"))
+            return report
+        monkeypatch.setattr(construct, name, check)
+    res = build_proper_subbase(interval_sequence_space(), 4)
+    assert res.passed and len(built) == 5 and len(checked) == 5
+    assert all(t is not None for t in checked[:2])
+    assert not {id(t) for t in checked} & {id(t) for t in built}
+
+
+def test_values_off_the_table_grid_fall_in_their_gap():
+    # [0,1] cut at the mark 1/2 into the atoms [0,1/2), {1/2} and (1/2,1]
+    # over the table's den 2; positions over a finer den land in the atom
+    # that holds their value, and start it only on its bound
+    space = interval_space()
+    zero = SymbolicSet.region(space, [(F(0), True, F(1, 2), False)])
+    table = DyadicSubbase.from_zero_sides(space, [zero]).word_table
+    assert (table.den, table.bounds) == (2, [0, 2, 3, 5])
+    assert construct._atom(table, 4, 4) == (2, True)  # 1/2
+    assert construct._atom(table, 5, 4) == (3, True)  # just past 1/2
+    assert construct._atom(table, 10, 8) == (3, False)  # 5/8
+    assert construct._atom(table, 6, 8) == (1, False)  # 3/8
+    window = SymbolicSet.region(space, [(F(1, 4), False, F(5, 8), False)])
+    assert construct._span(table, window) == (2, 3, 1, 4)
+
+
 def test_build_proper_rejects_unknown_mode():
     with pytest.raises(ConstructionError):
         build_proper_subbase(interval_space(), 2, degree_mode="fancy")

@@ -7,9 +7,10 @@ and ``WordTable.inner`` is compared with its reference on the same inputs
 as values: the corpus at levels 1-6 and ``spacegen`` draws at levels 1-4,
 each in both degree modes, and the equidistant point of fault F1 in both
 listings at levels 1-10, where the nearer-side rule breaks ties.  On the
-same builds, no mark lies strictly inside the range a chunk is cut from
-(a cell's run of atoms never holds a mark, whose atom is labelled with a
-``_``), so ``_middle_third`` never has to move an end off the marks.  A
+same builds, no mark lies strictly inside the first atom of a cell, the
+range a chunk is cut from, in any word table a level reads (a mark's row
+lacks both bits of a pair, so it is no cell's), so ``_middle_third``
+never has to move an end off the marks.  A
 two-span seed window is a named condition, and a build and the CLI never
 read ``SymbolicSet.spans``.
 """
@@ -51,9 +52,10 @@ def _cases():
 CASES = list(_cases())
 
 
-def _used(table):
-    """The table's marks as values, the ``used`` set of the references."""
-    return {F(p >> 1, table.den) for p in table.marks}
+def _used(den, marks):
+    """Mark positions over den as values, the ``used`` set of the
+    references."""
+    return {F(p >> 1, den) for p in marks}
 
 
 class Spies:
@@ -62,35 +64,33 @@ class Spies:
 
     def __init__(self, monkeypatch):
         self.calls = dict.fromkeys(
-            ("pick", "window", "third", "runs", "nearer", "sample", "inner"), 0)
+            ("pick", "window", "third", "cells", "nearer", "sample", "inner"), 0)
         self.ties = 0
         self.real = {}
-        inner, runs = self.inner, self.runs
+        inner = self.inner
 
         def table_inner(table, lo, hi):
             return inner(table, lo, hi)
-
-        def first_runs(table, words):
-            return runs(table, words)
         for owner, name, spy in [
                 (construct, "_pick_between", self.pick),
                 (construct, "_interpolate_window", self.window),
                 (construct, "_middle_third", self.third),
-                (construct._Atoms, "first_runs", first_runs), (lemmas, "nearer", self.nearer),
+                (construct, "_cells", self.cells), (lemmas, "nearer", self.nearer),
                 (construct, "sample_points", self.sample), (WordTable, "inner", table_inner)]:
             self.real[name] = getattr(owner, name)
             monkeypatch.setattr(owner, name, spy)
 
-    def pick(self, anchor, limit, table):
-        t, d = self.real["_pick_between"](anchor, limit, table)
-        den = table.den
-        assert F(t, den * d) == ref._pick_between(F(anchor, den), F(limit, den), _used(table))
+    def pick(self, anchor, limit, marks):
+        # positions over some den, compared as values over 1: the midpoints
+        # and the halving scale with den alike
+        t, d = self.real["_pick_between"](anchor, limit, marks)
+        assert F(t, d) == ref._pick_between(F(anchor), F(limit), _used(1, marks))
         self.calls["pick"] += 1
         return t, d
 
-    def window(self, kernel, core, hull, table):
-        got = self.real["_interpolate_window"](kernel, core, hull, table)
-        assert got == ref._interpolate_window(kernel, core, hull, _used(table))
+    def window(self, kernel, core, hull, grid):
+        got = self.real["_interpolate_window"](kernel, core, hull, grid)
+        assert got == ref._interpolate_window(kernel, core, hull, _used(*grid))
         self.calls["window"] += 1
         return got
 
@@ -102,12 +102,14 @@ class Spies:
         self.calls["third"] += 1
         return got
 
-    def runs(self, table, words):
-        got = self.real["first_runs"](table, words)
-        marks = table.marks
-        for lo, hi in got.values():
-            assert bisect_right(marks, 2 * lo) == bisect_left(marks, 2 * hi), (lo, hi)
-        self.calls["runs"] += 1
+    def cells(self, table, n):
+        got = full, marks = self.real["_cells"](table, n)
+        bounds = table.bounds
+        at = [bounds[r - 1] for r in marks]  # the marks' positions
+        for r in full.values():  # a cell's first atom, the run of its chunk
+            lo, hi = bounds[r - 1] >> 1, bounds[r] >> 1
+            assert bisect_right(at, 2 * lo) == bisect_left(at, 2 * hi), (lo, hi)
+        self.calls["cells"] += 1
         return got
 
     def nearer(self, x, first, second):

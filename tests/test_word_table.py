@@ -17,7 +17,9 @@ it, the isolated points, the members 1 to levels + 6 and the limit of each
 sequence, and points outside the space.  A side's mask must also meet
 ``WordTable.pieces`` at exactly the points ``oracle.o_closure`` puts in
 the side's closure, on the builds of each corpus space and of
-``spacegen.rank2_space``.
+``spacegen.rank2_space``, and agree with ``WordTable.rows`` on every
+interval atom, on the kernel subbases of the corpus at levels 1-6 and on
+the builds of the first ``spacegen`` seed.
 """
 import functools
 import hashlib
@@ -440,3 +442,32 @@ def test_point_atoms_are_worked_out_once_per_table(monkeypatch):
     assert tables == [sb.word_table]
     assert check_dyadic(sb).passed and degree_report(sb, len(sb.pairs)).passed
     assert tables == [sb.word_table]
+
+
+def _rows_match_masks(sb):
+    """Row r of every interval atom has bit i exactly when side i's mask
+    has bit r: the two readings of one atoms × sides matrix."""
+    table = WordTable(sb)
+    rows = table.rows
+    assert len(rows) == len(table.bounds) + 1
+    interval_bits = (1 << len(rows)) - 1
+    for i in range(len(table.sides)):
+        column = sum((row >> i & 1) << r for r, row in enumerate(rows))
+        assert column == table.mask(i) & interval_bits, i
+    assert all(row >> len(table.sides) == 0 for row in rows)
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS if n != "converging-sequence"])
+@pytest.mark.parametrize("mode", MODES)
+def test_rows_match_masks_on_kernel_subbases(name, mode):
+    for levels in range(1, 7):
+        _rows_match_masks(build_proper_subbase(CORPUS[name](), levels, degree_mode=mode,
+                                               depth=1).kernel_subbase)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rows_match_masks_on_drawn_subbases(mode):
+    # whole subbases, with points and sequences beside the interval atoms
+    for i in range(len(_draws(SEEDS[0]))):
+        for _, sb in _subbases(f"{SEEDS[0]}.{i}-{mode}"):
+            _rows_match_masks(sb)
