@@ -236,9 +236,11 @@ def check_independent(sb: DyadicSubbase, depth: int) -> CheckReport:
     nonempty exactly when the 2^d cells of the words without ⊥ are
     (``_full_cells_meet``); a passing report counts all 3^d words as
     checked.  Otherwise the walk ANDs the sides' atom masks in the word
-    table of the first depth pairs to list the counterexamples: a word with
-    a digit has a nonempty cell exactly when its mask is not 0, and the
-    all-⊥ word's cell is X, its mask -1.
+    table of the first depth pairs to list the counterexamples: a word has
+    a nonempty cell exactly when its mask meets the mask of all atoms.
+    That reads the all-⊥ word, whose cell is X and whose walk mask is -1,
+    like any other: every AND of side masks lies inside that mask, which is
+    0 exactly on the empty space.
     """
     eff = _effective_depth(sb, depth)
     head = sb if eff == len(sb.pairs) else DyadicSubbase(sb.space, sb.pairs[:eff])
@@ -247,12 +249,11 @@ def check_independent(sb: DyadicSubbase, depth: int) -> CheckReport:
     if eff and _full_cells_meet(masks):
         return CheckReport("independent", eff, True, (),
                            {"words_checked": 3 ** eff, "depth_requested": depth})
-    x_empty = SymbolicSet.whole(sb.space).is_empty
     counterexamples = []
     checked = 0
     for word, m in _walk(eff, masks):
         checked += 1
-        if x_empty if m == -1 else not m:
+        if not m & table.whole:
             if len(counterexamples) < MAX_COUNTEREXAMPLES:
                 counterexamples.append({"word": word})
             else:

@@ -285,42 +285,29 @@ def _parser() -> argparse.ArgumentParser:
         description="exact dyadic subbases of symbolic rational spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("kernel", help="perfect kernel and scattered inventory")
-    _add_io_flags(p)
+    def command(name, handler, text, build=True):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        _add_io_flags(p)
+        if build:
+            _add_build_flags(p)
+        return p
 
-    p = sub.add_parser("build", help="construct a proper dyadic subbase")
-    _add_io_flags(p)
-    _add_build_flags(p)
-
-    p = sub.add_parser("check", help="verify subbase properties to a depth")
-    _add_io_flags(p)
-    _add_build_flags(p)
-
-    p = sub.add_parser("encode", help="code points as ternary words")
-    _add_io_flags(p)
-    _add_build_flags(p)
-    p.add_argument("--points", required=True,
-                   help="comma separated rationals, e.g. 1/3,2/5")
-
-    p = sub.add_parser("decode", help="cell of a ternary word")
-    _add_io_flags(p)
-    _add_build_flags(p)
-    p.add_argument("--word", required=True,
-                   help="word over 0/1/_ (or the bottom sign), e.g. 01_")
-
-    p = sub.add_parser("report", help="kernel analysis plus the full check bundle")
-    _add_io_flags(p)
-    _add_build_flags(p)
+    command("kernel", _cmd_kernel, "perfect kernel and scattered inventory", build=False)
+    command("build", _cmd_build, "construct a proper dyadic subbase")
+    command("check", _cmd_check, "verify subbase properties to a depth")
+    command("encode", _cmd_encode, "code points as ternary words").add_argument(
+        "--points", required=True, help="comma separated rationals, e.g. 1/3,2/5")
+    command("decode", _cmd_decode, "cell of a ternary word").add_argument(
+        "--word", required=True, help="word over 0/1/_ (or the bottom sign), e.g. 01_")
+    command("report", _cmd_report, "kernel analysis plus the full check bundle")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handlers = {"kernel": _cmd_kernel, "build": _cmd_build, "check": _cmd_check,
-                "encode": _cmd_encode, "decode": _cmd_decode,
-                "report": _cmd_report}
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         if getattr(exc, "details", None):

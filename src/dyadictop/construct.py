@@ -105,18 +105,12 @@ class SeedFamily:
         return out
 
     @cached_property
-    def hull_bounds(self) -> tuple:
-        """Each entry's hull_star closure bounds, in entry order, computed
-        once per family."""
-        return tuple(e.hull_star.closure_bounds() for e in self.entries)
-
-    @cached_property
     def _cover_table(self) -> tuple:
         """(den, rows): per entry with a nonempty core, its core's cuts
-        and the numerators of its ``hull_bounds``, all over one
+        and the numerators of its hull_star's closure bounds, all over one
         denominator den.  A core lives on the kernel, which has intervals
         only, so its cuts are the whole of it."""
-        live = [(e.core, b) for e, b in zip(self.entries, self.hull_bounds) if e.core.cuts]
+        live = [(e.core, e.hull_star.closure_bounds()) for e in self.entries if e.core.cuts]
         den = math.lcm(*(c.den for c, _ in live), *(x.denominator for _, b in live for x in b))
         return den, tuple((rescale(c.cuts, den // c.den),
                            lo.numerator * (den // lo.denominator),
@@ -608,14 +602,11 @@ def scattered_clopen_base(space: Space, tail_depth: int) -> list[SymbolicSet]:
     for c in parts:
         for depth in range(1, tail_depth + 1):
             sets.append(cluster_set(space, c, from_index=depth))
-    out: list[SymbolicSet] = []
-    for h in sets:
-        if h in out:
-            continue
+    out = list(dict.fromkeys(sets))
+    for h in out:
         if not h.boundary().is_empty:
             raise ConstructionError("clopen-base-not-clopen", -1,
                                     {"set": h.to_dict()})
-        out.append(h)
     return out
 
 

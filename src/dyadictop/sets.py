@@ -412,18 +412,14 @@ class SymbolicSet:
     def region(cls, space: Space, blocks) -> "SymbolicSet":
         """Trace of a finite union of real intervals on the space.
 
-        ``blocks`` holds (lo, lo_in, hi, hi_in) tuples; members, isolated
-        points and limits falling inside a block are picked up exactly.
+        ``blocks`` holds (lo, lo_in, hi, hi_in) tuples; each non-degenerate
+        block is read as an interval literal is by ``from_dict``, so the
+        members, isolated points and limits it covers are picked up exactly.
         """
-        spans = tuple(Span(lo, lo_in, hi, hi_in) for lo, lo_in, hi, hi_in in blocks
-                      if lo < hi or (lo == hi and lo_in and hi_in))
-        points, switches = set(), [[] for _ in space.sequences()]
-        for sp in spans:
-            values, sws = _covered(space, sp.lo, sp.lo_in, sp.hi, sp.hi_in)
-            points.update(values)
-            for parts, sw in zip(switches, sws):
-                parts.append(sw)
-        return cls(space, spans, frozenset(points), tuple(map(_tail_rule, switches)))
+        literals = [(lo.numerator, lo.denominator, lo_in, hi.numerator, hi.denominator, hi_in)
+                    for lo, lo_in, hi, hi_in in blocks
+                    if lo < hi or (lo == hi and lo_in and hi_in)]
+        return cls._traced(space, literals, [], set(), [[] for _ in space.sequences()])
 
     @classmethod
     def ball(cls, space: Space, center: Fraction, radius: Fraction) -> "SymbolicSet":
@@ -701,10 +697,10 @@ class SymbolicSet:
         positions over one denominator for the whole set, and one union
         clipped to the space's intervals gives the cuts.  A literal is the
         trace of a real interval, so one that leaves the space's intervals
-        also takes in the isolated points and members it covers, as
-        ``region`` does; one inside them covers none, since the primitives
-        are disjoint.  Each point is located once and joins the cuts, the
-        points or its sequence's tail.  Each tail entry becomes its switch
+        also takes in the isolated points and members it covers (``region``
+        reads its blocks the same way); one inside them covers none, since
+        the primitives are disjoint.  Each point is located once and joins
+        the cuts, the points or its sequence's tail.  Each tail entry becomes its switch
         list, and one rule per sequence is built from the merged lists.
         Errors come in file order: intervals, points, tails.
         """
@@ -735,6 +731,15 @@ class SymbolicSet:
                 _tail_index(start, "start")
             exc = [_tail_index(e, "exception") for e in _json_list(entry, "exceptions")]
             switches[j].append(_switches(start, exc))
+        return cls._traced(space, literals, values, points, switches)
+
+    @classmethod
+    def _traced(cls, space: Space, literals, values, points: set, switches) -> "SymbolicSet":
+        """The union of the literals, as (p, q, lo_in, r, s, hi_in) tuples,
+        and of the interval points ``values``, clipped once to the space's
+        intervals, with the isolated ``points`` and the tail ``switches``
+        given; the isolated points and members that a literal leaving the
+        intervals covers are added to them."""
         den, cuts = 1, ()
         if literals or values:
             amb_den, amb = _ambient(space)

@@ -361,12 +361,17 @@ def cb_kernel(space: Space) -> KernelReport:
     second derivative is already a fixed point for any finite primitive
     list, so the rank never exceeds 2.  An interval-only space is its own
     kernel.
+
+    The rank is the largest step: a primitive takes step 2 exactly when an
+    in-space limit is that isolated point or one of that sequence's
+    members, which is exactly when a point survives the first derivative
+    outside the kernel (load-time validation keeps a member out of other
+    sequences, of the isolated points and of the intervals).
     """
     seqs = space.sequences()
     in_space_limits = {s.limit for s in seqs if not s.open_limit}
 
     entries: list[ScatteredEntry] = []
-    survivors_outside = False
     for p in space.primitives:
         if isinstance(p, Interval):
             continue
@@ -378,17 +383,9 @@ def cb_kernel(space: Space) -> KernelReport:
                 if p.member_index(l) is not None:
                     step = 2
         entries.append(ScatteredEntry(p, step))
-    for l in in_space_limits:
-        if space.locate(l)[0] in ("point", "member"):
-            survivors_outside = True
 
     kernel = Space(space.intervals()) if entries else space
-    if not entries:
-        rank = 0
-    elif survivors_outside:
-        rank = 2
-    else:
-        rank = 1
+    rank = max((e.step for e in entries), default=0)
     return KernelReport(kernel, tuple(entries), rank)
 
 

@@ -58,8 +58,9 @@ def _cover_radius_in_fractions(fam, x):
     """The reference for ``cover_radius``: core membership, then the
     radius in ``Fraction`` arithmetic."""
     best = None
-    for e, (lo, hi) in zip(fam.entries, fam.hull_bounds):
+    for e in fam.entries:
         if e.core.membership(x):
+            lo, hi = e.hull_star.closure_bounds()
             r = max(x - lo, hi - x)
             best = r if best is None or r < best else best
     return best
@@ -324,6 +325,23 @@ def test_clopen_base_outside_limit_tails():
     assert len(sets) == 5
     for s in sets:
         assert s.boundary().is_empty
+
+
+def test_clopen_base_names_the_first_set_that_is_not_clopen(monkeypatch):
+    """A cluster set that is not clopen, the same at every depth of the
+    outside limit's tail, is reported once, at level -1."""
+    sp = Space((Interval(F(0), F(1)), IsolatedPoint(F(2)),
+                GeometricSequence(F(3), F(1, 2), True)))
+    bad = SymbolicSet.region(sp, [(F(0), True, F(1, 2), False)])
+    calls = []
+    monkeypatch.setattr(construct, "cluster_set",
+                        lambda space, c, from_index=1: calls.append(from_index) or bad)
+    with pytest.raises(ConstructionError) as info:
+        scattered_clopen_base(sp, 3)
+    assert calls == [1, 2, 3]
+    err = info.value
+    assert (err.condition, err.level) == ("clopen-base-not-clopen", -1)
+    assert err.details == {"set": bad.to_dict()}
 
 
 # -- orchestration --------------------------------------------------------

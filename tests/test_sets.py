@@ -20,8 +20,8 @@ from dyadictop.space import (GeometricSequence, Interval, IsolatedPoint, Space, 
                              cb_kernel)
 
 from fraction_reference import nearer_spans
-from oracle import (critical_values, o_closure, o_interior, o_member, o_selected, o_spans,
-                    o_tail, o_tail_binary, random_set, random_tail, raw_spans,
+from oracle import (critical_values, o_closure, o_inside, o_interior, o_member, o_selected,
+                    o_spans, o_tail, o_tail_binary, random_set, random_tail, raw_spans,
                     witnesses)
 from spacegen import random_spaces, rank2_space
 
@@ -61,6 +61,47 @@ def test_adjacent_spans_merge():
     t = SymbolicSet.region(X1, [(F(0), True, F(1, 2), False),
                                 (F(1, 2), False, F(1), True)])
     assert len(t.spans) == 2  # the gap point 1/2 keeps them apart
+
+
+def _ending_blocks(space: Space, rng: random.Random) -> list[Span]:
+    """Blocks that end exactly at an isolated point, a member or a limit,
+    from either side, each end closed or open as drawn."""
+    ends = [p.value for p in space.isolated_points()]
+    ends += [v for seq in space.sequences() for v in (seq.limit, seq.member(1), seq.member(3))]
+    out = []
+    for v in ends:
+        w = F(rng.randint(1, 12), rng.choice((4, 7, 16)))
+        out.append(Span(v - w, rng.random() < 0.5, v, rng.random() < 0.5))
+        out.append(Span(v, rng.random() < 0.5, v + w, rng.random() < 0.5))
+    return out
+
+
+def test_region_matches_the_blocks_on_draws():
+    """Drawn blocks on quarter and on third-and-seventh grids, and blocks
+    ending at points, members and limits: a value is in the region exactly
+    when it is in the space and in a block, and a degenerate open block
+    adds nothing."""
+    rng = random.Random(20135)
+    spaces = [sp for seed in (7, 99) for sp in random_spaces(seed, 40)
+              if sp.intervals() and (sp.isolated_points() or sp.sequences())]
+    spaces.append(rank2_space())
+    assert any(sp.isolated_points() and sp.sequences() for sp in spaces)
+    for sp in spaces:
+        for dens in ((4,), (3, 7)):
+            for _ in range(3):
+                ending = _ending_blocks(sp, rng)
+                spans = raw_spans(sp, rng, dens) + rng.sample(ending, min(3, len(ending)))
+                blocks = [(b.lo, b.lo_in, b.hi, b.hi_in) for b in spans]
+                s = SymbolicSet.region(sp, blocks)
+                v = rng.choice([b.lo for b in spans])
+                degenerate = [(v, False, v, False), (v, True, v, False), (v, False, v, True)]
+                assert SymbolicSet.region(sp, blocks + degenerate) == s
+                probes = critical_values(sp, [s]) | {x for b in spans for x in (b.lo, b.hi)}
+                probes |= {seq.member(k) for seq in sp.sequences() for k in range(1, 9)}
+                probes |= {seq.limit for seq in sp.sequences()}
+                for x in set(witnesses(sp, probes)) | probes:
+                    assert s.membership(x) == (sp.contains(x) and o_inside([spans], bool, x)), \
+                        (sp.render(), blocks, x)
 
 
 def test_singleton_and_ball():

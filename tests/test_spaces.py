@@ -312,6 +312,32 @@ def test_kernel_empty_space_rank_two():
     assert rep.rank == 2
 
 
+def _reference_rank(sp: Space) -> int:
+    """The rank by the survivors of the first derivative: 0 without a
+    scattered primitive, 2 when an in-space limit is an isolated point or
+    a member, and 1 otherwise."""
+    if not sp.isolated_points() and not sp.sequences():
+        return 0
+    limits = {s.limit for s in sp.sequences() if not s.open_limit}
+    return 2 if any(sp.locate(l)[0] in ("point", "member") for l in limits) else 1
+
+
+def test_kernel_rank_matches_the_survivor_rule():
+    spaces = [s for seed in (7, 99, 20131018) for s in random_spaces(seed, 40)]
+    spaces += [rank2_space()] + [mk() for mk in CORPUS.values()]
+    # rank 2 by a member alone: 5/2 is the first member of a sequence onto
+    # a limit outside the space, and the limit of another
+    spaces.append(Space((Interval(F(0), F(1)), GeometricSequence(F(2), F(1), open_limit=True),
+                         GeometricSequence(F(5, 2), F(1, 8)))))
+    spaces += [Space(tuple(reversed(sp.primitives))) for sp in spaces]
+    ranks = set()
+    for sp in spaces:
+        rank = cb_kernel(sp).rank
+        assert rank == _reference_rank(sp), sp.render()
+        ranks.add(rank)
+    assert ranks == {0, 1, 2}
+
+
 def test_kernel_report_render():
     assert cb_kernel(interval_points_space()).render() == \
         "kernel: [0,1]; scattered: 2@1, 3@1; rank 1"
