@@ -16,8 +16,8 @@ from .lemmas import (LemmaError, SubspaceError, check_half_clopen,
                      separate_open_pair)
 from .rational import (RationalFormatError, exact_log2, format_rational,
                        parse_rational)
-from .sets import (AmbientMismatchError, SetError, Span, SymbolicSet,
-                   TailRule, embed, kernel_set, restrict)
+from .sets import (AmbientMismatchError, SetError, SymbolicSet, TailRule, embed,
+                   kernel_set, restrict)
 from .space import (GeometricSequence, Interval, IsolatedPoint, KernelReport,
                     Space, SpaceError, cb_kernel, scatter_clusters)
 from .subbase import (DyadicSubbase, NotRegularOpenError, SubbaseError,
@@ -31,7 +31,7 @@ __all__ = [
     "CodedPoint", "ConstructionError", "DyadicSubbase", "GeometricSequence",
     "Interval", "IsolatedPoint", "KernelReport", "LemmaError",
     "NotRegularOpenError", "RationalFormatError", "SeedEntry",
-    "SeedFamily", "SetError", "Space", "SpaceError", "Span", "StepTrace",
+    "SeedFamily", "SetError", "Space", "SpaceError", "StepTrace",
     "SubbaseError", "SubspaceError", "SymbolicSet", "TailRule", "TernaryWord",
     "WordError", "auto_seeds", "build_independent_subbase",
     "build_proper_subbase", "cb_kernel", "check_dyadic", "check_half_clopen",

@@ -25,7 +25,7 @@ from .space import Space, SpaceError, cb_kernel
 from .subbase import DyadicSubbase, SubbaseError
 from .words import TernaryWord, WordError
 
-MAX_LEVELS = 15
+MAX_LEVELS = 16
 MAX_DEPTH = 12
 
 _ERRORS = (SpaceError, SetError, SubbaseError, WordError, RationalFormatError,

@@ -35,7 +35,7 @@ def cluster_set(space: Space, cluster: Cluster, from_index: int = 1) -> Symbolic
         tails[j] = TailRule.of(from_index, {e for e in exc if e >= from_index})
     for j, k in cluster.member_atoms:
         tails[j] = tails[j].union(TailRule.of(None, {k}))
-    return SymbolicSet(space, (), cluster.point_values, tuple(tails))
+    return SymbolicSet(space, cluster.point_values, tuple(tails))
 
 
 def _admissible_subspace(space: Space, y: SymbolicSet) -> str:

@@ -5,7 +5,7 @@ A set is stored in three independent components:
 * ``den``, ``cuts``  the interval-region trace as integer cut positions
               (module ``cuts``): the increasing positions where membership
               flips, over the smallest denominator that places them all;
-              ``spans`` reads them back as disjoint sorted spans
+              ``spans`` reads them back as (start, end) cut pairs
 * ``points``  the included isolated-point values
 * ``tails``   one selection rule per GeometricSequence primitive, stored
               as its switch points: the increasing indices where selection
@@ -48,29 +48,7 @@ class AmbientMismatchError(SetError):
     pass
 
 
-# -- spans ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Span:
-    lo: Fraction
-    lo_in: bool
-    hi: Fraction
-    hi_in: bool
-
-    def __post_init__(self):
-        if self.lo > self.hi or (self.lo == self.hi and not (self.lo_in and self.hi_in)):
-            raise SetError(f"bad span bounds {self.render()}")
-
-    def contains(self, x: Fraction) -> bool:
-        if self.lo < x < self.hi:
-            return True
-        return (x == self.lo and self.lo_in) or (x == self.hi and self.hi_in)
-
-    def render(self) -> str:
-        lo, hi = self.lo, self.hi
-        return _literal(lo.numerator, lo.denominator, self.lo_in,
-                        hi.numerator, hi.denominator, self.hi_in)
-
+# -- interval literals and cut pairs ----------------------------------------
 
 def _literal(p: int, q: int, lo_in, r: int, s: int, hi_in) -> str:
     """The interval literal from p/q to r/s, the integers as given."""
@@ -86,9 +64,9 @@ _LITERAL_RE = re.compile(r"\s*([\[(])\s*(([+-]?\d+)(?:/(\d*[1-9]\d*))?|[^,\s]+)\
 
 def _parse_literal(text: str) -> tuple[int, int, bool, int, int, bool]:
     """(p, q, lo_in, r, s, hi_in) of an interval literal from p/q to r/s, the
-    integers as written, in one match; refused as a ``Span`` would refuse
-    its bounds, and an end that is not p/q or has a zero denominator as
-    ``parse_ratio`` refuses it."""
+    integers as written, in one match; refused when its ends are reversed
+    or it holds no value, and an end that is not p/q or has a zero
+    denominator as ``parse_ratio`` refuses it."""
     m = _LITERAL_RE.fullmatch(text) if isinstance(text, str) else None
     if m is None:
         raise SetError(f"bad interval literal {text!r}")
@@ -97,7 +75,8 @@ def _parse_literal(text: str) -> tuple[int, int, bool, int, int, bool]:
     r, s = (int(r), int(s or 1)) if r else parse_ratio(hi)
     lo_in, hi_in = opening == "[", closing == "]"
     if p * s > r * q or (p * s == r * q and not (lo_in and hi_in)):
-        raise SetError(f"bad span bounds {_span(Fraction(p, q), lo_in, Fraction(r, s), hi_in).render()}")
+        g, h = math.gcd(p, q), math.gcd(r, s)
+        raise SetError(f"bad span bounds {_literal(p // g, q // g, lo_in, r // h, s // h, hi_in)}")
     return p, q, lo_in, r, s, hi_in
 
 
@@ -140,13 +119,6 @@ def _limits(space: Space) -> tuple:
     return tuple(space.locate(s.limit) for s in space.sequences())
 
 
-def _span(lo: Fraction, lo_in: bool, hi: Fraction, hi_in: bool) -> Span:
-    """A Span whose bounds are valid already, built unchecked."""
-    sp = object.__new__(Span)
-    sp.__dict__.update(lo=lo, lo_in=lo_in, hi=hi, hi_in=hi_in)
-    return sp
-
-
 def _cut_pairs(space: Space, den: int, cuts) -> list[tuple[int, int]]:
     """The (start, end) cuts of each span, in ``intervals()`` order and
     sorted within each interval."""
@@ -159,12 +131,6 @@ def _cut_pairs(space: Space, den: int, cuts) -> list[tuple[int, int]]:
         index = {a: order[bisect_right(amb, p) >> 1] for a, p in zip(cuts[::2], starts)}
         pairs.sort(key=lambda pair: index[pair[0]])
     return pairs
-
-
-def _cut_spans(space: Space, den: int, cuts) -> tuple[Span, ...]:
-    """The spans of the cuts, in ``_cut_pairs`` order."""
-    return tuple(_span(Fraction(a >> 1, den), a % 2 == 0, Fraction(e >> 1, den), e % 2 == 1)
-                 for a, e in _cut_pairs(space, den, cuts))
 
 
 def _cut_literals(space: Space, den: int, cuts) -> list[str]:
@@ -326,31 +292,24 @@ _set = object.__setattr__
 
 
 class SymbolicSet:
-    """``SymbolicSet(space, spans, points, tails)`` takes the union of the
-    spans, which may overlap, as cuts (``cuts.union``), clips it to the
-    ambient intervals (``_ambient``), checks the points and pads the tails
-    with empty rules; the operations build their canonical results
-    unchecked.  Immutable, and equal exactly when equal as sets."""
+    """``SymbolicSet(space, points, tails)`` is the set of the isolated
+    ``points`` and the tail rules ``tails``, with no interval part: it
+    checks the points and pads the tails with empty rules.  The interval
+    part comes from ``region``, ``from_dict``, ``singleton`` and the
+    operations, which build their canonical results unchecked.  Immutable,
+    and equal exactly when equal as sets."""
 
     __slots__ = ("space", "den", "cuts", "points", "tails")
 
-    def __init__(self, space: Space, spans=(), points=frozenset(), tails=()):
+    def __init__(self, space: Space, points=frozenset(), tails=()):
         _set(self, "space", space)
+        _set(self, "den", 1)
+        _set(self, "cuts", ())
         _set(self, "points", points)
         _set(self, "tails", tails)
-        self.__post_init__(spans)
+        self.__post_init__()
 
-    def __post_init__(self, spans):
-        # the one place where raw spans are clipped to the ambient intervals
-        spans = tuple(spans)
-        den, cuts = 1, ()
-        if spans:
-            den = math.lcm(*(x.denominator for sp in spans for x in (sp.lo, sp.hi)))
-            raw = union([(position(sp.lo, den) + (not sp.lo_in),
-                          position(sp.hi, den) + sp.hi_in) for sp in spans])
-            den, cuts = combine(den, raw, *_ambient(self.space), AND)
-        _set(self, "den", den)
-        _set(self, "cuts", cuts)
+    def __post_init__(self):
         pts = frozenset(self.points)
         for p in pts:
             if self.space.locate(p)[0] != "point":
@@ -429,7 +388,9 @@ class SymbolicSet:
     def singleton(cls, space: Space, x: Fraction) -> "SymbolicSet":
         loc = space.locate(x)
         if loc[0] == "interval":
-            return cls(space, (Span(x, True, x, True),))
+            n = x.numerator
+            return cls._canonical(space, x.denominator, (2 * n, 2 * n + 1), frozenset(),
+                                  (TAIL_NONE,) * len(space.sequences()))
         if loc[0] == "point":
             return cls(space, points=frozenset({x}))
         if loc[0] == "member":
@@ -441,11 +402,11 @@ class SymbolicSet:
     # -- basic queries --------------------------------------------------
 
     @property
-    def spans(self) -> tuple[Span, ...]:
-        """The interval part as disjoint spans, read from the cuts on each
-        call: canonical, sorted within each interval, the intervals in
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """The interval part as its (start, end) cut pairs over ``den``,
+        one per span: sorted within each interval, the intervals in
         ``intervals()`` order."""
-        return _cut_spans(self.space, self.den, self.cuts)
+        return tuple(_cut_pairs(self.space, self.den, self.cuts))
 
     @property
     def is_empty(self) -> bool:

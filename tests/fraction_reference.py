@@ -11,9 +11,11 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from dyadictop import Span, SymbolicSet
+from dyadictop import SymbolicSet
 from dyadictop.cuts import place
 from dyadictop.space import GeometricSequence, Interval, Space
+
+from oracle import Span, span_set, spans_of
 
 
 def _pick_between(anchor: Fraction, limit: Fraction, used) -> Fraction:
@@ -27,15 +29,15 @@ def _pick_between(anchor: Fraction, limit: Fraction, used) -> Fraction:
 def _interpolate_window(kernel: Space, core: SymbolicSet, hull: SymbolicSet,
                         used) -> SymbolicSet:
     """Regular open V with cl core ⊆ V ⊆ cl V ⊆ hull, fresh boundary values."""
-    (c,) = core.spans
-    (h,) = hull.spans
+    (c,) = spans_of(core)
+    (h,) = spans_of(hull)
     lo, lo_in = c.lo, c.lo_in
     hi, hi_in = c.hi, c.hi_in
     if not lo_in:
         lo = _pick_between(h.lo, c.lo, used)
     if not hi_in:
         hi = _pick_between(h.hi, c.hi, used)
-    return SymbolicSet(kernel, (Span(lo, lo_in, hi, hi_in),))
+    return span_set(kernel, [Span(lo, lo_in, hi, hi_in)])
 
 
 def _middle_third(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from dyadictop import (SymbolicSet, cb_kernel, cluster_set, embed, kernel_set,
                        scatter_clusters)
 
-from oracle import random_set
+from oracle import random_set, spans_of
 
 
 def separation_instance(space, rng: random.Random):
@@ -34,7 +34,7 @@ def extension_instance(space, rng: random.Random):
         return u, SymbolicSet.whole(space)
     delta = Fraction(1, rng.choice((16, 64, 256)))
     blocks = [(sp.lo - delta, False, sp.hi + delta, False)
-              for sp in u.closure_in(kernelS).spans]
+              for sp in spans_of(u.closure_in(kernelS))]
     hull = SymbolicSet.region(kernel, blocks) if kernel.intervals() else None
     w = SymbolicSet.empty(space) if hull is None else embed(hull, space)
     for cluster in scatter_clusters(space):

@@ -18,9 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
-from dyadictop import Space, Span, SymbolicSet, TailRule, format_rational
+from dyadictop import Space, SymbolicSet, TailRule, format_rational, kernel_set
 
 KDEEP = 40
 
@@ -35,7 +36,7 @@ def critical_values(space: Space, sets) -> set[Fraction]:
         if space.contains(seq.limit):
             crit.add(seq.limit)
     for s in sets:
-        for sp in s.spans:
+        for sp in spans_of(s):
             crit |= {sp.lo, sp.hi}
         crit |= set(s.points)
         for j, rule in enumerate(s.tails):
@@ -125,7 +126,7 @@ def random_set(space: Space, rng: random.Random) -> SymbolicSet:
             start = rng.randint(1, 8)
             exc = frozenset(k for k in range(1, start) if rng.random() < 0.3)
             tails.append(TailRule.of(start, exc))
-    extra = SymbolicSet(space, (), pts, tuple(tails))
+    extra = SymbolicSet(space, pts, tuple(tails))
     return base.union(extra)
 
 
@@ -170,6 +171,35 @@ def random_tail(rng: random.Random, top: int) -> tuple[int | None, frozenset[int
 
 
 # -- spans, brute force ------------------------------------------------------
+
+class Span(namedtuple("Span", "lo lo_in hi hi_in")):
+    """A span of the real line in Fractions, each end closed or open: the
+    block shape ``SymbolicSet.region`` takes."""
+    __slots__ = ()
+
+    def contains(self, x: Fraction) -> bool:
+        return self.lo < x < self.hi or (x == self.lo and self.lo_in) or \
+            (x == self.hi and self.hi_in)
+
+    def render(self) -> str:
+        return (f"{'[' if self.lo_in else '('}{format_rational(self.lo)},"
+                f"{format_rational(self.hi)}{']' if self.hi_in else ')'}")
+
+
+def spans_of(s: SymbolicSet) -> tuple[Span, ...]:
+    """The set's interval part as Spans, read off its cut pairs over its
+    denominator: an even start is a closed lower end, an odd end a closed
+    upper end."""
+    return tuple(Span(Fraction(a >> 1, s.den), not a & 1, Fraction(e >> 1, s.den), bool(e & 1))
+                 for a, e in s.spans)
+
+
+def span_set(space: Space, spans, points=(), tails=()) -> SymbolicSet:
+    """The union of the spans, which may overlap, clipped to the space's
+    intervals, with the isolated ``points`` and the tail rules ``tails``."""
+    clipped = SymbolicSet.region(space, spans).intersection(kernel_set(space))
+    return clipped.union(SymbolicSet(space, points, tails))
+
 
 def o_inside(lists, fn, x: Fraction) -> bool:
     """``fn`` of whether each span list holds x, span by span."""
@@ -362,20 +392,20 @@ def o_independent(sb, depth: int, limit: int) -> dict:
 def chunk_set(space: Space, chunk) -> SymbolicSet:
     """The open interval (a/d, b/d) of a trace's chunk (d, a, b), as a set."""
     d, a, b = chunk
-    return SymbolicSet(space, (Span(Fraction(a, d), False, Fraction(b, d), False),))
+    return span_set(space, [Span(Fraction(a, d), False, Fraction(b, d), False)])
 
 
 def _o_chunk(g: SymbolicSet) -> tuple[int, int, int]:
     """The chunk (d, a, b) of a one-span open set: d the lcm of its ends'
     denominators, which puts (a/d, b/d) in lowest terms."""
-    (sp,) = g.spans
+    (sp,) = spans_of(g)
     d = math.lcm(sp.lo.denominator, sp.hi.denominator)
     return d, int(sp.lo * d), int(sp.hi * d)
 
 
 def _o_middle_third(cell: SymbolicSet, used, avoid: bool) -> SymbolicSet:
     """Open middle third of the cell's first span in ``spans`` order."""
-    sp = cell.spans[0]
+    sp = spans_of(cell)[0]
     width = sp.hi - sp.lo
     g1, g2 = sp.lo + width / 3, sp.hi - width / 3
     if avoid:
@@ -383,7 +413,7 @@ def _o_middle_third(cell: SymbolicSet, used, avoid: bool) -> SymbolicSet:
             g1 = (sp.lo + g1) / 2
         while g2 in used:
             g2 = (sp.hi + g2) / 2
-    return SymbolicSet(cell.space, (Span(g1, False, g2, False),))
+    return span_set(cell.space, [Span(g1, False, g2, False)])
 
 
 def _o_split(cells, s0, s1) -> dict:
@@ -403,7 +433,7 @@ def _o_classify(cells, v, cl_v) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 def _o_window_probes(core: SymbolicSet, values) -> list[Fraction]:
-    (sp,) = core.spans
+    (sp,) = spans_of(core)
     vals = sorted({sp.lo, sp.hi} | {v for v in values if sp.lo <= v <= sp.hi})
     mids = [(u + w) / 2 for u, w in zip(vals, vals[1:])]
     return [m for m in mids if core.membership(m)]

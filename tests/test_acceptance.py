@@ -26,7 +26,7 @@ from dyadictop.corpus import CORPUS
 import golden
 from instances import extension_instance, separation_instance
 from oracle import (chunk_set, critical_values, o_boundary, o_closure, o_interior,
-                    o_regularization, random_set, witnesses)
+                    o_regularization, random_set, spans_of, witnesses)
 
 DATA = pathlib.Path(__file__).parent / "data"
 LEVELS = 4
@@ -158,7 +158,7 @@ def test_criterion_2_degree():
 def _endpoint_midpoint_probes(cells, core):
     vals = set()
     for c in cells.values():
-        for sp_ in c.spans:
+        for sp_ in spans_of(c):
             vals |= {sp_.lo, sp_.hi}
     vals = sorted(vals)
     probes = {(a + b) / 2 for a, b in zip(vals, vals[1:])}

@@ -156,7 +156,7 @@ def _degree_cases():
     left = SymbolicSet.region(X1, [(F(0), True, F(1, 2), False)])
     gap = SymbolicSet.region(X1, [(F(3, 4), False, F(1), True)])
     seq = converging_sequence_space()
-    head = SymbolicSet(seq, (), frozenset(), (TailRule((1, 6)),))
+    head = SymbolicSet(seq, tails=(TailRule((1, 6)),))
     # infinite residues: the interval [1/2,3/4], and the members from 6 on
     hand = [DyadicSubbase.from_pairs(X1, [(left, gap)]),
             DyadicSubbase.from_pairs(seq, [(head, SymbolicSet.singleton(seq, F(0)))])]
@@ -194,7 +194,7 @@ def test_finite_tail_residue_from_index_256():
     256 to 299, counted without making them, and the pair doubled lists
     the first 20 of them by value, the largest indices first."""
     space = converging_sequence_space()
-    zero = SymbolicSet(space, (), frozenset(), (TailRule((1, 256, 300)),))
+    zero = SymbolicSet(space, tails=(TailRule((1, 256, 300)),))
     sb = DyadicSubbase.from_pairs(space, [(zero, SymbolicSet.singleton(space, F(0)))] * 2)
     once = degree_report(sb, 1, ())
     assert once.passed and once.stats["boundary_sizes"] == [44]
@@ -212,7 +212,7 @@ def test_residue_holding_the_first_members_of_a_sequence():
     cell cannot read back, and is finite."""
     space = Space((IsolatedPoint(F(3)), GeometricSequence(F(5), F(1), open_limit=True)))
     point = SymbolicSet.singleton(space, F(3))
-    tail = SymbolicSet(space, (), frozenset(), (TailRule((3,)),))
+    tail = SymbolicSet(space, tails=(TailRule((3,)),))
     sb = DyadicSubbase.from_pairs(space, [(point, tail), (tail, point)])
     got = degree_report(sb, 2, (), expected_sup=1)
     assert got.stats["boundary_sizes"] == [2, 2]
@@ -312,7 +312,7 @@ def test_dyadic_matches_the_set_reference():
 
 
 def _tails(space, *rules):
-    return SymbolicSet(space, (), frozenset(), tuple(TailRule(r) for r in rules))
+    return SymbolicSet(space, tails=tuple(TailRule(r) for r in rules))
 
 
 def _dyadic_cases():

@@ -17,7 +17,7 @@ from dyadictop.corpus import (CORPUS, converging_sequence_space,
                               interval_space, two_intervals_point_space)
 from dyadictop.space import GeometricSequence, Interval, IsolatedPoint, Space
 
-from oracle import chunk_set, o_kernel_stage
+from oracle import chunk_set, o_kernel_stage, spans_of
 from spacegen import random_spaces
 
 
@@ -81,7 +81,7 @@ def test_cover_radius_matches_the_fraction_version():
             continue
         for match_dim in (False, True):
             fam = auto_seeds(sp, 5, match_dim)
-            ends = {v for e in fam.entries for s in e.core.spans for v in (s.lo, s.hi)}
+            ends = {v for e in fam.entries for s in spans_of(e.core) for v in (s.lo, s.hi)}
             ends |= {v for iv in kernel.intervals() for v in (iv.lo, iv.hi)}
             values = {v + d for v in ends for d in (-tiny, 0, tiny)}
             lo, hi = min(ends), max(ends)
@@ -209,8 +209,8 @@ def test_window_containment_names_its_probe(name, n, narrow_probe, wide_probe):
     kernel = cb_kernel(sp).kernel
     seeds = auto_seeds(sp, 3)
     entry = seeds.entries[n]
-    (c,) = entry.core.spans
-    (h,) = entry.hull.spans
+    (c,) = spans_of(entry.core)
+    (h,) = spans_of(entry.hull)
     comp = next(iv for iv in kernel.intervals() if iv.lo <= c.lo <= iv.hi)
     narrow = SymbolicSet.region(kernel, [(c.lo, c.lo_in, (c.lo + c.hi) / 2, False)])
     wide = SymbolicSet.region(kernel, [(c.lo, c.lo_in, (h.hi + comp.hi) / 2, False)])
@@ -257,7 +257,7 @@ def test_first_failing_level_stops_the_build():
     kernel = cb_kernel(sp).kernel
     seeds = auto_seeds(sp, 3)
     seeds = _with_entry(seeds, 1, hull_star=embed(seeds.entries[1].hull, sp))
-    (c,) = seeds.entries[2].core.spans
+    (c,) = spans_of(seeds.entries[2].core)
     narrow = SymbolicSet.region(kernel, [(c.lo, c.lo_in, (c.lo + c.hi) / 2, False)])
     seeds = _with_entry(seeds, 2, hull=narrow)
     with pytest.raises(ConstructionError) as err:

@@ -32,6 +32,7 @@ from dyadictop.corpus import CORPUS
 from dyadictop.space import Interval, IsolatedPoint, Space
 from dyadictop.subbase import WordTable
 
+from oracle import spans_of
 from spacegen import random_spaces
 
 MODES = ("unconstrained", "match_dim")
@@ -114,8 +115,9 @@ class Spies:
 
     def nearer(self, x, first, second):
         got = self.real["nearer"](x, first, second)
-        assert got == ref.nearer_spans(x, first.spans, second.spans)
-        d0, d1 = ref.dist_to_spans(x, first.spans), ref.dist_to_spans(x, second.spans)
+        a, b = spans_of(first), spans_of(second)
+        assert got == ref.nearer_spans(x, a, b)
+        d0, d1 = ref.dist_to_spans(x, a), ref.dist_to_spans(x, b)
         self.ties += d0 is not None and d0 == d1
         self.calls["nearer"] += 1
         return got
@@ -180,7 +182,7 @@ def test_nearer_on_cuts_matches_reference():
     for a in sets[::3]:
         for b in sets[1::3]:
             for x in (F(k, 16) for k in range(-8, 57)):
-                assert lemmas.nearer(x, a, b) == ref.nearer_spans(x, a.spans, b.spans)
+                assert lemmas.nearer(x, a, b) == ref.nearer_spans(x, spans_of(a), spans_of(b))
 
 
 # -- seeds of more than one span -------------------------------------------

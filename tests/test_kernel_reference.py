@@ -19,7 +19,7 @@ from itertools import product
 
 import pytest
 
-from dyadictop import (ConstructionError, Span, SymbolicSet, auto_seeds,
+from dyadictop import (ConstructionError, SymbolicSet, auto_seeds,
                        build_independent_subbase, build_proper_subbase, cb_kernel,
                        embed)
 from dyadictop import construct
@@ -28,7 +28,7 @@ from dyadictop.corpus import CORPUS
 from dyadictop.space import Interval, IsolatedPoint, Space
 
 import fraction_reference
-from oracle import chunk_set, o_kernel_stage
+from oracle import Span, chunk_set, o_kernel_stage, span_set, spans_of
 from spacegen import random_spaces
 
 MODES = ("unconstrained", "match_dim")
@@ -125,8 +125,8 @@ def test_first_run_in_intervals_order_matches_reference():
 def _window_from_a_third(kernel, core, hull, used):
     # V from a third of the way along the core: its lower end can land on
     # an earlier level's boundary point
-    (c,) = core.spans
-    return SymbolicSet(kernel, (Span(c.lo + (c.hi - c.lo) / 3, False, c.hi, c.hi_in),))
+    (c,) = spans_of(core)
+    return span_set(kernel, [Span(c.lo + (c.hi - c.lo) / 3, False, c.hi, c.hi_in)])
 
 
 def _without_class_b(whole, v, cl_v, g_a, g_b):

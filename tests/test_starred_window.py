@@ -26,6 +26,7 @@ from dyadictop.corpus import CORPUS
 from dyadictop.lemmas import cluster_set
 from dyadictop.rational import format_rational
 
+from oracle import spans_of
 from spacegen import random_spaces
 
 MODES = ("unconstrained", "match_dim")
@@ -76,7 +77,7 @@ def _verdict(space, entries):
 
 
 def _probes(core, marks):
-    (sp,) = core.spans
+    (sp,) = spans_of(core)
     vals = sorted({sp.lo, sp.hi} | {v for v in marks if sp.lo <= v <= sp.hi})
     return [m for m in ((u + w) / 2 for u, w in zip(vals, vals[1:]))
             if core.membership(m)]

@@ -139,7 +139,7 @@ def _limits_of_two_kinds():
     limits = [s.limit for s in space.sequences()]  # 1, 2 and 3/2
     out = []
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        tails = SymbolicSet(space, (), frozenset(), tuple(
+        tails = SymbolicSet(space, tails=tuple(
             TailRule.of(2, ()) if k in (i, j) else TailRule() for k in range(3)))
         ends = SymbolicSet.singleton(space, limits[i]).union(
             SymbolicSet.singleton(space, limits[j]))
